@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,8 +63,12 @@ class FunctionTable:
 
     table: tuple[tuple[tuple[int, ...], int], ...]
 
+    @cached_property
+    def _bins(self) -> dict[tuple[int, ...], int]:
+        return dict(self.table)
+
     def apply(self, u: Sequence[int]) -> int:
-        return dict(self.table)[tuple(u)]
+        return self._bins[tuple(u)]
 
 
 class Ensemble:

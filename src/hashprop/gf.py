@@ -34,18 +34,6 @@ def check_prime(q: int) -> int:
     return q
 
 
-def fadd(x: int, y: int, q: int) -> int:
-    return (x + y) % q
-
-
-def fmul(x: int, y: int, q: int) -> int:
-    return (x * y) % q
-
-
-def fneg(x: int, q: int) -> int:
-    return (-x) % q
-
-
 def finv(x: int, q: int) -> int:
     if x % q == 0:
         raise FieldError("inversion of zero")

@@ -89,10 +89,16 @@ def sw_encode(code: SwCode, x_K) -> tuple[tuple[int, ...], ...]:
 def _coset_product(code: SwCode, syndromes, cap: int):
     cosets = []
     total = 1
-    for m, a in zip(code.matrices, syndromes):
+    for m, a, size in zip(code.matrices, syndromes, code.mu.shape):
         c = list(solve_affine(CosetSpec(m, tuple(a))))
         if not c:
             raise SwError("syndrome outside the matrix image")
+        if m.q > size:
+            # GF(q) symbols beyond the source alphabet are not candidates;
+            # filtering keeps the lexicographic order
+            c = [u for u in c if max(u, default=0) < size]
+            if not c:
+                raise SwError("no coset member lies inside the source alphabet")
         cosets.append(c)
         total *= len(c)
         if total > cap:
@@ -167,7 +173,7 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     if total_seqs > cap:
         raise SwError(f"{total_seqs} source tuples exceed cap {cap}")
     if decoder == "md" and code.k == 2:
-        return _error_exact_fast2(code, cap)
+        return _error_exact_fast2(code)
     decode = _decoder_fn(code, decoder, gamma, cap)
     cache: dict = {}
     error = 0.0
@@ -188,78 +194,86 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     return min(1.0, error)
 
 
-def _error_exact_fast2(code: SwCode, cap: int) -> float:
+def _syndrome_order(seqs: np.ndarray, matrix: FieldMatrix):
+    """Reorder sequences so that each coset is one contiguous run.
+
+    Returns the (stable) permutation, the start of every run, the run
+    lengths, and each reordered sequence's offset inside its run; members
+    of a run stay in lexicographic order.
+    """
+    weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
+    idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
+    perm = np.argsort(idx, kind="stable")
+    _, starts, sizes = np.unique(idx[perm], return_index=True, return_counts=True)
+    offsets = np.arange(len(seqs)) - np.repeat(starts, sizes)
+    return perm, starts, sizes, offsets
+
+
+def _error_exact_fast2(code: SwCode) -> float:
     """Vectorized two-source minimum-divergence error via a full pair table.
 
-    Enumerates all |X|^n x |Y|^n sequence pairs once, computes every pair's
-    joint-type divergence and probability mass with numpy, decodes each
-    syndrome pair by an argmin over the coset-product submatrix (first
-    occurrence = lexicographic tie-break), and sums the mass of mismatches.
+    Enumerates all |X|^n x |Y|^n source pairs once, reordered so that every
+    coset-product block (coset_a, coset_b) is a rectangle of the table with
+    its members in lexicographic order. Cell counts come from one float
+    matmul of 0/1 indicators per alphabet cell (exact for counts <= n); a
+    pair's divergence and log-mass are then sums of per-cell lookups
+    term[count] and count * log2(mu_cell), added cell by cell. Each block is
+    decoded at once: block minima via ``reduceat``, then the winner is the
+    tied candidate (within TIE_TOL of the minimum) with the smallest
+    row-major rank in its block -- the lexicographic tie-break of
+    ``sw_decode_md``. Cosets of different sizes need no padding. The masses
+    of wrongly decoded pairs are summed left to right in row-major source
+    order, so the result is bit-identical to a per-pair loop. Memory is
+    O(|X|^n |Y|^n).
     """
     (sx, sy) = code.mu.shape
     n = code.n
+    ma, mb = code.matrices
     seqs_x = np.array(list(itertools.product(range(sx), repeat=n)), dtype=np.int64)
     seqs_y = np.array(list(itertools.product(range(sy), repeat=n)), dtype=np.int64)
-    ma, mb = code.matrices
-    syn_x = seqs_x @ ma.to_dense().T % ma.q
-    syn_y = seqs_y @ mb.to_dense().T % mb.q
-    pow_a = ma.q ** np.arange(ma.rows - 1, -1, -1, dtype=np.int64)
-    pow_b = mb.q ** np.arange(mb.rows - 1, -1, -1, dtype=np.int64)
-    idx_a = syn_x @ pow_a
-    idx_b = syn_y @ pow_b
-
-    # occurrence counts of each (x-symbol, y-symbol) cell for every pair
-    counts = np.empty((len(seqs_x), len(seqs_y), sx * sy), dtype=np.int64)
-    for a in range(sx):
-        xa = seqs_x == a
-        for b in range(sy):
-            yb = seqs_y == b
-            counts[:, :, a * sy + b] = xa.astype(np.int64) @ yb.astype(np.int64).T
+    perm_x, starts_x, sizes_x, off_x = _syndrome_order(seqs_x, ma)
+    perm_y, starts_y, sizes_y, off_y = _syndrome_order(seqs_y, mb)
+    seqs_x = seqs_x[perm_x]
+    seqs_y = seqs_y[perm_y]
 
     mu_flat = code.mu.table.reshape(-1)
     with np.errstate(divide="ignore"):
         log_mu = np.log2(mu_flat)
-    nu = counts / n
-    div = np.zeros(counts.shape[:2])
-    mass_log = np.zeros(counts.shape[:2])
+    k = np.arange(n + 1)
+    nu = k / n
+    div = np.zeros((len(seqs_x), len(seqs_y)))
+    mass_log = np.zeros_like(div)
     for cell in range(sx * sy):
-        c = nu[:, :, cell]
-        pos = c > 0
+        a, b = divmod(cell, sy)
+        count = ((seqs_x == a).astype(np.float64)
+                 @ (seqs_y == b).astype(np.float64).T).astype(np.intp)
         if mu_flat[cell] > 0:
-            term = np.zeros_like(c)
-            term[pos] = c[pos] * (np.log2(c[pos]) - log_mu[cell])
-            div += term
-            mass_log += counts[:, :, cell] * log_mu[cell]
+            term = np.zeros(n + 1)
+            term[1:] = nu[1:] * (np.log2(nu[1:]) - log_mu[cell])
+            div += term[count]
+            mass_log += (k * log_mu[cell])[count]
         else:
+            pos = count > 0
             div[pos] = np.inf
             mass_log[pos] = -np.inf
-    mass = np.exp2(mass_log)
 
-    coset_a: dict[int, list[int]] = {}
-    coset_b: dict[int, list[int]] = {}
-    for i, s in enumerate(idx_a):
-        coset_a.setdefault(int(s), []).append(i)
-    for j, s in enumerate(idx_b):
-        coset_b.setdefault(int(s), []).append(j)
+    def block_min(table):
+        return np.minimum.reduceat(np.minimum.reduceat(table, starts_x, axis=0),
+                                   starts_y, axis=1)
 
-    dec_x = {}
-    dec_y = {}
-    for a_idx, rows in coset_a.items():
-        r = np.array(rows)
-        for b_idx, cols in coset_b.items():
-            c = np.array(cols)
-            sub = div[np.ix_(r, c)]
-            # first candidate within an ulp of the minimum = lex tie-break
-            flat = int(np.argmax((sub <= sub.min() + TIE_TOL).ravel()))
-            dec_x[(a_idx, b_idx)] = rows[flat // len(cols)]
-            dec_y[(a_idx, b_idx)] = cols[flat % len(cols)]
+    def spread(blocks):
+        # one value per block, repeated over the block's rectangle
+        return np.repeat(np.repeat(blocks, sizes_x, axis=0), sizes_y, axis=1)
 
-    error = 0.0
-    for i in range(len(seqs_x)):
-        for j in range(len(seqs_y)):
-            key = (int(idx_a[i]), int(idx_b[j]))
-            if dec_x[key] != i or dec_y[key] != j:
-                error += mass[i, j]
+    tied = div <= spread(block_min(div) + TIE_TOL)
+    rank = off_x[:, None] * np.repeat(sizes_y, sizes_y)[None, :] + off_y[None, :]
+    winner = block_min(np.where(tied, rank, np.iinfo(np.intp).max))
+    wrong_log_mass = np.where(rank != spread(winner), mass_log, -np.inf)
+
+    # back to row-major (x, y) source order for a left-to-right error sum;
+    # right pairs contribute exact zeros, which leave the running sum alone
+    w = np.exp2(wrong_log_mass[np.ix_(np.argsort(perm_x), np.argsort(perm_y))])
+    error = np.cumsum(w)[-1]
     return min(1.0, float(error))
 
 
