@@ -14,18 +14,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gf import CosetSpec, FieldMatrix, enumerate_image, rank, solve_affine
+from .gf import FieldMatrix, coset_factors, enumerate_image, rank
 from .mc import McEstimate, spawn_rngs
 from .types import (
     CondDistribution,
     Distribution,
-    cond_divergence,
-    divergence,
+    cell_counts,
+    cell_terms,
     entropy,
-    joint_type,
+    product_divergences,
+    product_member,
+    product_scores,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -73,6 +76,15 @@ class BcProblem:
     def k(self) -> int:
         return len(self.mu_u.shape)
 
+    @cached_property
+    def receiver_conditionals(self) -> tuple[np.ndarray, ...]:
+        """mu_{U_j | Y_j} per receiver as a (|U_j|, |Y_j|) table, all from
+        one assembly of the joint law."""
+        joint = bc_build_joint(self)
+        k = self.k
+        return tuple(joint.marginal((j, k + 1 + j)).conditional((0,), (1,)).table
+                     for j in range(k))
+
     def x_given_u(self, u: tuple) -> np.ndarray:
         nx = self.channel.table.shape[-1]
         if self.deterministic:
@@ -94,15 +106,6 @@ def bc_build_joint(p: BcProblem) -> Distribution:
             if px[x] > 0:
                 table[u + (x,)] = p.mu_u[u] * px[x] * p.channel.table[..., x]
     return Distribution(table)
-
-
-def _receiver_conditional(p: BcProblem, j: int) -> tuple[np.ndarray, int]:
-    """mu_{U_j | Y_j} as a (|U_j|, |Y_j|) table plus |Y_j|."""
-    joint = bc_build_joint(p)
-    k = p.k
-    pair = joint.marginal((j, k + 1 + j))  # (U_j, Y_j)
-    cond = pair.conditional((0,), (1,))
-    return cond.table, pair.shape[1]
 
 
 def bc_rate_region(p: BcProblem, rates) -> dict:
@@ -257,6 +260,11 @@ class BcCode:
     def message_space(self, j: int) -> list[tuple[int, ...]]:
         return enumerate_image(self.pairs[j][1])
 
+    @cached_property
+    def stacked(self) -> tuple[FieldMatrix, ...]:
+        """(A_j; A'_j) per receiver: the coset-intersection systems."""
+        return tuple(a_m.stack(ap_m) for a_m, ap_m in self.pairs)
+
 
 @dataclass(frozen=True)
 class BcEncodeResult:
@@ -273,23 +281,13 @@ def bc_encode(code: BcCode, p: BcProblem, messages,
     C_{A_j}(a_j) cap C_{A'_j}(m_j), then the symbol map applied per position."""
     if len(messages) != code.k:
         raise BcError("one message per receiver is required")
-    cosets = []
-    total = 1
-    for (a_m, ap_m), a, m in zip(code.pairs, code.syndromes, messages):
-        stacked = a_m.stack(ap_m)
-        members = list(solve_affine(CosetSpec(stacked, tuple(a) + tuple(m))))
-        if not members:
-            return BcEncodeResult(None, None, True, math.inf)
-        cosets.append(members)
-        total *= len(members)
-        if total > cap:
-            raise BcError(f"coset-intersection product of {total} exceeds cap {cap}")
-    best = None
-    best_d = math.inf
-    for cand in itertools.product(*cosets):
-        d = divergence(joint_type(cand, p.mu_u.shape).empirical(), p.mu_u)
-        if best is None or d < best_d:
-            best, best_d = cand, d
+    systems = [tuple(a) + tuple(m) for a, m in zip(code.syndromes, messages)]
+    factors = coset_factors(code.stacked, systems, cap, BcError)
+    if factors is None:
+        return BcEncodeResult(None, None, True, math.inf)
+    d = product_divergences(factors, p.mu_u)
+    winner = int(np.argmin(d))  # the first strict minimum
+    best = product_member(factors, winner)
     if p.deterministic:
         x = tuple(int(p.f[symbols]) for symbols in zip(*best))
     else:
@@ -299,7 +297,7 @@ def bc_encode(code: BcCode, p: BcProblem, messages,
             int(rng.choice(p.channel.table.shape[-1], p=p.f[symbols]))
             for symbols in zip(*best)
         )
-    return BcEncodeResult(u_K=best, x=x, failure=False, divergence=best_d)
+    return BcEncodeResult(u_K=best, x=x, failure=False, divergence=float(d[winner]))
 
 
 def bc_decode(code: BcCode, p: BcProblem, j: int, y,
@@ -308,44 +306,46 @@ def bc_decode(code: BcCode, p: BcProblem, j: int, y,
     posterior (ml) or minimizing the conditional divergence (md), then report
     its image under A'_j."""
     a_m, ap_m = code.pairs[j]
-    members = list(solve_affine(CosetSpec(a_m, code.syndromes[j])))
-    if not members:
+    factors = coset_factors([a_m], [code.syndromes[j]], cap, BcError)
+    if factors is None:
         raise BcError("empty shared coset")
-    if len(members) > cap:
-        raise BcError("coset exceeds cap")
-    cond, ysize = _receiver_conditional(p, j)
-    usize = cond.shape[0]
-    y = tuple(int(v) for v in y)
-    best = None
+    cond = p.receiver_conditionals[j]
+    usize, ysize = cond.shape
+    y = np.array([int(v) for v in y], dtype=np.int64)
+    n = len(y)
     if variant == "ml":
-        best_score = -math.inf
-        for u in members:
-            score = 0.0
-            for us, ys in zip(u, y):
-                pv = cond[us, ys]
-                if pv <= 0:
-                    score = -math.inf
-                    break
-                score += math.log2(pv)
-            if score > best_score:
-                best, best_score = u, score
-        if best is None:
-            best = members[0]
+        log_cond = np.array([math.log2(pv) if pv > 0 else -math.inf
+                             for pv in cond.reshape(-1).tolist()])
+
+        def score(cells):
+            # log-posteriors summed position by position
+            out = np.zeros(len(cells))
+            for i in range(n):
+                out += log_cond[cells[:, i]]
+            return out
+
+        # the first maximum; members[0] when every score is -inf
+        winner = int(np.argmax(product_scores([factors[0], y[None]], cond.shape, score)))
     elif variant == "md":
-        best_d = math.inf
-        nu_y = np.bincount(np.array(y), minlength=ysize) / len(y)
-        for u in members:
-            t = joint_type([u, y], (usize, ysize)).table()
-            qt = np.zeros((usize, ysize))
-            for v in range(ysize):
-                col = t[:, v].sum()
-                qt[:, v] = t[:, v] / col if col > 0 else 1.0 / usize
-            d = cond_divergence(qt, cond, nu_y)
-            if best is None or d < best_d:
-                best, best_d = u, d
+        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y): context v's column of the joint
+        # type is normalized by n_v, the same for every candidate
+        n_y = np.bincount(y, minlength=ysize)
+        nu_y = n_y / n
+
+        def score(cells):
+            counts = cell_counts(cells, usize * ysize)
+            out = np.zeros(len(cells))
+            for v in np.flatnonzero(n_y).tolist():
+                d_v = np.zeros(len(cells))
+                for u in range(usize):
+                    d_v += cell_terms(float(cond[u, v]), int(n_y[v]))[counts[:, u * ysize + v]]
+                out += nu_y[v] * d_v
+            return out
+
+        winner = int(np.argmin(product_scores([factors[0], y[None]], cond.shape, score)))
     else:
         raise BcError(f"unknown decoder variant {variant!r}")
-    return ap_m.matvec(best)
+    return ap_m.matvec(tuple(factors[0][winner].tolist()))
 
 
 def _channel_support(p: BcProblem):

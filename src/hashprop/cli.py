@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--syndrome", action="append", required=True,
                    help="a=symbols,m=symbols per terminal, in order")
     l.add_argument("--fallback", choices=["exhaustive"])
-    l.add_argument("--json", action="store_true",
-                   help="accepted for compatibility; output is always JSON")
     l.set_defaults(fn=cmd_lp_md)
 
     sw = sub.add_parser("sweep", help="rate-grid sweep emitting CSV")

@@ -37,9 +37,6 @@ class EnsembleProfile:
             raise EnsembleError("profile entries must be nonnegative")
 
 
-UNIVERSAL = None  # placeholder replaced below once EnsembleProfile exists
-
-
 @dataclass(frozen=True)
 class TypeFilter:
     """Selects the high-weight types whose spectrum ratio defines alpha;
@@ -214,9 +211,6 @@ class _StackedMap:
 
     def apply(self, u: Sequence[int]) -> tuple:
         return (self.first.apply(u), self.second.apply(u))
-
-
-UNIVERSAL_PROFILE = EnsembleProfile(alpha=Fraction(1), beta=Fraction(0), image_size=0)
 
 
 def universal_profile(e: Ensemble) -> EnsembleProfile:

@@ -8,6 +8,7 @@ dense Gaussian elimination is more than fast enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -227,32 +228,109 @@ def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
     return sorted(vectors)
 
 
+COSET_CACHE = 128  # matrices whose elimination is kept
+
+
+@dataclass(frozen=True, eq=False)
+class _Elimination:
+    """[A | I] reduced once: pivots of A, the row transform T with T A = R,
+    and the null-space basis.  ``span`` (all q^d kernel vectors) is built on
+    first use, so sizing a coset allocates nothing."""
+
+    q: int
+    cols: int
+    pivots: np.ndarray      # pivot columns of A, ascending
+    transform: np.ndarray   # T, (rows, rows)
+    basis: np.ndarray       # (d, cols), one vector per free column
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        span = np.zeros((1, self.cols), dtype=np.int64)
+        steps = np.arange(self.q, dtype=np.int64)[None, :, None]
+        for b in self.basis:
+            span = ((span[:, None, :] + steps * b) % self.q).reshape(-1, self.cols)
+        span.setflags(write=False)
+        return span
+
+
+@lru_cache(maxsize=COSET_CACHE)
+def _eliminate(matrix: FieldMatrix) -> _Elimination:
+    q, rows, cols = matrix.q, matrix.rows, matrix.cols
+    aug = np.concatenate([matrix.to_dense(), np.eye(rows, dtype=np.int64)], axis=1)
+    r, all_pivots = rref(aug, q)
+    pivots = [p for p in all_pivots if p < cols]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        basis[i, pivots] = (-r[:len(pivots), f]) % q
+    arrays = (np.array(pivots, dtype=np.intp), r[:, cols:].copy(), basis)
+    for arr in arrays:
+        arr.setflags(write=False)  # shared by every later call
+    return _Elimination(q, cols, *arrays)
+
+
+def coset_size(matrix: FieldMatrix) -> int:
+    """|C_A(a)| = q^(n - rank) for any syndrome a in Im A, without building it."""
+    return matrix.q ** len(_eliminate(matrix).basis)
+
+
+def coset_array(matrix: FieldMatrix, syndrome: Iterable[int]) -> np.ndarray:
+    """The coset C_A(a) as an (m, n) int64 array, rows in lexicographic order.
+
+    Empty (0, n) iff the syndrome lies outside Im A.  The elimination of A is
+    cached per matrix, so a call only maps the syndrome through T, places the
+    particular solution on the pivot columns and shifts the kernel span.
+    """
+    e = _eliminate(matrix)
+    a = np.array(tuple(syndrome), dtype=np.int64) % matrix.q
+    if len(a) != matrix.rows:
+        raise FieldError("syndrome length does not match row count")
+    ta = e.transform @ a % matrix.q
+    rank = len(e.pivots)
+    if ta[rank:].any():
+        return np.zeros((0, matrix.cols), dtype=np.int64)  # a outside Im A
+    x = np.zeros(matrix.cols, dtype=np.int64)
+    x[e.pivots] = ta[:rank]
+    members = (e.span + x) % matrix.q
+    return members[np.lexsort(members.T[::-1])]
+
+
+def coset_factors(matrices: Sequence[FieldMatrix], syndromes, cap: int,
+                  error: type[ValueError] = FieldError,
+                  sizes: Sequence[int] | None = None) -> list[np.ndarray] | None:
+    """The cosets C_{A_j}(a_j), as ``coset_array``s, whose product is the
+    candidate set of an exhaustive decoder.
+
+    With ``sizes``, coset j keeps only its members inside {0..sizes[j]-1}^n,
+    in order.  The cap bounds the members built, not only those kept:
+    coset j is built only if q_j^(n - rank) times the product of the sizes
+    kept so far is at most ``cap``; otherwise ``error`` is raised.  Returns
+    None as soon as a coset is empty.
+    """
+    factors = []
+    total = 1
+    for j, (m, a) in enumerate(zip(matrices, syndromes)):
+        built = total * coset_size(m)
+        if built > cap:
+            raise error(f"coset product of {built} candidates exceeds cap {cap}")
+        members = coset_array(m, a)
+        if sizes is not None and m.q > sizes[j]:
+            members = members[(members < sizes[j]).all(axis=1)]
+        if not len(members):
+            return None
+        factors.append(members)
+        total *= len(members)
+    return factors
+
+
 def solve_affine(spec: CosetSpec) -> Iterator[tuple[int, ...]]:
     """Yield the coset C_A(a) in lexicographic (full-vector) order.
 
     Empty iterator iff the syndrome lies outside Im A.  The lexicographic
     order is what downstream decoders rely on for deterministic ties.
     """
-    matrix, a = spec.matrix, spec.syndrome
-    q = matrix.q
-    aug = np.concatenate([matrix.to_dense(), np.array([a], dtype=np.int64).T], axis=1)
-    r, pivots = rref(aug, q)
-    if matrix.cols in pivots:
-        return iter(())  # inconsistent system: a outside Im A
-    particular = [0] * matrix.cols
-    for i, p in enumerate(pivots):
-        particular[p] = int(r[i, matrix.cols])
-    basis = null_space(matrix)
-    members = []
-    for coeffs in np.ndindex(*([q] * len(basis))):
-        vec = list(particular)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for j in range(matrix.cols):
-                    vec[j] = (vec[j] + int(c) * b[j]) % q
-        members.append(tuple(int(v) for v in vec))
-    members.sort()
-    return iter(members)
+    return iter(map(tuple, coset_array(spec.matrix, spec.syndrome).tolist()))
 
 
 def coset(matrix: FieldMatrix, syndrome: Iterable[int]) -> list[tuple[int, ...]]:

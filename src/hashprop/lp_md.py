@@ -21,8 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import CosetSpec, FieldMatrix, solve_affine
-from .types import Distribution, divergence, joint_type
+from .gf import FieldMatrix, coset_factors
+from .types import (
+    Distribution,
+    cell_counts,
+    compositions,
+    divergence,
+    product_member,
+    product_scores,
+)
 
 REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
 FEAS_TOL = 1e-9
@@ -286,15 +293,6 @@ class LpDecodeResult:
     type_log: tuple
 
 
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
-
-
 def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None,
               fallback_cap: int = 1 << 16, degree_cap: int = 12) -> LpDecodeResult:
     """Minimum-divergence decoding over the coset product by sweeping joint
@@ -321,7 +319,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     log = []
     feasible: list[tuple[float, tuple, bool]] = []  # (divergence, type, certified)
     all_integral = True
-    for t in _compositions(n, 1 << k):
+    for t in compositions(n, 1 << k):
         d = divergence(np.asarray(t) / n, mu)
         lp = LinearProgram(num_vars=nv, objective=np.zeros(nv), maximize=True)
         lp.objective = np.zeros(nv)
@@ -357,41 +355,33 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
                           error=False, type_log=tuple(log))
 
 
-def _coset_product(matrices, syndromes, cap: int):
-    cosets = []
-    total = 1
-    for m, a in zip(matrices, syndromes):
-        c = list(solve_affine(CosetSpec(m, tuple(a))))
-        if not c:
-            return None
-        cosets.append(c)
-        total *= len(c)
-        if total > cap:
-            raise LpError(f"coset product of {total} exceeds cap {cap}")
-    return itertools.product(*cosets)
+def _type_hits(matrices, syndromes, types, cap: int):
+    """The coset product's factors and, per candidate in product order,
+    whether its joint type is in ``types``; None if the product is empty."""
+    factors = coset_factors(matrices, syndromes, cap, LpError)
+    if factors is None:
+        return None
+    ncells = 1 << len(matrices)
+    wanted = np.array(sorted(types), dtype=np.int64).reshape(-1, ncells)
 
-def _tuple_type(cand, k: int) -> tuple:
-    counts = joint_type(cand, (2,) * k)
-    return tuple(np.asarray(counts.counts).reshape(-1).tolist())
+    def hit(cells):
+        counts = cell_counts(cells, ncells)
+        return (counts[:, None, :] == wanted[None]).all(axis=2).any(axis=1)
+
+    return factors, product_scores(factors, (2,) * len(matrices), hit)
 
 
 def _type_occurs(matrices, syndromes, t, cap: int) -> bool:
-    prod = _coset_product(matrices, syndromes, cap)
-    if prod is None:
-        return False
-    k = len(matrices)
-    return any(_tuple_type(cand, k) == tuple(t) for cand in prod)
+    found = _type_hits(matrices, syndromes, {tuple(t)}, cap)
+    return found is not None and bool(found[1].any())
 
 
 def _first_member_with_type(matrices, syndromes, winners: set, cap: int):
-    prod = _coset_product(matrices, syndromes, cap)
-    if prod is None:
+    found = _type_hits(matrices, syndromes, winners, cap)
+    if found is None or not found[1].any():
         return None
-    k = len(matrices)
-    for cand in prod:
-        if _tuple_type(cand, k) in winners:
-            return cand
-    return None
+    factors, hits = found
+    return product_member(factors, int(np.argmax(hits)))
 
 
 # --- single-position polytope audit -----------------------------------------

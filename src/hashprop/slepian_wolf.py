@@ -15,9 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import CosetSpec, FieldMatrix, solve_affine
+from .gf import FieldMatrix, coset_factors
 from .mc import McEstimate, spawn_rngs
-from .types import Distribution, TypicalityParams, divergence, entropy, is_typical, joint_type
+from .types import (
+    Distribution,
+    TypicalityParams,
+    cell_counts,
+    entropy,
+    product_divergences,
+    product_member,
+    product_scores,
+    type_divergences,
+)
 
 DEFAULT_CAP = 1 << 20
 # two mathematically tied joint types can produce float divergences an ulp
@@ -86,42 +95,25 @@ def sw_encode(code: SwCode, x_K) -> tuple[tuple[int, ...], ...]:
     return tuple(m.matvec(x) for m, x in zip(code.matrices, x_K))
 
 
-def _coset_product(code: SwCode, syndromes, cap: int):
-    cosets = []
-    total = 1
-    for m, a, size in zip(code.matrices, syndromes, code.mu.shape):
-        c = list(solve_affine(CosetSpec(m, tuple(a))))
-        if not c:
-            raise SwError("syndrome outside the matrix image")
-        if m.q > size:
-            # GF(q) symbols beyond the source alphabet are not candidates;
-            # filtering keeps the lexicographic order
-            c = [u for u in c if max(u, default=0) < size]
-            if not c:
-                raise SwError("no coset member lies inside the source alphabet")
-        cosets.append(c)
-        total *= len(c)
-        if total > cap:
-            raise SwError(f"coset product of {total} candidates exceeds cap {cap}")
-    # itertools.product over lex-sorted cosets yields candidates in
-    # lexicographic order of the concatenated tuple, which is the tie order.
-    return itertools.product(*cosets)
+def _cosets(code: SwCode, syndromes, cap: int) -> list[np.ndarray]:
+    # GF(q) symbols beyond a source alphabet are not candidates; the product
+    # of the lex-sorted cosets, in itertools.product order, is the tie order
+    factors = coset_factors(code.matrices, syndromes, cap, SwError, code.mu.shape)
+    if factors is None:
+        raise SwError("syndrome outside the matrix image, or no coset member "
+                      "inside the source alphabet")
+    return factors
 
 
 def sw_decode_md(code: SwCode, syndromes, cap: int = DEFAULT_CAP) -> SwDecodeResult:
     """Minimum joint-empirical-divergence decoding over the coset product."""
-    best = None
-    best_d = math.inf
-    seen_finite = False
-    for cand in _coset_product(code, syndromes, cap):
-        d = divergence(joint_type(cand, code.mu.shape).empirical(), code.mu)
-        if not math.isinf(d):
-            seen_finite = True
-        if best is None or d < best_d - TIE_TOL:
-            best, best_d = cand, d
-        elif d < best_d:
-            best_d = d  # tie: keep the earlier (lex-smaller) candidate
-    return SwDecodeResult(x_hat=best, all_infinite=not seen_finite)
+    factors = _cosets(code, syndromes, cap)
+    d = product_divergences(factors, code.mu)
+    best = d.min()
+    # ties within TIE_TOL go to the earliest (lex-smallest) candidate
+    winner = int(np.flatnonzero(d <= best + TIE_TOL)[0])
+    return SwDecodeResult(x_hat=product_member(factors, winner),
+                          all_infinite=bool(np.isinf(best)))
 
 
 def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
@@ -136,21 +128,27 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     if code.k != 2:
         raise SwError("the ML decoder is defined for two sources")
     params = TypicalityParams(gamma)
-    mu_x = code.mu.marginal((0,))
-    mu_y = code.mu.marginal((1,))
-    best = None
-    best_mass = -1.0
-    for x, y in _coset_product(code, syndromes, cap):
-        if constrained and not (is_typical(x, mu_x, params) and is_typical(y, mu_y, params)):
-            continue
-        mass = 1.0
-        for xs, ys in zip(x, y):
-            mass *= code.mu[xs, ys]
-        if mass > best_mass:
-            best, best_mass = (x, y), mass
-    if best is None:
-        return SwDecodeResult(x_hat=None, failure=True)
-    return SwDecodeResult(x_hat=best)
+    factors = _cosets(code, syndromes, cap)
+    mu_flat = code.mu.table.reshape(-1)
+
+    def mass(cells):
+        # multiplied position by position, as a per-candidate loop would
+        out = np.ones(len(cells))
+        for i in range(code.n):
+            out *= mu_flat[cells[:, i]]
+        return out
+
+    masses = product_scores(factors, code.mu.shape, mass)
+    if constrained:
+        typical = [
+            type_divergences(cell_counts(f, size), code.mu.marginal((axis,))) < params.gamma
+            for axis, (f, size) in enumerate(zip(factors, code.mu.shape))
+        ]
+        admissible = np.outer(*typical).reshape(-1)
+        if not admissible.any():
+            return SwDecodeResult(x_hat=None, failure=True)
+        masses = np.where(admissible, masses, -1.0)
+    return SwDecodeResult(x_hat=product_member(factors, int(np.argmax(masses))))
 
 
 def _decoder_fn(code: SwCode, decoder: str, gamma: float, cap: int):

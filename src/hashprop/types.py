@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,6 +136,81 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
     for symbols in zip(*sequences):
         counts[symbols] += 1
     return JointType(n=n, counts=_as_nested(counts))
+
+
+# --- count-lookup scoring of candidate products -----------------------------
+#
+# A minimum-divergence or maximum-likelihood search scores each candidate of
+# a product of row sets (coset members) through its joint type.  Candidates
+# are materialized SCORE_CHUNK at a time as flat cell indices, one bincount
+# gives their cell counts, and a divergence is a sum of per-cell lookups
+# term[count], added in flat cell order.  The tables hold the Python floats
+# that ``divergence`` computes, so every score equals
+# ``divergence(joint_type(...).empirical(), p_ref)`` bit for bit.
+
+SCORE_CHUNK = 1 << 14  # candidates materialized at once
+
+
+def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -> np.ndarray:
+    """One value per candidate of ``factors[0] x factors[1] x ...`` in
+    ``itertools.product`` order.
+
+    Factor j is an (m_j, n) array of symbols on axis j of ``shape``; ``score``
+    maps a (rows, n) array of flat cell indices to one value per row.
+    """
+    sizes = tuple(len(f) for f in factors)
+    total = math.prod(sizes)
+    out = None
+    for start in range(0, total, SCORE_CHUNK):
+        rows = np.unravel_index(np.arange(start, min(start + SCORE_CHUNK, total)), sizes)
+        cells = np.ravel_multi_index(tuple(f[r] for f, r in zip(factors, rows)), tuple(shape))
+        values = score(cells)
+        if out is None:
+            out = np.empty(total, dtype=values.dtype)
+        out[start:start + len(values)] = values
+    return out
+
+
+def product_member(factors: Sequence[np.ndarray], index: int) -> tuple:
+    """Candidate ``index`` of the product, as a tuple of symbol tuples."""
+    rows = np.unravel_index(index, tuple(len(f) for f in factors))
+    return tuple(tuple(f[r].tolist()) for f, r in zip(factors, rows))
+
+
+def cell_counts(cells: np.ndarray, ncells: int) -> np.ndarray:
+    """(rows, n) flat cell indices -> (rows, ncells) joint-type counts."""
+    rows = len(cells)
+    shifted = cells + (np.arange(rows) * ncells)[:, None]
+    return np.bincount(shifted.ravel(), minlength=rows * ncells).reshape(rows, ncells)
+
+
+@lru_cache(maxsize=4096)
+def cell_terms(mass: float, n: int) -> np.ndarray:
+    """term[c] = (c/n) log2((c/n) / mass) for c = 0..n: 0 at c = 0, inf for
+    c > 0 when mass = 0."""
+    terms = [0.0]
+    for c in range(1, n + 1):
+        x = c / n
+        terms.append(x * math.log2(x / mass) if mass > 0 else math.inf)
+    out = np.array(terms)
+    out.setflags(write=False)
+    return out
+
+
+def type_divergences(counts: np.ndarray, p_ref: Distribution) -> np.ndarray:
+    """divergence(row / n, p_ref) for every row of a nonempty counts array."""
+    n = int(counts[0].sum())
+    d = np.zeros(len(counts))
+    for cell, mass in enumerate(p_ref.table.reshape(-1).tolist()):
+        d += cell_terms(mass, n)[counts[:, cell]]
+    return d
+
+
+def product_divergences(factors: Sequence[np.ndarray], p_ref: Distribution) -> np.ndarray:
+    """Joint-type divergence from ``p_ref`` of every candidate of the product."""
+    ncells = p_ref.table.size
+    return product_scores(factors, p_ref.shape,
+                          lambda cells: type_divergences(cell_counts(cells, ncells), p_ref))
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:
@@ -279,12 +355,14 @@ def slack_functions(which: str, sizes, n: int, gamma: float = 0.0, gamma_cond: f
 
 # --- exhaustive checks of the finite-length typicality bounds --------------
 
-def _compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:
+def compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:
+    """All length-``parts`` count vectors summing to n (the length-n types),
+    in lexicographic order."""
     if parts == 1:
         yield (n,)
         return
     for head in range(n + 1):
-        for tail in _compositions(n - head, parts - 1):
+        for tail in compositions(n - head, parts - 1):
             yield (head,) + tail
 
 
@@ -300,7 +378,7 @@ def type_census(mu: np.ndarray, n: int):
     """Per-type (count, probability-mass, divergence) over all length-n types."""
     flat = mu.reshape(-1)
     out = []
-    for t in _compositions(n, flat.size):
+    for t in compositions(n, flat.size):
         nu = np.asarray(t) / n
         d = divergence(nu, flat)
         log_count = _log2_multinomial(t)

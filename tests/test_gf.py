@@ -11,6 +11,8 @@ from hashprop.gf import (
     FieldError,
     FieldMatrix,
     coset,
+    coset_array,
+    coset_size,
     enumerate_image,
     finv,
     image_basis,
@@ -142,3 +144,47 @@ def test_coset_empty_outside_image():
 def test_zero_row_matrix_coset_is_whole_space():
     m = FieldMatrix.zeros(2, 0, 2)
     assert coset(m, ()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _brute_coset(dense: np.ndarray, q: int, syndrome) -> np.ndarray:
+    """All of GF(q)^n filtered by dense u = syndrome, in lexicographic order."""
+    n = dense.shape[1]
+    words = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    keep = (words @ dense.T % q == np.asarray(syndrome, dtype=np.int64)).all(axis=1)
+    return words[keep].reshape(-1, n)
+
+
+def test_coset_array_matches_brute_force():
+    rng = np.random.default_rng(5)
+    shapes = [(2, 4), (3, 4), (0, 3), (4, 4), (3, 3), (1, 5)]
+    for q in (2, 3, 5):
+        for rows, n in shapes:
+            for _ in range(4):
+                dense = rng.integers(0, q, size=(rows, n))
+                if rows >= 2:
+                    dense[-1] = (2 * dense[0]) % q  # rank-deficient
+                m = FieldMatrix.from_dense(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
+                for syndrome in itertools.product(range(q), repeat=rows):
+                    got = coset_array(m, syndrome)
+                    assert got.dtype == np.int64 and got.shape[1] == n
+                    assert np.array_equal(got, _brute_coset(dense, q, syndrome))
+                    assert [tuple(r) for r in got.tolist()] == list(
+                        solve_affine(CosetSpec(m, syndrome)))
+                    if len(got):
+                        assert len(got) == coset_size(m)
+
+
+def test_coset_array_edge_cases():
+    # l = 0: the whole space; rank = n: one member; inconsistent: (0, n)
+    assert coset_array(FieldMatrix.zeros(3, 0, 2), ()).tolist() == [
+        [a, b] for a in range(3) for b in range(3)]
+    eye = FieldMatrix.identity(5, 3)
+    assert coset_array(eye, (4, 0, 2)).tolist() == [[4, 0, 2]]
+    assert coset_size(eye) == 1
+    dup = FieldMatrix.from_dense(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
+    empty = coset_array(dup, (1, 1))
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
+    assert coset(dup, (1, 1)) == []
+    assert coset_array(dup, (1, 2)).shape == (9, 3) == (coset_size(dup), 3)
+    with pytest.raises(FieldError):
+        coset_array(dup, (1,))

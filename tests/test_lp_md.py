@@ -182,6 +182,17 @@ def test_md_via_lp_type_log():
     assert all("status" in e for e in res.type_log)
 
 
+def test_md_via_lp_cap_counts_members_built():
+    """The final coset-product pass checks q^(n - rank) against fallback_cap
+    before building a coset."""
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    row = FieldMatrix.from_dense(2, [[1, 1, 0]])
+    with pytest.raises(LpError, match="exceeds cap"):
+        md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=15)
+    res = md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=16)
+    assert res.x_hat == sw_decode_md(SwCode((row, row), mu), ((0,), (0,))).x_hat
+
+
 def test_polytope_vertex_audit_all_patterns():
     for k in (1, 2, 3):
         for b in itertools.product((0, 1), repeat=k):

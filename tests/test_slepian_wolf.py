@@ -281,6 +281,115 @@ def test_error_exact_is_bit_exact(mu, ma, mb, expected):
     assert sw_error_exact(code).hex() == expected
 
 
+def _oracle_md_decode(dense_mats, qs, mu: Distribution, syndromes):
+    """Minimum-divergence decode by brute force: each source's candidates are
+    the alphabet words with the right syndrome, the divergence comes from
+    explicit counts, and ties within 1e-12 go to the lexicographically first
+    candidate pair."""
+    sx, sy = mu.shape
+    n = dense_mats[0].shape[1]
+    sides = []
+    for dense, q, size, a in zip(dense_mats, qs, mu.shape, syndromes):
+        sides.append([w for w in itertools.product(range(size), repeat=n)
+                      if tuple(int(v) for v in dense @ np.array(w) % q) == tuple(a)])
+    scored = []
+    for cand in itertools.product(*sides):
+        counts = np.zeros((sx, sy))
+        for xs, ys in zip(*cand):
+            counts[xs, ys] += 1
+        d = 0.0
+        for c, m in zip(counts.reshape(-1), mu.table.reshape(-1)):
+            if c:
+                d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
+        scored.append((d, cand))
+    best = min(d for d, _ in scored)
+    return next(cand for d, cand in scored if d <= best + 1e-12)
+
+
+def test_field_larger_than_alphabet_matches_oracle():
+    """A 1 x 8 GF(5) check over a binary alphabet: 5^7 members are built per
+    coset and at most 2^7 kept; the decode must match brute force."""
+    rng = np.random.default_rng(55)
+    for _ in range(4):
+        dense_x = rng.integers(1, 5, size=(1, 8))
+        dense_y = rng.integers(0, 2, size=(4, 8))
+        code = SwCode((FieldMatrix.from_dense(5, dense_x),
+                       FieldMatrix.from_dense(2, dense_y)), DSBS)
+        x = tuple(int(v) for v in rng.integers(0, 2, size=8))
+        y = tuple(int(v) for v in rng.integers(0, 2, size=8))
+        syn = sw_encode(code, (x, y))
+        assert sw_decode_md(code, syn).x_hat == _oracle_md_decode(
+            (dense_x, dense_y), (5, 2), DSBS, syn)
+
+
+def test_cap_counts_members_built():
+    """The cap is checked against q^(n - rank) before a coset is built."""
+    gf5 = FieldMatrix.from_dense(5, [[1, 2, 3, 4, 1, 2, 3, 4]])
+    code = SwCode((gf5, FieldMatrix.from_dense(2, [[1] * 8])), DSBS)
+    syn = sw_encode(code, ((0,) * 8, (0,) * 8))
+    # 5^7 = 78125 members would be built, though at most 2^7 are kept
+    with pytest.raises(SwError, match="78125"):
+        sw_decode_md(code, syn, cap=60_000)
+    assert sw_decode_md(code, syn, cap=80_000).x_hat == _oracle_md_decode(
+        (gf5.to_dense(), code.matrices[1].to_dense()), (5, 2), DSBS, syn)
+    # 2^39 members: only an up-front check can return at once
+    wide = FieldMatrix.from_dense(2, [[1] * 40])
+    code = SwCode((wide, wide), DSBS)
+    for decode in (lambda: sw_decode_md(code, ((0,), (0,))),
+                   lambda: sw_decode_ml_typical(code, ((0,), (0,)), gamma=1.0)):
+        with pytest.raises(SwError, match="exceeds cap"):
+            decode()
+
+
+def _pinned_sw_codes():
+    """Seeded codes: DSBS at n = 8, GF(3) over a binary alphabet, a
+    zero-mass cell and a 3 x 2 alphabet."""
+    rng = np.random.default_rng(404)
+
+    def dense(q, rows, n):
+        return FieldMatrix.from_dense(q, rng.integers(0, q, size=(rows, n)))
+
+    return [
+        SwCode((dense(2, 5, 8), dense(2, 5, 8)), DSBS),
+        SwCode((dense(3, 3, 6), dense(2, 4, 6)), DSBS),
+        SwCode((dense(2, 3, 6), dense(2, 3, 6)), ZERO_MASS),
+        SwCode((dense(3, 3, 5), dense(2, 2, 5)), THREE_BY_TWO),
+    ]
+
+
+def _pinned_sw_decodes(code, seed: int) -> list[str]:
+    """MD decodes of three source pairs drawn from mu, as 'x|y' digit strings."""
+    rng = np.random.default_rng(seed)
+    flat = code.mu.table.reshape(-1)
+    out = []
+    for _ in range(3):
+        cells = rng.choice(flat.size, size=code.n, p=flat)
+        x_K = tuple(tuple(int(v) for v in col)
+                    for col in np.unravel_index(cells, code.mu.shape))
+        x_hat = sw_decode_md(code, sw_encode(code, x_K)).x_hat
+        out.append("|".join("".join(map(str, seq)) for seq in x_hat))
+    return out
+
+
+# Decisions recorded from the per-candidate reference decoders; the
+# count-lookup scorer must reproduce them exactly.
+PINNED_SW_DECODES = [
+    ["11100101|11100101", "00011101|00011101", "11000101|11000100"],
+    ["011010|001010", "010101|010101", "000111|000111"],
+    ["100101|100001", "100101|100001", "110010|010010"],
+    ["01212|01011", "12102|11100", "01222|01101"],
+]
+PINNED_SW_MC = [(133, 78), (54, 37), (285, 173), (284, 269)]  # (md, ml) errors
+
+
+def test_pinned_sw_decisions():
+    for i, code in enumerate(_pinned_sw_codes()):
+        assert _pinned_sw_decodes(code, 500 + i) == PINNED_SW_DECODES[i]
+        md = sw_error_mc(code, trials=300, seed=11 + i).errors
+        ml = sw_error_mc(code, decoder="ml", gamma=0.5, trials=300, seed=11 + i).errors
+        assert (md, ml) == PINNED_SW_MC[i]
+
+
 def test_error_exact_identity_code_is_zero():
     eye = FieldMatrix.identity(2, 3)
     code = SwCode((eye, eye), DSBS)

@@ -1,10 +1,12 @@
 """Method-of-types toolkit: entropies, divergences, typicality, slacks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hashprop import types
 from hashprop.types import (
     CondDistribution,
     Distribution,
@@ -22,6 +24,8 @@ from hashprop.types import (
     joint_type,
     lambda_slack,
     mutual_information,
+    product_divergences,
+    product_member,
     slack_functions,
     type_census,
     verify_typicality_bounds,
@@ -168,3 +172,23 @@ def test_verify_typicality_bounds_guards():
         verify_typicality_bounds("prob", mu, gamma=0.5, n=4, cap=8)
     with pytest.raises(DistributionError):
         verify_typicality_bounds("trans", mu, gamma=0.5, n=4)
+
+
+def test_product_divergences_bit_exact_across_chunks(monkeypatch):
+    """The count-lookup scorer equals divergence(joint_type(..).empirical())
+    bit for bit, in itertools.product order, also across chunk boundaries."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", 7)
+    rng = np.random.default_rng(12)
+    laws = [Distribution([[0.475, 0.025], [0.025, 0.475]]),
+            Distribution([[0.6, 0.0], [0.1, 0.3]]),
+            Distribution([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]]),
+            Distribution(np.full((2, 2, 2), 1 / 8))]
+    for mu in laws:
+        n = int(rng.integers(2, 6))
+        factors = [rng.integers(0, size, size=(int(rng.integers(1, 6)), n))
+                   for size in mu.shape]
+        got = product_divergences(factors, mu)
+        for i, cand in enumerate(itertools.product(*(f.tolist() for f in factors))):
+            expected = divergence(joint_type(cand, mu.shape).empirical(), mu)
+            assert got[i] == expected
+            assert product_member(factors, i) == tuple(map(tuple, cand))
