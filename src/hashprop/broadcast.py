@@ -23,12 +23,11 @@ from .mc import McEstimate, spawn_rngs
 from .types import (
     CondDistribution,
     Distribution,
-    cell_counts,
-    cell_terms,
     entropy,
+    first_best,
     product_divergences,
+    product_log_masses,
     product_member,
-    product_scores,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -286,7 +285,7 @@ def bc_encode(code: BcCode, p: BcProblem, messages,
     if factors is None:
         return BcEncodeResult(None, None, True, math.inf)
     d = product_divergences(factors, p.mu_u)
-    winner = int(np.argmin(d))  # the first strict minimum
+    winner = first_best(d)
     best = product_member(factors, winner)
     if p.deterministic:
         x = tuple(int(p.f[symbols]) for symbols in zip(*best))
@@ -310,39 +309,14 @@ def bc_decode(code: BcCode, p: BcProblem, j: int, y,
     if factors is None:
         raise BcError("empty shared coset")
     cond = p.receiver_conditionals[j]
-    usize, ysize = cond.shape
-    y = np.array([int(v) for v in y], dtype=np.int64)
-    n = len(y)
+    y = np.array(y, dtype=np.int64)
+    candidates = [factors[0], y[None]]
     if variant == "ml":
-        log_cond = np.array([math.log2(pv) if pv > 0 else -math.inf
-                             for pv in cond.reshape(-1).tolist()])
-
-        def score(cells):
-            # log-posteriors summed position by position
-            out = np.zeros(len(cells))
-            for i in range(n):
-                out += log_cond[cells[:, i]]
-            return out
-
-        # the first maximum; members[0] when every score is -inf
-        winner = int(np.argmax(product_scores([factors[0], y[None]], cond.shape, score)))
+        winner = first_best(product_log_masses(candidates, cond), maximize=True)
     elif variant == "md":
-        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y): context v's column of the joint
-        # type is normalized by n_v, the same for every candidate
-        n_y = np.bincount(y, minlength=ysize)
-        nu_y = n_y / n
-
-        def score(cells):
-            counts = cell_counts(cells, usize * ysize)
-            out = np.zeros(len(cells))
-            for v in np.flatnonzero(n_y).tolist():
-                d_v = np.zeros(len(cells))
-                for u in range(usize):
-                    d_v += cell_terms(float(cond[u, v]), int(n_y[v]))[counts[:, u * ysize + v]]
-                out += nu_y[v] * d_v
-            return out
-
-        winner = int(np.argmin(product_scores([factors[0], y[None]], cond.shape, score)))
+        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y) = D(nu_{uy} || mu_{U_j|Y_j} nu_y)
+        nu_y = np.bincount(y, minlength=cond.shape[1]) / len(y)
+        winner = first_best(product_divergences(candidates, Distribution(cond * nu_y)))
     else:
         raise BcError(f"unknown decoder variant {variant!r}")
     return ap_m.matvec(tuple(factors[0][winner].tolist()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -278,7 +279,10 @@ def cmd_sweep(args) -> None:
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    leaves it unchanged, so every ``main`` call can reuse it."""
     ap = argparse.ArgumentParser(prog="hashprop",
                                  description="hash-property code workbench")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gf import FieldMatrix, check_prime
+from .types import compositions
 
 
 class EnsembleError(ValueError):
@@ -254,22 +255,6 @@ def spectrum_table(e: Ensemble, support=None) -> dict[tuple[int, ...], Fraction]
     return table
 
 
-def all_types(n: int, alphabet: int) -> list[tuple[int, ...]]:
-    """Every occurrence-count vector of length-n sequences except all-zeros'."""
-    out = []
-
-    def rec(prefix, remaining, parts):
-        if parts == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, parts - 1)
-
-    rec([], n, alphabet)
-    zero_type = tuple([n] + [0] * (alphabet - 1))
-    return [t for t in out if t != zero_type]
-
-
 def _type_class_size(t: Sequence[int]) -> int:
     n = sum(t)
     total = math.factorial(n)
@@ -286,7 +271,9 @@ def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> Ens
     scale = Fraction(e.image_size, ql)
     alpha = Fraction(0)
     beta = Fraction(0)
-    for t in all_types(e.n, e.q):
+    for t in compositions(e.n, e.q):
+        if t[0] == e.n:
+            continue  # the zero type
         s = table.get(t, Fraction(0))
         if filt.contains(t):
             uniform_s = Fraction(_type_class_size(t), ql)
@@ -391,68 +378,6 @@ def bound_sp(e: Ensemble, profile: EnsembleProfile,
     return {"holds": _holds(lhs, rhs), "lhs": lhs, "rhs": rhs}
 
 
-def _pair_stats(G: list[tuple]) -> tuple[int, int]:
-    """max_v |G_{U|V}(v)| and max_u |G_{V|U}(u)| for a set of (u, v) pairs."""
-    by_v: dict = {}
-    by_u: dict = {}
-    for u, v in G:
-        by_v.setdefault(v, set()).add(u)
-        by_u.setdefault(u, set()).add(v)
-    max_u_given_v = max((len(s) for s in by_v.values()), default=0)
-    max_v_given_u = max((len(s) for s in by_u.values()), default=0)
-    return max_u_given_v, max_v_given_u
-
-
-def bound_cross_crp(ea: Ensemble, eb: Ensemble,
-                    pa: EnsembleProfile, pb: EnsembleProfile,
-                    G: Iterable, point: tuple, supports=None) -> dict:
-    """Two-domain collision resistance for product cosets."""
-    G = [(tuple(u), tuple(v)) for u, v in G]
-    u0, v0 = tuple(point[0]), tuple(point[1])
-    sa, sb = supports if supports is not None else (ea.enumerate_support(), eb.enumerate_support())
-    lhs = Fraction(0)
-    for fa, qa in sa:
-        au = fa.apply(u0)
-        for fb, qb in sb:
-            bv = fb.apply(v0)
-            if any((g != (u0, v0)) and fa.apply(g[0]) == au and fb.apply(g[1]) == bv
-                   for g in G):
-                lhs += qa * qb
-    m_uv, m_vu = _pair_stats(G)
-    rhs = (Fraction(len(G)) * pa.alpha * pb.alpha / (pa.image_size * pb.image_size)
-           + Fraction(m_uv) * pa.alpha * (pb.beta + 1) / pa.image_size
-           + Fraction(m_vu) * pb.alpha * (pa.beta + 1) / pb.image_size
-           + pa.beta + pb.beta + pa.beta * pb.beta)
-    return {"holds": _holds(lhs, rhs), "lhs": lhs, "rhs": rhs}
-
-
-def bound_cross_sp(ea: Ensemble, eb: Ensemble,
-                   pa: EnsembleProfile, pb: EnsembleProfile,
-                   T: Iterable, supports=None) -> dict:
-    """Two-domain saturation for product cosets with independent uniform
-    syndromes."""
-    T = [(tuple(u), tuple(v)) for u, v in T]
-    if not T:
-        raise EnsembleError("saturation bound needs a nonempty target set")
-    sa, sb = supports if supports is not None else (ea.enumerate_support(), eb.enumerate_support())
-    syn_a = list(ea.syndromes())
-    syn_b = list(eb.syndromes())
-    p_syn = Fraction(1, len(syn_a) * len(syn_b))
-    lhs = Fraction(0)
-    for fa, qa in sa:
-        for fb, qb in sb:
-            hit = {(fa.apply(u), fb.apply(v)) for u, v in T}
-            missed = sum(1 for a in syn_a for b in syn_b if (a, b) not in hit)
-            lhs += qa * qb * p_syn * missed
-    m_uv, m_vu = _pair_stats(T)
-    rhs = (pa.alpha * pb.alpha - 1
-           + Fraction(pb.image_size * m_uv) * pa.alpha * (pb.beta + 1) / len(T)
-           + Fraction(pa.image_size * m_vu) * pb.alpha * (pa.beta + 1) / len(T)
-           + Fraction(pa.image_size * pb.image_size)
-           * (pa.beta + pb.beta + pa.beta * pb.beta + 1) / len(T))
-    return {"holds": _holds(lhs, rhs), "lhs": lhs, "rhs": rhs}
-
-
 def _subsets(k: int):
     for mask in range(1 << k):
         yield tuple(j for j in range(k) if mask >> j & 1)
@@ -483,7 +408,7 @@ def _set_stat(T: list[tuple], J: tuple[int, ...], k: int) -> int:
     for t in T:
         key = tuple(t[j] for j in Jc)
         groups.setdefault(key, set()).add(tuple(t[j] for j in J))
-    return max(len(s) for s in groups.values())
+    return max((len(s) for s in groups.values()), default=0)
 
 
 def bound_multi_crp(es: Sequence[Ensemble], profiles: Sequence[EnsembleProfile],
@@ -563,8 +488,11 @@ def verify_bound(lemma: str, *args, **kwargs) -> dict:
         "whash": bound_whash,
         "crp": bound_crp,
         "sp": bound_sp,
-        "cross_crp": bound_cross_crp,
-        "cross_sp": bound_cross_sp,
+        # the two-domain lemmas are the k = 2 cases of the k-domain ones
+        "cross_crp": lambda ea, eb, pa, pb, G, point, supports=None:
+            bound_multi_crp([ea, eb], [pa, pb], G, point, supports=supports),
+        "cross_sp": lambda ea, eb, pa, pb, T, supports=None:
+            bound_multi_sp([ea, eb], [pa, pb], T, supports=supports),
         "multi_crp": bound_multi_crp,
         "multi_sp": bound_multi_sp,
         "lem_E": bound_lem_E,

@@ -42,35 +42,6 @@ def finv(x: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, q) for prime q, with exact field arithmetic."""
-
-    value: int
-    q: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.q)
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if other.q != self.q:
-            raise FieldError(f"mismatched moduli {self.q} and {other.q}")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.value + self._coerce(other), self.q)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.value * self._coerce(other), self.q)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.q)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(finv(self.value, self.q), self.q)
-
-
-@dataclass(frozen=True)
 class FieldMatrix:
     """An l x n matrix over GF(q) with sparse storage of nonzero entries."""
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .gf import FieldMatrix, coset_factors
 from .types import (
+    TIE_TOL,
     Distribution,
     cell_counts,
     compositions,
@@ -298,9 +299,11 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     """Minimum-divergence decoding over the coset product by sweeping joint
     types, solving one feasibility LP per type.
 
-    Types whose LP is infeasible cannot occur in the coset product.  Among
-    types with an integral LP point, the minimum-divergence one wins; any
-    fractional optimum is logged (and optionally resolved exhaustively with
+    Each type LP has a zero objective, so its solution is the vertex phase 1
+    reaches.  Types whose LP is infeasible cannot occur in the coset
+    product.  Among types with an integral LP point, the minimum-divergence
+    one wins, with types within TIE_TOL of it tied; any fractional point is
+    logged (and optionally resolved exhaustively with
     fallback='exhaustive').  The output tuple is the lexicographically first
     coset-product member carrying a winning type, matching the exhaustive
     decoder's tie rule.
@@ -321,9 +324,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     all_integral = True
     for t in compositions(n, 1 << k):
         d = divergence(np.asarray(t) / n, mu)
-        lp = LinearProgram(num_vars=nv, objective=np.zeros(nv), maximize=True)
-        lp.objective = np.zeros(nv)
-        lp.objective[k * n:] = 1.0  # reward integral corners of the s-block
+        lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
         for row, rel, rhs in build_type_constraints(t, n, k) + parity:
             lp.add(row, rel, rhs)
         sol = simplex_solve(lp)
@@ -347,9 +348,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
         return LpDecodeResult(x_hat=None, divergence=math.inf, all_integral=all_integral,
                               error=True, type_log=tuple(log))
     best_d = min(d for d, _ in pool)
-    # tolerance keeps mathematically tied types whose float divergences
-    # differ only in the last ulp, matching the exhaustive decoder's ties
-    winners = {t for d, t in pool if d <= best_d + 1e-12}
+    winners = {t for d, t in pool if d <= best_d + TIE_TOL}
     x_hat = _first_member_with_type(matrices, syndromes, winners, fallback_cap)
     return LpDecodeResult(x_hat=x_hat, divergence=best_d, all_integral=all_integral,
                           error=False, type_log=tuple(log))
@@ -381,7 +380,7 @@ def _first_member_with_type(matrices, syndromes, winners: set, cap: int):
     if found is None or not found[1].any():
         return None
     factors, hits = found
-    return product_member(factors, int(np.argmax(hits)))
+    return product_member(factors, int(np.flatnonzero(hits)[0]))
 
 
 # --- single-position polytope audit -----------------------------------------

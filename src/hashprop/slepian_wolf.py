@@ -18,21 +18,19 @@ import numpy as np
 from .gf import FieldMatrix, coset_factors
 from .mc import McEstimate, spawn_rngs
 from .types import (
+    TIE_TOL,
     Distribution,
     TypicalityParams,
     cell_counts,
     entropy,
+    first_best,
     product_divergences,
+    product_log_masses,
     product_member,
-    product_scores,
     type_divergences,
 )
 
 DEFAULT_CAP = 1 << 20
-# two mathematically tied joint types can produce float divergences an ulp
-# apart depending on summation order; ties are therefore tolerance-based so
-# the documented lexicographic tie-break is what actually decides
-TIE_TOL = 1e-12
 
 
 class SwError(ValueError):
@@ -109,11 +107,9 @@ def sw_decode_md(code: SwCode, syndromes, cap: int = DEFAULT_CAP) -> SwDecodeRes
     """Minimum joint-empirical-divergence decoding over the coset product."""
     factors = _cosets(code, syndromes, cap)
     d = product_divergences(factors, code.mu)
-    best = d.min()
-    # ties within TIE_TOL go to the earliest (lex-smallest) candidate
-    winner = int(np.flatnonzero(d <= best + TIE_TOL)[0])
+    winner = first_best(d)
     return SwDecodeResult(x_hat=product_member(factors, winner),
-                          all_infinite=bool(np.isinf(best)))
+                          all_infinite=bool(np.isinf(d[winner])))
 
 
 def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
@@ -129,26 +125,18 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
         raise SwError("the ML decoder is defined for two sources")
     params = TypicalityParams(gamma)
     factors = _cosets(code, syndromes, cap)
-    mu_flat = code.mu.table.reshape(-1)
-
-    def mass(cells):
-        # multiplied position by position, as a per-candidate loop would
-        out = np.ones(len(cells))
-        for i in range(code.n):
-            out *= mu_flat[cells[:, i]]
-        return out
-
-    masses = product_scores(factors, code.mu.shape, mass)
+    log_masses = product_log_masses(factors, code.mu.table)
+    candidates = np.arange(len(log_masses))
     if constrained:
         typical = [
             type_divergences(cell_counts(f, size), code.mu.marginal((axis,))) < params.gamma
             for axis, (f, size) in enumerate(zip(factors, code.mu.shape))
         ]
-        admissible = np.outer(*typical).reshape(-1)
-        if not admissible.any():
+        candidates = np.flatnonzero(np.outer(*typical))
+        if not len(candidates):
             return SwDecodeResult(x_hat=None, failure=True)
-        masses = np.where(admissible, masses, -1.0)
-    return SwDecodeResult(x_hat=product_member(factors, int(np.argmax(masses))))
+    winner = int(candidates[first_best(log_masses[candidates], maximize=True)])
+    return SwDecodeResult(x_hat=product_member(factors, winner))
 
 
 def _decoder_fn(code: SwCode, decoder: str, gamma: float, cap: int):

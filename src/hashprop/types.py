@@ -143,12 +143,29 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
 # A minimum-divergence or maximum-likelihood search scores each candidate of
 # a product of row sets (coset members) through its joint type.  Candidates
 # are materialized SCORE_CHUNK at a time as flat cell indices, one bincount
-# gives their cell counts, and a divergence is a sum of per-cell lookups
-# term[count], added in flat cell order.  The tables hold the Python floats
-# that ``divergence`` computes, so every score equals
-# ``divergence(joint_type(...).empirical(), p_ref)`` bit for bit.
+# gives their cell counts, and a score is a sum of per-cell lookups
+# term[count], added in flat cell order.  The divergence tables hold the
+# Python floats that ``divergence`` computes, so every divergence equals
+# ``divergence(joint_type(...).empirical(), p_ref)`` bit for bit; candidates
+# of the same joint type get bit-equal scores, and ``first_best`` decides.
 
 SCORE_CHUNK = 1 << 14  # candidates materialized at once
+# mathematically tied scores of different joint types can differ in their
+# last ulps, as their cells are added in a different order; scores within
+# TIE_TOL of the optimum tie, so the lexicographic rule is what decides
+TIE_TOL = 1e-12
+
+
+def first_best(scores: np.ndarray, maximize: bool = False) -> int:
+    """Index of the first score within TIE_TOL of the minimum (or maximum).
+
+    Candidates scored in ``itertools.product`` order of lex-sorted factors
+    make this the lexicographically first optimal candidate; when every score
+    is infinite, it is index 0.
+    """
+    if maximize:
+        return int(np.flatnonzero(scores >= scores.max() - TIE_TOL)[0])
+    return int(np.flatnonzero(scores <= scores.min() + TIE_TOL)[0])
 
 
 def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -> np.ndarray:
@@ -211,6 +228,33 @@ def product_divergences(factors: Sequence[np.ndarray], p_ref: Distribution) -> n
     ncells = p_ref.table.size
     return product_scores(factors, p_ref.shape,
                           lambda cells: type_divergences(cell_counts(cells, ncells), p_ref))
+
+
+@lru_cache(maxsize=4096)
+def cell_log_masses(mass: float, n: int) -> np.ndarray:
+    """term[c] = c log2(mass) for c = 0..n: 0 at c = 0, -inf for c > 0 when
+    mass = 0."""
+    log_mass = math.log2(mass) if mass > 0 else -math.inf
+    out = np.array([0.0] + [c * log_mass for c in range(1, n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def type_log_masses(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """log2 of prod_cell table[cell]^count for every row of a nonempty counts
+    array: the log-mass of any sequence tuple with that joint type."""
+    n = int(counts[0].sum())
+    out = np.zeros(len(counts))
+    for cell, mass in enumerate(table.reshape(-1).tolist()):
+        out += cell_log_masses(mass, n)[counts[:, cell]]
+    return out
+
+
+def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
+    """Joint-type log2-mass under the memoryless law ``table`` of every
+    candidate of the product."""
+    return product_scores(factors, table.shape,
+                          lambda cells: type_log_masses(cell_counts(cells, table.size), table))
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:

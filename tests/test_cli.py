@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from hashprop.cli import main
+from hashprop.cli import build_parser, main
 from hashprop.formats import emit_matrix, parse_matrix
 from hashprop.gf import FieldMatrix
 
@@ -113,6 +113,20 @@ def test_sw_sim_exact_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "R_X,R_Y,n,error,ci_lo,ci_hi"
     assert len(lines) == 2
+
+
+def test_parser_reused_without_leaking_between_calls(tmp_path, capsys):
+    """main parses with one parser per process; a second call's --matrix
+    list must not carry the first call's entries."""
+    dist = write_dsbs(tmp_path)
+    ma = write_matrix(tmp_path, "a.txt", [[1, 1, 0], [0, 1, 1]])
+    mb = write_matrix(tmp_path, "b.txt", [[1, 0, 1], [0, 1, 1]])
+    argv = ("sw-sim", "--dist", dist, "--matrix", f"x={ma}", "--matrix", f"y={mb}")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert build_parser() is build_parser()
 
 
 def test_sw_sim_mc_requires_seed(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hashprop.ensemble import (
     EnsembleError,
     EnsembleProfile,
     TypeFilter,
-    all_types,
     alpha_beta_from_spectrum,
     bound_lem_E,
     collision_prob,
@@ -113,13 +112,6 @@ def test_profile_validation():
         EnsembleProfile(alpha=Fraction(-1), beta=Fraction(0), image_size=2)
 
 
-def test_all_types_excludes_zero():
-    ts = all_types(3, 2)
-    assert (3, 0) not in ts
-    assert len(ts) == 3
-    assert all(sum(t) == 3 for t in ts)
-
-
 def test_concat_ensembles_profile():
     ea = Ensemble.uniform_all(2, 1, 2)
     eb = Ensemble.uniform_all(2, 1, 2)
@@ -159,6 +151,37 @@ def test_cross_and_multi_bounds_hold():
     assert verify_bound("multi_sp", es, ps, triples)["holds"]
     with pytest.raises(EnsembleError):
         verify_bound("nope")
+
+
+# (lemma, G or T as a slice of the pair list, point index, lhs, rhs) per
+# field size, recorded from the two-domain formulas before they were folded
+# into the k-domain ones
+EVERY_FIFTH, NONE, FIRST_TWO = slice(1, 20, 5), slice(0, 0), slice(0, 2)
+PINNED_CROSS = {
+    2: [("cross_crp", EVERY_FIFTH, 1, Fraction(3, 4), Fraction(3)),
+        ("cross_crp", EVERY_FIFTH, -1, Fraction(1), Fraction(3)),
+        ("cross_crp", NONE, 0, Fraction(0), Fraction(0)),
+        ("cross_sp", EVERY_FIFTH, None, Fraction(9, 16), Fraction(13, 3)),
+        ("cross_sp", FIRST_TWO, None, Fraction(3, 4), Fraction(8))],
+    3: [("cross_crp", EVERY_FIFTH, 1, Fraction(13, 24), Fraction(2)),
+        ("cross_crp", EVERY_FIFTH, -1, Fraction(29, 72), Fraction(2)),
+        ("cross_crp", NONE, 0, Fraction(0), Fraction(0)),
+        ("cross_sp", EVERY_FIFTH, None, Fraction(49, 72), Fraction(23, 4)),
+        ("cross_sp", FIRST_TWO, None, Fraction(5, 6), Fraction(11))],
+}
+
+
+def test_cross_bounds_pinned():
+    """Two-domain bounds of a uniform and a sparse ensemble, as exact
+    fractions, including an empty collision set."""
+    for q, cases in PINNED_CROSS.items():
+        ea, eb = Ensemble.uniform_all(q, 1, 2), Ensemble.sparse(q, 1, 2, 2)
+        pa, pb = universal_profile(ea), alpha_beta_from_spectrum(eb, TypeFilter.default(2))
+        pairs = [(u, v) for u in ea.domain() for v in eb.domain()]
+        for lemma, members, point, lhs, rhs in cases:
+            args = (pairs[members],) if point is None else (pairs[members], pairs[point])
+            out = verify_bound(lemma, ea, eb, pa, pb, *args)
+            assert (out["lhs"], out["rhs"], out["holds"]) == (lhs, rhs, True)
 
 
 def test_sampling_reproducible():

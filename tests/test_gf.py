@@ -7,7 +7,6 @@ import pytest
 
 from hashprop.gf import (
     CosetSpec,
-    FieldElement,
     FieldError,
     FieldMatrix,
     coset,
@@ -24,26 +23,9 @@ from hashprop.gf import (
 )
 
 
-def test_field_element_arithmetic_gf5():
-    a = FieldElement(3, 5)
-    b = FieldElement(4, 5)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (-a).value == 2
-    assert a.inv().value == 2  # 3 * 2 = 6 = 1 mod 5
-    assert (a * a.inv()).value == 1
-
-
-def test_field_element_rejects_composite_modulus():
-    with pytest.raises(FieldError):
-        FieldElement(1, 4)
+def test_matrix_rejects_composite_modulus():
     with pytest.raises(FieldError):
         FieldMatrix.from_dense(6, [[1]])
-
-
-def test_field_element_modulus_mismatch():
-    with pytest.raises(FieldError):
-        FieldElement(1, 3) + FieldElement(1, 5)
 
 
 def test_finv_all_units():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,19 +282,23 @@ def test_error_exact_is_bit_exact(mu, ma, mb, expected):
     assert sw_error_exact(code).hex() == expected
 
 
+def _oracle_sides(dense_mats, qs, mu: Distribution, syndromes):
+    """Each source's candidates: the alphabet words with the right syndrome,
+    in lexicographic order."""
+    n = dense_mats[0].shape[1]
+    return [[w for w in itertools.product(range(size), repeat=n)
+             if tuple(int(v) for v in dense @ np.array(w) % q) == tuple(a)]
+            for dense, q, size, a in zip(dense_mats, qs, mu.shape, syndromes)]
+
+
 def _oracle_md_decode(dense_mats, qs, mu: Distribution, syndromes):
-    """Minimum-divergence decode by brute force: each source's candidates are
-    the alphabet words with the right syndrome, the divergence comes from
+    """Minimum-divergence decode by brute force: the divergence comes from
     explicit counts, and ties within 1e-12 go to the lexicographically first
     candidate pair."""
     sx, sy = mu.shape
     n = dense_mats[0].shape[1]
-    sides = []
-    for dense, q, size, a in zip(dense_mats, qs, mu.shape, syndromes):
-        sides.append([w for w in itertools.product(range(size), repeat=n)
-                      if tuple(int(v) for v in dense @ np.array(w) % q) == tuple(a)])
     scored = []
-    for cand in itertools.product(*sides):
+    for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes)):
         counts = np.zeros((sx, sy))
         for xs, ys in zip(*cand):
             counts[xs, ys] += 1
@@ -304,6 +309,71 @@ def _oracle_md_decode(dense_mats, qs, mu: Distribution, syndromes):
         scored.append((d, cand))
     best = min(d for d, _ in scored)
     return next(cand for d, cand in scored if d <= best + 1e-12)
+
+
+def _exact_log2(mass: Fraction) -> float:
+    return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
+
+
+def _oracle_ml_decode(dense_mats, mu: Distribution, syndromes, gamma, constrained):
+    """(winner, size of the tied set) of a brute-force ML decode over binary
+    codes with exact masses: each position multiplies Fraction(mu cell), so
+    candidates of one joint type tie exactly.  When constrained, a candidate
+    is admissible only if each source's empirical divergence from its
+    marginal is below gamma.  The first admissible candidate whose log2-mass
+    is within 1e-12 of the best wins; (None, 0) when none is admissible."""
+    n = dense_mats[0].shape[1]
+    table = [[Fraction(v) for v in row] for row in mu.table.tolist()]
+    marginals = [[sum(row) for row in mu.table.tolist()],
+                 [sum(col) for col in zip(*mu.table.tolist())]]
+
+    def typical(word, marginal):
+        d = 0.0
+        for symbol, m in enumerate(marginal):
+            c = word.count(symbol)
+            if c:
+                d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
+        return d < gamma
+
+    scored = []
+    for cand in itertools.product(*_oracle_sides(dense_mats, (2, 2), mu, syndromes)):
+        if constrained and not all(typical(w, m) for w, m in zip(cand, marginals)):
+            continue
+        mass = Fraction(1)
+        for xs, ys in zip(*cand):
+            mass *= table[xs][ys]
+        scored.append((_exact_log2(mass), cand))
+    if not scored:
+        return None, 0
+    best = max(s for s, _ in scored)
+    tied = [cand for s, cand in scored if s >= best - 1e-12]
+    return tied[0], len(tied)
+
+
+def test_decode_ml_matches_exact_oracle():
+    """Constrained and unconstrained ML decodes equal an exact-mass brute
+    force: candidates of equal mass go to the lexicographically first one,
+    not to whichever float product rounding favours."""
+    laws = [DSBS, Distribution([[0.4, 0.1], [0.1, 0.4]]), ZERO_MASS,
+            Distribution([[0.3, 0.2], [0.1, 0.4]])]
+    rng = np.random.default_rng(77)
+    ties = 0
+    for trial in range(100):
+        mu = laws[trial % len(laws)]
+        n = int(rng.integers(4, 9))
+        dense = [rng.integers(0, 2, size=(int(rng.integers(n - 4, n)), n)) for _ in range(2)]
+        code = SwCode(tuple(FieldMatrix.from_dense(2, d) if len(d) else FieldMatrix.zeros(2, 0, n)
+                            for d in dense), mu)
+        cells = rng.choice(4, size=n, p=mu.table.reshape(-1))
+        x_K = tuple(tuple(int(v) for v in col) for col in np.unravel_index(cells, (2, 2)))
+        syn = sw_encode(code, x_K)
+        gamma = float(rng.uniform(0.05, 0.5))
+        for constrained in (True, False):
+            expected, tied = _oracle_ml_decode(dense, mu, syn, gamma, constrained)
+            res = sw_decode_ml_typical(code, syn, gamma, constrained=constrained)
+            assert (None if res.failure else res.x_hat) == expected
+            ties += tied > 1
+    assert ties > 0
 
 
 def test_field_larger_than_alphabet_matches_oracle():
@@ -379,7 +449,9 @@ PINNED_SW_DECODES = [
     ["100101|100001", "100101|100001", "110010|010010"],
     ["01212|01011", "12102|11100", "01222|01101"],
 ]
-PINNED_SW_MC = [(133, 78), (54, 37), (285, 173), (284, 269)]  # (md, ml) errors
+# (md, ml) errors; the ml counts were recorded after ties between candidates
+# of equal mass went to the lexicographically first one
+PINNED_SW_MC = [(133, 78), (54, 34), (285, 173), (284, 269)]
 
 
 def test_pinned_sw_decisions():
