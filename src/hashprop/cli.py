@@ -174,6 +174,12 @@ def cmd_lp_md(args) -> None:
             "expected one coset matrix + one message matrix and one syndrome "
             "+ one message per terminal (pass --stack/--syndrome pairs in order)"
         )
+    if any(s != 2 for s in mu.shape):
+        raise ParseError(f"lp-md needs a binary alphabet per terminal, got sizes {mu.shape}")
+    for (name, _), m, (sname, s) in zip(stacks, mats, syns):
+        if len(s) != m.rows:
+            raise ParseError(f"syndrome {sname!r} has {len(s)} symbols but matrix "
+                             f"{name!r} has {m.rows} rows")
     k = len(mu.shape)
     stacked = []
     merged = []

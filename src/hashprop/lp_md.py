@@ -11,6 +11,11 @@ check row with support N and target bit a, a 0/1 vector u violates the check
 iff the restriction of u to N matches some S subseteq N with |S| != a (mod 2),
 and the inequality sum_{i in S} u_i - sum_{N\\S} u_i <= |S| - 1 cuts off
 exactly the vectors agreeing with S on N.
+
+The type LPs of one decode differ only in the count right-hand sides, so a
+decode builds one tableau: the first type is solved by the two-phase primal
+simplex and every later type is warm-started from the previous type's final
+basis by a dual simplex.  Both share one pivot routine and Bland's rule.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
 FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 INT_TOL = 1e-6
+MAX_ITER = 20000
 
 
 class LpError(ValueError):
@@ -61,6 +67,13 @@ class LinearProgram:
             raise LpError(f"unknown relation {rel!r}")
         self.constraints.append((row, rel, float(rhs)))
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as one (m, num_vars) matrix, relations and right-hand sides."""
+        rows = np.array([r for r, _, _ in self.constraints], dtype=np.float64)
+        return (rows.reshape(len(self.constraints), self.num_vars),
+                np.array([rel for _, rel, _ in self.constraints]),
+                np.array([rhs for _, _, rhs in self.constraints], dtype=np.float64))
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -70,136 +83,159 @@ class LpSolution:
     integral: bool
 
     def check_feasible(self, lp: LinearProgram, tol: float = CHECK_TOL) -> bool:
-        if self.values is None:
-            return False
-        for row, rel, rhs in lp.constraints:
-            lhs = float(row @ self.values)
-            if rel == REL_LE and lhs > rhs + tol:
-                return False
-            if rel == REL_GE and lhs < rhs - tol:
-                return False
-            if rel == REL_EQ and abs(lhs - rhs) > tol:
-                return False
-        return True
+        return self.values is not None and _rows_hold(*lp.arrays(), self.values, tol)
 
 
-def simplex_solve(lp: LinearProgram, max_iter: int = 20000) -> LpSolution:
-    """Two-phase primal simplex with Bland's rule on a dense tableau."""
-    m = len(lp.constraints)
-    n = lp.num_vars
-    rows = []
-    rels = []
-    rhs = []
-    for r, rel, b in lp.constraints:
-        if b < 0:
-            r, b = -r, -b
-            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-        rows.append(np.asarray(r, dtype=np.float64))
-        rels.append(rel)
-        rhs.append(b)
+def _rows_hold(rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+               tol: float) -> bool:
+    """Whether x satisfies every row (coeffs, relation, rhs) within tol."""
+    gap = rows @ x - rhs
+    return not (np.any(gap[rels == REL_LE] > tol) or np.any(gap[rels == REL_GE] < -tol)
+                or np.any(np.abs(gap[rels == REL_EQ]) > tol))
 
-    n_slack = sum(1 for r in rels if r != REL_EQ)
-    n_art = sum(1 for r in rels if r != REL_LE)
-    total = n + n_slack + n_art
-    A = np.zeros((m, total))
-    b_vec = np.array(rhs)
-    basis = [0] * m
-    si = n
-    ai = n + n_slack
-    for i, (row, rel) in enumerate(zip(rows, rels)):
-        A[i, :n] = row
-        if rel == REL_LE:
-            A[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif rel == REL_GE:
-            A[i, si] = -1.0
-            si += 1
-            A[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
-        else:
-            A[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
 
-    basis_mask = np.zeros(total, dtype=bool)
-    basis_mask[basis] = True
+class _Tableau:
+    """A dense simplex tableau [rows | slacks | artificials] over x >= 0 with
+    its basis, pivoted in place by ``pivot`` in every solve.
 
-    def run(cost: np.ndarray, allowed: int) -> str:
-        """Minimize cost over the current tableau, pivoting in place."""
-        nonlocal A, b_vec, basis
-        basis_arr = np.array(basis)
-        for _ in range(max_iter):
-            # basis columns form an identity after pivoting, so reduced
-            # costs are cost - cost[basis] @ A directly (Bland: smallest
-            # eligible index enters)
-            red = cost[:allowed] - cost[basis_arr] @ A[:, :allowed]
-            eligible = np.nonzero((red < -FEAS_TOL) & ~basis_mask[:allowed])[0]
+    Row i is normalized to a nonnegative right-hand side and starts with its
+    slack (<= rows) or its artificial (>= and = rows) basic.  That starting
+    column keeps holding column i of B^-1 under any pivots, so ``set_rhs``
+    moves the basic solution to new right-hand sides without a rebuild.
+    Artificial columns never re-enter after phase 1.
+    """
+
+    def __init__(self, rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
+        m, n = rows.shape
+        self.rows, self.rels, self.rhs = rows, rels, rhs  # for the row check
+        self.sign = np.where(rhs < 0, -1.0, 1.0)
+        le = np.where(rhs < 0, rels == REL_GE, rels == REL_LE)  # <= once normalized
+        slack_rows = np.flatnonzero(rels != REL_EQ)
+        art_rows = np.flatnonzero(~le)
+        self.n = n
+        self.real = n + slack_rows.size  # columns allowed to enter after phase 1
+        total = self.real + art_rows.size
+        self.A = np.zeros((m, total))
+        self.A[:, :n] = rows * self.sign[:, None]
+        slack_cols = n + np.arange(slack_rows.size)
+        self.A[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+        art_cols = self.real + np.arange(art_rows.size)
+        self.A[art_rows, art_cols] = 1.0
+        self.b = rhs * self.sign
+        self.unit = np.empty(m, dtype=np.int64)  # the column holding B^-1 e_i
+        self.unit[slack_rows] = slack_cols
+        self.unit[art_rows] = art_cols
+        self.basis = self.unit.copy()
+        self.in_basis = np.zeros(total, dtype=bool)
+        self.in_basis[self.basis] = True
+
+    def pivot(self, row: int, col: int) -> None:
+        """Make col basic in row: the one pivot of every solve."""
+        A, b = self.A, self.b
+        piv = A[row, col]
+        A[row] /= piv
+        b[row] /= piv
+        factors = A[:, col].copy()
+        factors[row] = 0.0
+        touched = np.nonzero(np.abs(factors) > 1e-15)[0]
+        A[touched] -= factors[touched, None] * A[row]
+        b[touched] -= factors[touched] * b[row]
+        self.in_basis[self.basis[row]] = False
+        self.in_basis[col] = True
+        self.basis[row] = col
+
+    def primal(self, cost: np.ndarray, allowed: int, max_iter: int) -> tuple[str, int]:
+        """Minimize cost from the current feasible basis with Bland's rule;
+        returns the status and the pivots made."""
+        A, b = self.A, self.b
+        for it in range(max_iter):
+            # basis columns form an identity, so reduced costs are
+            # cost - cost[basis] @ A directly (Bland: smallest eligible
+            # index enters)
+            red = cost[:allowed] - cost[self.basis] @ A[:, :allowed]
+            eligible = np.nonzero((red < -FEAS_TOL) & ~self.in_basis[:allowed])[0]
             if eligible.size == 0:
-                return "optimal"
+                return "optimal", it
             enter = int(eligible[0])
             col = A[:, enter]
             rows = np.nonzero(col > FEAS_TOL)[0]
             if rows.size == 0:
-                return "unbounded"
-            ratios = b_vec[rows] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + FEAS_TOL]
-            leave = int(ties[np.argmin(basis_arr[ties])])  # Bland tie-break
-            piv = col[leave]
-            A[leave] /= piv
-            b_vec[leave] /= piv
-            factors = A[:, enter].copy()
-            factors[leave] = 0.0
-            touched = np.nonzero(np.abs(factors) > 1e-15)[0]
-            A[touched] -= factors[touched, None] * A[leave]
-            b_vec[touched] -= factors[touched] * b_vec[leave]
-            basis_mask[basis_arr[leave]] = False
-            basis_mask[enter] = True
-            basis_arr[leave] = enter
-            basis[leave] = enter
+                return "unbounded", it
+            ratios = b[rows] / col[rows]
+            ties = rows[ratios <= ratios.min() + FEAS_TOL]
+            self.pivot(int(ties[np.argmin(self.basis[ties])]), enter)  # Bland tie-break
         raise LpError("simplex iteration cap exceeded")
 
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[n + n_slack:] = 1.0
-        status = run(phase1, total)
+    def phase1(self, max_iter: int) -> tuple[bool, int]:
+        """Minimize the artificials' sum, then pivot every artificial that
+        can leave out of the basis; returns feasibility and the pivots made.
+        An artificial left basic marks a redundant row."""
+        if self.real == self.A.shape[1]:
+            return True, 0
+        cost = np.zeros(self.A.shape[1])
+        cost[self.real:] = 1.0
+        status, pivots = self.primal(cost, cost.size, max_iter)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
-        if float(phase1[basis] @ b_vec) > 1e-7:
-            return LpSolution("infeasible", None, None, False)
-        # pivot lingering zero-level artificials out of the basis
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                j = next(
-                    (j for j in range(n + n_slack) if abs(A[i, j]) > FEAS_TOL), None
-                )
-                if j is not None:
-                    piv = A[i, j]
-                    A[i] /= piv
-                    b_vec[i] /= piv
-                    for r in range(m):
-                        if r != i and abs(A[r, j]) > 1e-15:
-                            f = A[r, j]
-                            A[r] -= f * A[i]
-                            b_vec[r] -= f * b_vec[i]
-                    basis_mask[basis[i]] = False
-                    basis_mask[j] = True
-                    basis[i] = j
+        feasible = float(cost[self.basis] @ self.b) <= 1e-7
+        for i in np.flatnonzero(self.basis >= self.real):
+            cols = np.flatnonzero(np.abs(self.A[i, :self.real]) > FEAS_TOL)
+            if cols.size:
+                self.pivot(int(i), int(cols[0]))
+                pivots += 1
+        return feasible, pivots
 
-    cost = np.zeros(total)
-    cost[:n] = -lp.objective if lp.maximize else lp.objective
-    status = run(cost, n + n_slack)
+    def set_rhs(self, idx: np.ndarray, rhs: np.ndarray) -> None:
+        """Give rows idx new right-hand sides: b += B^-1 delta."""
+        delta = self.sign[idx] * (rhs - self.rhs[idx])
+        self.rhs[idx] = rhs
+        self.b += self.A[:, self.unit[idx]] @ delta
+
+    def dual(self, max_iter: int) -> tuple[str, int]:
+        """Restore primal feasibility after ``set_rhs`` by a dual simplex
+        under Bland's rule, for a zero objective (every basis is dual
+        feasible): the row with b < 0 and the smallest basic index leaves,
+        the smallest column with a negative entry in it enters.  Infeasible
+        when such a row has no negative entry, or when a redundant row (an
+        artificial left basic) gets a nonzero right-hand side."""
+        A, b, real = self.A, self.b, self.real
+        if np.any(np.abs(b[self.basis >= real]) > FEAS_TOL):
+            return "infeasible", 0
+        for it in range(max_iter):
+            neg = np.flatnonzero(b < -FEAS_TOL)
+            if neg.size == 0:
+                return "optimal", it
+            leave = int(neg[np.argmin(self.basis[neg])])
+            cols = np.flatnonzero((A[leave, :real] < -FEAS_TOL) & ~self.in_basis[:real])
+            if cols.size == 0:
+                return "infeasible", it
+            self.pivot(leave, int(cols[0]))
+        raise LpError("simplex iteration cap exceeded")
+
+    def solution(self, objective: np.ndarray) -> LpSolution:
+        """The basic point, checked against the original rows."""
+        x = np.zeros(self.n)
+        structural = self.basis < self.n
+        x[self.basis[structural]] = self.b[structural]
+        if not _rows_hold(self.rows, self.rels, self.rhs, x, CHECK_TOL):
+            raise LpError("simplex point violates the program's rows")
+        integral = bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))
+        return LpSolution("optimal", x, float(objective @ x), integral)
+
+
+def simplex_solve(lp: LinearProgram, max_iter: int = MAX_ITER) -> LpSolution:
+    """Two-phase primal simplex with Bland's rule on a dense tableau; each
+    phase is bounded by max_iter pivots."""
+    tab = _Tableau(*lp.arrays())
+    feasible, _ = tab.phase1(max_iter)
+    if not feasible:
+        return LpSolution("infeasible", None, None, False)
+    cost = np.zeros(tab.A.shape[1])
+    cost[:lp.num_vars] = -lp.objective if lp.maximize else lp.objective
+    status, _ = tab.primal(cost, tab.real, max_iter)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, False)
-    values = np.zeros(n)
-    for i, bidx in enumerate(basis):
-        if bidx < n:
-            values[bidx] = b_vec[i]
-    obj = float(lp.objective @ values)
-    integral = bool(np.all(np.minimum(np.abs(values), np.abs(values - 1.0)) <= INT_TOL))
-    return LpSolution("optimal", values, obj, integral)
+    return tab.solution(lp.objective)
 
 
 # --- constraint builders ----------------------------------------------------
@@ -297,16 +333,24 @@ class LpDecodeResult:
 def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None,
               fallback_cap: int = 1 << 16, degree_cap: int = 12) -> LpDecodeResult:
     """Minimum-divergence decoding over the coset product by sweeping joint
-    types, solving one feasibility LP per type.
+    types, deciding one feasibility LP per type.
 
-    Each type LP has a zero objective, so its solution is the vertex phase 1
-    reaches.  Types whose LP is infeasible cannot occur in the coset
-    product.  Among types with an integral LP point, the minimum-divergence
-    one wins, with types within TIE_TOL of it tied; any fractional point is
-    logged (and optionally resolved exhaustively with
-    fallback='exhaustive').  The output tuple is the lexicographically first
-    coset-product member carrying a winning type, matching the exhaustive
-    decoder's tie rule.
+    The type LPs differ only in the right-hand sides of the 2^k count rows,
+    so one tableau serves the whole decode: the first type is solved by the
+    two-phase primal simplex, and every later type starts from the previous
+    type's final basis and is restored to feasibility by a dual simplex.
+    Statuses are exact: infeasible types are exactly those whose LP is
+    infeasible, and they cannot occur in the coset product.  Each type LP
+    has a zero objective, so its point is whichever vertex the warm start
+    reaches, and ``integral`` records whether that vertex is integral.
+    Every point is checked against the type's rows (``LpError`` if one
+    fails), and the log records it with the pivots the type took.
+
+    Among types with an integral LP point, the minimum-divergence one wins,
+    with types within TIE_TOL of it tied; a fractional point is logged (and
+    optionally resolved exhaustively with fallback='exhaustive').  The output
+    tuple is the lexicographically first coset-product member carrying a
+    winning type, matching the exhaustive decoder's tie rule.
     """
     k = len(matrices)
     if any(s != 2 for s in mu.shape) or len(mu.shape) != k:
@@ -318,24 +362,34 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     parity = []
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
         parity += build_parity_constraints(m, a, var_offset=j * n, degree_cap=degree_cap)
+    types = list(compositions(n, 1 << k))
+    lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
+    for row, rel, rhs in build_type_constraints(types[0], n, k) + parity:
+        lp.add(row, rel, rhs)
+    tab = _Tableau(*lp.arrays())
+    count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
 
     log = []
     feasible: list[tuple[float, tuple, bool]] = []  # (divergence, type, certified)
     all_integral = True
-    for t in compositions(n, 1 << k):
+    for i, t in enumerate(types):
+        if i == 0:
+            ok, pivots = tab.phase1(MAX_ITER)
+            status = "optimal" if ok else "infeasible"
+        else:
+            tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
+            status, pivots = tab.dual(MAX_ITER)
         d = divergence(np.asarray(t) / n, mu)
-        lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
-        for row, rel, rhs in build_type_constraints(t, n, k) + parity:
-            lp.add(row, rel, rhs)
-        sol = simplex_solve(lp)
-        entry = {"type": t, "divergence": d, "status": sol.status,
-                 "integral": sol.integral}
-        if sol.status == "optimal":
+        entry = {"type": t, "divergence": d, "status": status, "integral": False,
+                 "pivots": pivots}
+        if status == "optimal":
+            sol = tab.solution(lp.objective)
+            entry["integral"] = sol.integral
+            entry["point"] = tuple(float(v) for v in sol.values)
             if sol.integral:
                 feasible.append((d, t, True))
             else:
                 all_integral = False
-                entry["fractional_point"] = tuple(float(v) for v in sol.values)
                 if fallback == "exhaustive" and _type_occurs(
                     matrices, syndromes, t, fallback_cap
                 ):

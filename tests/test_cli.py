@@ -219,6 +219,42 @@ def test_lp_md_cli_arity_error(tmp_path, capsys):
     assert code == 2
 
 
+def _lp_md_args(tmp_path, dist, syndromes):
+    a = write_matrix(tmp_path, "a.txt", [[1, 0, 0], [0, 1, 0]])
+    ap = write_matrix(tmp_path, "ap.txt", [[0, 0, 1]])
+    args = ["lp-md", "--dist", dist, "--stack", f"A={a}", "--stack", f"Ap={ap}",
+            "--stack", f"B={a}", "--stack", f"Bp={ap}"]
+    for s in syndromes:
+        args += ["--syndrome", s]
+    return args
+
+
+def test_lp_md_cli_input_errors_exit_2(tmp_path, capsys):
+    dist = write_dsbs(tmp_path)
+    # three symbols for the two-row matrix A
+    code, _, err = run_cli(capsys, *_lp_md_args(tmp_path, dist,
+                                                ["a=011", "m=1", "b=01", "m=1"]))
+    assert code == 2 and "syndrome 'a' has 3 symbols" in err
+    ternary = tmp_path / "ternary.json"
+    ternary.write_text(json.dumps({"sizes": [3, 3], "probs": [1 / 9] * 9}))
+    code, _, err = run_cli(capsys, *_lp_md_args(tmp_path, str(ternary),
+                                                ["a=01", "m=1", "b=01", "m=1"]))
+    assert code == 2 and "binary alphabet" in err
+
+
+def test_lp_md_cli_degree_cap_exit_3(tmp_path, capsys):
+    """A parity row past the degree cap is a compute limit, not an input error."""
+    dist = write_dsbs(tmp_path)
+    a = write_matrix(tmp_path, "a.txt", [[1] * 13])
+    ap = write_matrix(tmp_path, "ap.txt", [[1] + [0] * 12])
+    code, _, err = run_cli(capsys, "lp-md", "--dist", dist,
+                           "--stack", f"A={a}", "--stack", f"Ap={ap}",
+                           "--stack", f"B={a}", "--stack", f"Bp={ap}",
+                           "--syndrome", "a=0", "--syndrome", "m=0",
+                           "--syndrome", "b=0", "--syndrome", "m=0")
+    assert code == 3 and "exceeds cap" in err
+
+
 def test_sweep_csv_to_stdout(tmp_path, capsys):
     dist = write_dsbs(tmp_path)
     code, out, err = run_cli(capsys, "sweep", "sw", "--dist", dist,

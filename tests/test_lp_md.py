@@ -13,6 +13,7 @@ from hashprop.lp_md import (
     REL_LE,
     LinearProgram,
     LpError,
+    LpSolution,
     build_parity_constraints,
     build_type_constraints,
     md_via_lp,
@@ -24,7 +25,7 @@ from hashprop.lp_md import (
     var_u,
 )
 from hashprop.slepian_wolf import SwCode, sw_decode_md, sw_encode
-from hashprop.types import Distribution
+from hashprop.types import Distribution, joint_type
 
 
 def test_simplex_textbook_maximization():
@@ -161,6 +162,84 @@ def test_md_via_lp_matches_exhaustive_when_integral():
         if res.all_integral:
             seen_integral += 1
     assert seen_integral >= 1  # high-rate matrices keep some instances integral
+
+
+def _cold_program(t, mats, syns):
+    n, k = mats[0].cols, len(mats)
+    lp = LinearProgram(num_vars=num_vars(n, k), objective=np.zeros(num_vars(n, k)))
+    rows = build_type_constraints(t, n, k)
+    for j, (m, a) in enumerate(zip(mats, syns)):
+        rows += build_parity_constraints(m, a, var_offset=j * n)
+    for row, rel, rhs in rows:
+        lp.add(row, rel, rhs)
+    return lp
+
+
+def _warm_start_instances():
+    """Seeded (matrices, syndromes) pairs at n = 3..5: random rows, rows of
+    full degree n, and cosets emptied by a zero row with syndrome bit 1 or by
+    a repeated row with both syndrome bits."""
+    rng = np.random.default_rng(11)
+    out = []
+    for idx in range(30):
+        n = (3, 4, 3, 4, 5, 3)[idx // 5]
+        dense = [rng.integers(0, 2, size=(int(rng.integers(1, n)), n)) for _ in range(2)]
+        syns = [tuple(int(v) for v in rng.integers(0, 2, size=d.shape[0])) for d in dense]
+        if idx % 5 == 1:
+            dense[0][0] = 1
+        elif idx % 5 == 2:
+            dense[1] = np.vstack([dense[1], np.zeros(n, dtype=np.int64)])
+            syns[1] += (1,)
+        elif idx % 5 == 3:
+            dense[0] = np.vstack([dense[0], dense[0][:1]])
+            syns[0] += (1 - syns[0][0],)
+        out.append((tuple(FieldMatrix.from_dense(2, d) for d in dense), tuple(syns)))
+    return out
+
+
+def test_md_via_lp_warm_start_matches_cold_solver():
+    """Every type's status equals a cold two-phase solve of the same program;
+    every logged point satisfies the program's rows, and every integral one
+    is a coset-product member carrying the logged type."""
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    seen = {"optimal": 0, "infeasible": 0, "integral": 0, "fractional": 0, "empty": 0}
+    for mats, syns in _warm_start_instances():
+        n, k = mats[0].cols, len(mats)
+        res = md_via_lp(mats, syns, mu)
+        assert len(res.type_log) == math.comb(n + 3, 3)
+        for entry in res.type_log:
+            lp = _cold_program(entry["type"], mats, syns)
+            assert entry["status"] == simplex_solve(lp).status, entry["type"]
+            seen[entry["status"]] += 1
+            assert isinstance(entry["pivots"], int) and entry["pivots"] >= 0
+            if entry["status"] != "optimal":
+                continue
+            point = np.array(entry["point"])
+            assert LpSolution("optimal", point, 0.0, entry["integral"]).check_feasible(lp)
+            if not entry["integral"]:
+                seen["fractional"] += 1
+                continue
+            seen["integral"] += 1
+            u = np.rint(point[:k * n]).astype(np.int64).reshape(k, n)
+            for m, a, uj in zip(mats, syns, u):
+                assert tuple(int(v) for v in m.to_dense() @ uj % 2) == a
+            counts = np.asarray(joint_type([tuple(r) for r in u], (2,) * k).counts)
+            assert tuple(counts.reshape(-1)) == entry["type"]
+        if all(e["status"] == "infeasible" for e in res.type_log):
+            seen["empty"] += 1
+            assert res.error and res.x_hat is None
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_md_via_lp_raises_on_a_point_outside_its_rows(monkeypatch):
+    """A point that fails the row check is an error, never a dropped type."""
+    import hashprop.lp_md as lp_md
+
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    eye = FieldMatrix.identity(2, 2)
+    monkeypatch.setattr(lp_md, "CHECK_TOL", -1.0)
+    with pytest.raises(LpError, match="violates"):
+        md_via_lp((eye, eye), ((0, 1), (0, 1)), mu)
 
 
 def test_md_via_lp_validation():
