@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import FieldMatrix, coset_factors, enumerate_image, rank
-from .mc import McEstimate, spawn_rngs
+from .mc import McEstimate, decode_distinct, inverse_cdf, run_blocks
 from .types import (
     CondDistribution,
     Distribution,
@@ -273,30 +273,36 @@ class BcEncodeResult:
     divergence: float
 
 
-def bc_encode(code: BcCode, p: BcProblem, messages,
-              rng: np.random.Generator | None = None,
-              cap: int = DEFAULT_CAP) -> BcEncodeResult:
-    """Minimum-divergence selection over the product of coset intersections
-    C_{A_j}(a_j) cap C_{A'_j}(m_j), then the symbol map applied per position."""
+def bc_select(code: BcCode, p: BcProblem, messages,
+              cap: int = DEFAULT_CAP) -> tuple[tuple | None, float]:
+    """Minimum-divergence u_K over the product of coset intersections
+    C_{A_j}(a_j) cap C_{A'_j}(m_j), and its divergence; (None, inf) when an
+    intersection is empty. The symbol map plays no part."""
     if len(messages) != code.k:
         raise BcError("one message per receiver is required")
     systems = [tuple(a) + tuple(m) for a, m in zip(code.syndromes, messages)]
     factors = coset_factors(code.stacked, systems, cap, BcError)
     if factors is None:
-        return BcEncodeResult(None, None, True, math.inf)
+        return None, math.inf
     d = product_divergences(factors, p.mu_u)
     winner = first_best(d)
-    best = product_member(factors, winner)
-    if p.deterministic:
-        x = tuple(int(p.f[symbols]) for symbols in zip(*best))
-    else:
-        if rng is None:
-            raise BcError("a stochastic symbol map needs an rng")
-        x = tuple(
-            int(rng.choice(p.channel.table.shape[-1], p=p.f[symbols]))
-            for symbols in zip(*best)
-        )
-    return BcEncodeResult(u_K=best, x=x, failure=False, divergence=float(d[winner]))
+    return product_member(factors, winner), float(d[winner])
+
+
+def bc_encode(code: BcCode, p: BcProblem, messages,
+              rng: np.random.Generator | None = None,
+              cap: int = DEFAULT_CAP) -> BcEncodeResult:
+    """``bc_select``, then the symbol map applied per position; a stochastic
+    map draws each x_i from f[u_i] by inverse CDF of one ``rng.random(n)``."""
+    if not p.deterministic and rng is None:
+        raise BcError("a stochastic symbol map needs an rng")
+    best, divergence = bc_select(code, p, messages, cap)
+    if best is None:
+        return BcEncodeResult(None, None, True, divergence)
+    u = tuple(np.array(best))
+    x = p.f[u] if p.deterministic else inverse_cdf(p.f[u], rng.random(code.n))
+    return BcEncodeResult(u_K=best, x=tuple(x.tolist()), failure=False,
+                          divergence=divergence)
 
 
 def bc_decode(code: BcCode, p: BcProblem, j: int, y,
@@ -322,100 +328,85 @@ def bc_decode(code: BcCode, p: BcProblem, j: int, y,
     return ap_m.matvec(tuple(factors[0][winner].tolist()))
 
 
-def _channel_support(p: BcProblem):
-    """Per channel input x: the positive-probability output tuples."""
-    yshape = p.channel.table.shape[:-1]
-    nx = p.channel.table.shape[-1]
-    out = []
-    for x in range(nx):
-        rows = []
-        for y in itertools.product(*(range(s) for s in yshape)):
-            pr = float(p.channel.table[y + (x,)])
-            if pr > 0:
-                rows.append((y, pr))
-        out.append(rows)
-    return out
+def _wrong_receivers(code: BcCode, p: BcProblem, variant: str, cap: int):
+    """The message spaces, and a function telling which of N trials any receiver
+    misdecodes, from (N, n) flat output indices into Y_1 x ... x Y_k and (N, k)
+    message indices; each distinct y_j is decoded once, cached across calls."""
+    spaces = [code.message_space(j) for j in range(code.k)]
+    index = [{m: i for i, m in enumerate(space)} for space in spaces]
+    caches: list[dict] = [{} for _ in spaces]
+
+    def wrong(flat: np.ndarray, m: np.ndarray) -> np.ndarray:
+        y = np.unravel_index(flat, p.channel.table.shape[:-1])
+        bad = np.zeros(len(m), dtype=bool)
+        for j in range(code.k):
+            bad |= decode_distinct(y[j], caches[j], lambda yj: index[j][
+                bc_decode(code, p, j, yj, variant=variant, cap=cap)]) != m[:, j]
+        return bad
+
+    return spaces, wrong
 
 
 def bc_error_exact(code: BcCode, p: BcProblem, variant: str = "ml",
                    cap: int = DEFAULT_CAP) -> float:
     """Exact error under uniform messages: mass of (m_K, y_K) where any
-    receiver misdecodes; encoder failures count with full mass."""
+    receiver misdecodes; encoder failures count with full mass. The outputs of
+    each message tuple are decoded as one array, each distinct y_j once."""
     if not p.deterministic:
         raise BcError("exact evaluation needs a deterministic symbol map")
-    k = code.k
-    spaces = [code.message_space(j) for j in range(k)]
-    support = _channel_support(p)
-    n = code.n
+    spaces, wrong = _wrong_receivers(code, p, variant, cap)
+    columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
     p_m = 1.0 / math.prod(len(s) for s in spaces)
-    decode_cache: dict = {}
-
-    def decode(j, yj) -> tuple[int, ...]:
-        key = (j, yj)
-        if key not in decode_cache:
-            decode_cache[key] = bc_decode(code, p, j, yj, variant=variant, cap=cap)
-        return decode_cache[key]
-
     success = 0.0
-    for m_K in itertools.product(*spaces):
-        enc = bc_encode(code, p, m_K, cap=cap)
+    for m in itertools.product(*(range(len(s)) for s in spaces)):
+        enc = bc_encode(code, p, [space[i] for space, i in zip(spaces, m)], cap=cap)
         if enc.failure:
             continue
-        per_pos = [support[x] for x in enc.x]
-        total_outputs = math.prod(len(s) for s in per_pos)
+        support = [np.flatnonzero(columns[x]) for x in enc.x]
+        total_outputs = math.prod(len(s) for s in support)
         if total_outputs > cap:
             raise BcError("output space exceeds cap")
-        for outs in itertools.product(*per_pos):
-            prob = math.prod(pr for _, pr in outs)
-            y_K = tuple(
-                tuple(outs[i][0][j] for i in range(n)) for j in range(k)
-            )
-            if all(decode(j, y_K[j]) == tuple(m_K[j]) for j in range(k)):
-                success += p_m * prob
-    return min(1.0, max(0.0, 1.0 - success))
+        # output tuples in row-major order, probabilities multiplied position
+        # by position, and one running left-to-right sum, as a loop would add
+        idx = np.unravel_index(np.arange(total_outputs), [len(s) for s in support])
+        flat = np.stack([s[i] for s, i in zip(support, idx)], axis=1)
+        prob = np.ones(total_outputs)
+        for i, x in enumerate(enc.x):
+            prob *= columns[x][flat[:, i]]
+        ok = ~wrong(flat, np.broadcast_to(m, (total_outputs, code.k)))
+        success = np.cumsum(np.concatenate([[success], p_m * prob[ok]]))[-1]
+    return min(1.0, max(0.0, 1.0 - float(success)))
 
 
 def bc_error_mc(code: BcCode, p: BcProblem, trials: int = 1000, seed: int = 0,
                 variant: str = "ml", cap: int = DEFAULT_CAP) -> McEstimate:
-    """Monte Carlo error estimate: uniform messages, symbolwise channel."""
+    """Monte Carlo error estimate: uniform messages, symbolwise channel.
+
+    A block of ``size`` trials (see ``hashprop.mc``) draws the message
+    indices by ``rng.integers``, one receiver at a time; then, for a
+    stochastic map, the (size, n) inputs by inverse CDF of f[u]; then the
+    (size, n) outputs by inverse CDF of each input's channel column. Each
+    distinct message tuple is encoded once and each distinct y_j decoded
+    once, cached across blocks. An encoder failure counts as an error."""
     if trials < 1:
         raise BcError("trials must be >= 1")
-    k = code.k
-    spaces = [code.message_space(j) for j in range(k)]
-    flat_channel = p.channel.table.reshape(-1, p.channel.table.shape[-1])
-    yshape = p.channel.table.shape[:-1]
-    decode_cache: dict = {}
-    encode_cache: dict = {}
-    errors = 0
-    for rng in spawn_rngs(seed, trials):
-        m_K = tuple(spaces[j][int(rng.integers(0, len(spaces[j])))] for j in range(k))
-        if p.deterministic:
-            # the encoder is deterministic in the message, so memoize it
-            if m_K not in encode_cache:
-                encode_cache[m_K] = bc_encode(code, p, m_K, cap=cap)
-            enc = encode_cache[m_K]
-        else:
-            enc = bc_encode(code, p, m_K, rng=rng, cap=cap)
-        if enc.failure:
-            errors += 1
-            continue
-        flat_idx = [
-            int(rng.choice(flat_channel.shape[0], p=flat_channel[:, x]))
-            for x in enc.x
-        ]
-        ys = np.array([np.unravel_index(i, yshape) for i in flat_idx])
-        ok = True
-        for j in range(k):
-            yj = tuple(int(v) for v in ys[:, j])
-            key = (j, yj)
-            if key not in decode_cache:
-                decode_cache[key] = bc_decode(code, p, j, yj, variant=variant, cap=cap)
-            if decode_cache[key] != tuple(m_K[j]):
-                ok = False
-                break
-        if not ok:
-            errors += 1
-    return McEstimate.from_counts(errors, trials)
+    spaces, wrong = _wrong_receivers(code, p, variant, cap)
+    columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
+    cache: dict = {}
+
+    def select(key):
+        best, _ = bc_select(code, p, [space[i] for space, i in zip(spaces, key)], cap)
+        return np.full((code.k, code.n), -1) if best is None else best  # -1: a failure
+
+    def block_errors(rng, size):
+        m = np.stack([rng.integers(0, len(space), size=size) for space in spaces], axis=1)
+        u = decode_distinct(m, cache, select)  # (size, k, n)
+        failed = u[:, 0, 0] < 0
+        u = tuple(np.maximum(u, 0).transpose(1, 0, 2))
+        x = p.f[u] if p.deterministic else inverse_cdf(p.f[u], rng.random((size, code.n)))
+        return (failed | wrong(inverse_cdf(columns[x], rng.random((size, code.n))), m)).sum()
+
+    return run_blocks(seed, trials, block_errors)
 
 
 # --- kappa schedule ---------------------------------------------------------

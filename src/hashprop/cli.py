@@ -14,10 +14,8 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +26,6 @@ from .gf import FieldMatrix
 
 CONFIG_EXIT = 2
 COMPUTE_EXIT = 3
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HASHPROP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(obj) -> None:
@@ -118,6 +109,9 @@ def cmd_sw_sim(args) -> None:
     mu = formats.load_distribution(args.dist)
     mats = [formats.load_matrix(path) for _, path in _parse_named(args.matrix, "--matrix")]
     code = sw_mod.SwCode(matrices=tuple(mats), mu=mu)
+    if args.gamma < 0 or (args.decoder == "ml" and args.gamma == 0):
+        raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
+                         "typical means divergence < gamma")
     result = {"command": "sw-sim", "decoder": args.decoder, "n": code.n,
               "rates": list(code.rates().rates), "mode": args.mode}
     if args.mode == "exact":
@@ -128,8 +122,7 @@ def cmd_sw_sim(args) -> None:
         if args.seed is None:
             raise ParseError("--seed is required in mc mode")
         est = sw_mod.sw_error_mc(code, decoder=args.decoder, trials=args.trials,
-                                 seed=args.seed, gamma=args.gamma,
-                                 threads=_threads())
+                                 seed=args.seed, gamma=args.gamma)
         result["error"] = est.estimate
         result["ci"] = [est.ci_lo, est.ci_hi]
         result["trials"] = est.trials
@@ -250,22 +243,11 @@ def cmd_sweep(args) -> None:
         raise ParseError("only 'sweep sw' is supported")
     mu = formats.load_distribution(args.dist)
     grid = _parse_grid(args.rates)
-    n_list = [int(v) for v in args.n_list.split(",")]
-    points = [(rx, ry, n) for rx in grid for ry in grid for n in n_list]
+    points = [(rx, ry, n) for rx in grid for ry in grid for n in args.n_list]
     seeds = np.random.SeedSequence(args.seed).spawn(len(points))
-
-    def work(item):
-        (rx, ry, n), ss = item
-        return _sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode,
+    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode,
                             args.trials, ss)
-
-    threads = _threads()
-    items = list(zip(points, seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, items))
-    else:
-        records = [work(it) for it in items]
+               for (rx, ry, n), ss in zip(points, seeds)]
 
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -274,7 +256,7 @@ def cmd_sweep(args) -> None:
         w.writerow([rec["R_X"], rec["R_Y"], rec["n"], rec["error"],
                     rec["ci_lo"], rec["ci_hi"]])
     summary = {"command": "sweep", "target": "sw", "points": len(records),
-               "grid": grid, "n_list": n_list, "mode": args.mode,
+               "grid": grid, "n_list": args.n_list, "mode": args.mode,
                "min_error": min(r["error"] for r in records)}
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -283,6 +265,17 @@ def cmd_sweep(args) -> None:
     else:
         sys.stdout.write(buf.getvalue())
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(v) for v in text.split(",")]
 
 
 @functools.cache
@@ -323,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="name=matrixfile, one per source")
     s.add_argument("--decoder", choices=["md", "ml", "ml_unconstrained"],
                    default="md")
-    s.add_argument("--gamma", type=float, default=0.0)
+    s.add_argument("--gamma", type=float, default=0.0, help="typicality slack, > 0 for ml")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s.add_argument("--trials", type=int, default=1000)
+    s.add_argument("--trials", type=_positive_int, default=1000)
     s.add_argument("--seed", type=int)
     s.add_argument("--csv")
     s.set_defaults(fn=cmd_sw_sim)
@@ -335,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--code", required=True)
     b.add_argument("--variant", choices=["ml", "md"], default="ml")
     b.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    b.add_argument("--trials", type=int, default=1000)
+    b.add_argument("--trials", type=_positive_int, default=1000)
     b.add_argument("--seed", type=int)
     b.set_defaults(fn=cmd_bc_sim)
 
@@ -352,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("target", choices=["sw"])
     sw.add_argument("--dist", required=True)
     sw.add_argument("--rates", required=True, help="lo:hi:step")
-    sw.add_argument("--n-list", dest="n_list", required=True, help="e.g. 4,6,8")
+    sw.add_argument("--n-list", type=_positive_ints, required=True, help="e.g. 4,6,8")
     sw.add_argument("--tau", type=int, default=2)
-    sw.add_argument("--tries", type=int, default=8)
+    sw.add_argument("--tries", type=_positive_int, default=8)
     sw.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    sw.add_argument("--trials", type=int, default=1000)
+    sw.add_argument("--trials", type=_positive_int, default=1000)
     sw.add_argument("--seed", type=int, required=True)
     sw.add_argument("--csv")
     sw.set_defaults(fn=cmd_sweep)

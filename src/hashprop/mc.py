@@ -1,13 +1,15 @@
-"""Shared Monte Carlo plumbing: confidence intervals and seed derivation."""
+"""Shared Monte Carlo plumbing: Wilson intervals, seed streams, the block engine."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 Z_95 = 1.959963984540054
+TRIAL_BLOCK = 4096
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -41,7 +43,34 @@ class McEstimate:
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent per-worker generators; results are identical no matter how
-    trials are split, because trial i always uses generator i's stream."""
+    """``count`` independent generators from ``seed``; generator i depends only
+    on (seed, i), so block i of a run draws the same stream at any trial count."""
     ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in ss.spawn(count)]
+
+
+def run_blocks(seed: int, trials: int, block_errors: Callable) -> McEstimate:
+    """Count the failed trials among ``trials``: block i calls
+    ``block_errors(rng, size)`` with generator i of ``spawn_rngs``."""
+    n_blocks = -(-trials // TRIAL_BLOCK)
+    errors = sum(int(block_errors(rng, min(TRIAL_BLOCK, trials - i * TRIAL_BLOCK)))
+                 for i, rng in enumerate(spawn_rngs(seed, n_blocks)))
+    return McEstimate.from_counts(errors, trials)
+
+
+def inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A cell of the law p[..., :] per uniform u in [0, 1): the count of CDF
+    entries <= u, with the CDF scaled to end at 1.0 so zero-mass tails never draw."""
+    cdf = np.cumsum(p, axis=-1)
+    return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
+
+
+def decode_distinct(rows: np.ndarray, cache: dict, decode: Callable) -> np.ndarray:
+    """``decode(row)`` for every row of a 2-D integer array, as one array; each
+    distinct row is decoded once, through ``cache`` (row tuple -> result)."""
+    keys, inverse = np.unique(rows, axis=0, return_inverse=True)
+    keys = [tuple(key) for key in keys.tolist()]
+    for key in keys:
+        if key not in cache:
+            cache[key] = decode(key)
+    return np.array([cache[key] for key in keys])[inverse.reshape(-1)]

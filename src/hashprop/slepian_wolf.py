@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import FieldMatrix, coset_factors
-from .mc import McEstimate, spawn_rngs
+from .mc import TRIAL_BLOCK, McEstimate, decode_distinct, inverse_cdf, run_blocks
 from .types import (
     TIE_TOL,
     Distribution,
@@ -139,45 +138,58 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     return SwDecodeResult(x_hat=product_member(factors, winner))
 
 
-def _decoder_fn(code: SwCode, decoder: str, gamma: float, cap: int):
-    if decoder == "md":
-        return lambda syn: sw_decode_md(code, syn, cap=cap)
-    if decoder == "ml":
-        return lambda syn: sw_decode_ml_typical(code, syn, gamma, cap=cap)
-    if decoder == "ml_unconstrained":
-        return lambda syn: sw_decode_ml_typical(code, syn, gamma, constrained=False, cap=cap)
-    raise SwError(f"unknown decoder {decoder!r}")
+def _wrong_decodes(code: SwCode, decoder: str, gamma: float, cap: int):
+    """A function telling which rows of an (N, k, n) array of source tuples
+    decode wrongly, failures included; each distinct syndrome tuple is
+    decoded once, with a cache kept across calls."""
+    if decoder not in ("md", "ml", "ml_unconstrained"):
+        raise SwError(f"unknown decoder {decoder!r}")
+    ends = np.cumsum([0] + [m.rows for m in code.matrices]).tolist()
+    cache: dict = {}
+
+    def decode_row(row):
+        syn = tuple(row[a:b] for a, b in zip(ends, ends[1:]))
+        res = (sw_decode_md(code, syn, cap=cap) if decoder == "md" else
+               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml", cap=cap))
+        # -1 marks a failure: it never equals a source symbol
+        return np.full((code.k, code.n), -1) if res.failure else res.x_hat
+
+    def wrong(x: np.ndarray) -> np.ndarray:
+        if not len(x):
+            return np.zeros(0, dtype=bool)
+        syn = np.concatenate([x[:, j] @ m.to_dense().T % m.q
+                              for j, m in enumerate(code.matrices)], axis=1)
+        return (decode_distinct(syn, cache, decode_row) != x).any(axis=(1, 2))
+
+    return wrong
 
 
 def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
                    cap: int = DEFAULT_CAP) -> float:
     """Exact decoding-error probability: total mu-mass of source tuples whose
-    decode differs from the input (including decoder failures)."""
-    total_seqs = 1
-    for m, size in zip(code.matrices, code.mu.shape):
-        total_seqs *= size ** m.cols
+    decode differs from the input (including decoder failures). Besides
+    two-source MD, the tuples go through the Monte Carlo wrong-decode test."""
+    sizes = [size ** code.n for size in code.mu.shape]
+    total_seqs = math.prod(sizes)
     if total_seqs > cap:
         raise SwError(f"{total_seqs} source tuples exceed cap {cap}")
     if decoder == "md" and code.k == 2:
         return _error_exact_fast2(code)
-    decode = _decoder_fn(code, decoder, gamma, cap)
-    cache: dict = {}
+    wrong = _wrong_decodes(code, decoder, gamma, cap)
     error = 0.0
-    for x_K in itertools.product(*(
-        itertools.product(range(size), repeat=code.n) for size in code.mu.shape
-    )):
-        mass = 1.0
-        for symbols in zip(*x_K):
-            mass *= code.mu[symbols]
-        if mass == 0.0:
-            continue
-        syn = sw_encode(code, x_K)
-        if syn not in cache:
-            cache[syn] = decode(syn)
-        res = cache[syn]
-        if res.failure or res.x_hat != x_K:
-            error += mass
-    return min(1.0, error)
+    for start in range(0, total_seqs, TRIAL_BLOCK):
+        # source tuples in row-major order, each sequence the digits of its
+        # index; masses multiplied position by position
+        idx = np.unravel_index(np.arange(start, min(start + TRIAL_BLOCK, total_seqs)), sizes)
+        x = np.stack([np.stack(np.unravel_index(i, (size,) * code.n), axis=1)
+                      for i, size in zip(idx, code.mu.shape)], axis=1)
+        mass = np.ones(len(x))
+        for i in range(code.n):
+            mass *= code.mu.table[tuple(x[:, :, i].T)]
+        x, mass = x[mass > 0], mass[mass > 0]
+        # one running left-to-right sum, as a per-tuple loop would add
+        error = np.cumsum(np.concatenate([[error], mass[wrong(x)]]))[-1]
+    return min(1.0, float(error))
 
 
 def _syndrome_order(seqs: np.ndarray, matrix: FieldMatrix):
@@ -264,36 +276,24 @@ def _error_exact_fast2(code: SwCode) -> float:
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
-                seed: int = 0, gamma: float = 0.0, threads: int = 1,
+                seed: int = 0, gamma: float = 0.0,
                 cap: int = DEFAULT_CAP) -> McEstimate:
     """Monte Carlo estimate of the decoding error with a Wilson interval.
 
-    Each trial has its own derived RNG stream, so the result is identical for
-    any thread count."""
+    Runs on the block engine of ``hashprop.mc``: a block of ``size`` trials
+    draws its (size, n) source cells by inverse CDF of the row-major flat
+    law from one ``rng.random`` call, and each distinct syndrome tuple is
+    decoded once, with the cache kept across blocks. A decoder failure
+    counts as an error. The result depends only on the arguments."""
     if trials < 1:
         raise SwError("trials must be >= 1")
-    decode = _decoder_fn(code, decoder, gamma, cap)
-    flat = code.mu.table.reshape(-1)
-    shape = code.mu.shape
-    rngs = spawn_rngs(seed, trials)
-    cache: dict = {}
+    wrong = _wrong_decodes(code, decoder, gamma, cap)
 
-    def one_trial(rng) -> bool:
-        cells = rng.choice(flat.size, size=code.n, p=flat)
-        symbols = np.unravel_index(cells, shape)
-        x_K = tuple(tuple(int(s) for s in col) for col in symbols)
-        syn = sw_encode(code, x_K)
-        if syn not in cache:
-            cache[syn] = decode(syn)
-        res = cache[syn]
-        return res.failure or res.x_hat != x_K
+    def block_errors(rng, size):
+        cells = inverse_cdf(code.mu.table.reshape(-1), rng.random((size, code.n)))
+        return wrong(np.stack(np.unravel_index(cells, code.mu.shape), axis=1)).sum()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_trial, rngs))
-    else:
-        outcomes = [one_trial(rng) for rng in rngs]
-    return McEstimate.from_counts(sum(outcomes), trials)
+    return run_blocks(seed, trials, block_errors)
 
 
 def sw_rate_check(rates: SwRates, mu: Distribution) -> dict:

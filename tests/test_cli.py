@@ -289,13 +289,57 @@ def test_sweep_bad_grid_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_sweep_thread_invariant(tmp_path, capsys, monkeypatch):
+def _sweep_args(dist, *extra):
+    return ("sweep", "sw", "--dist", dist, "--rates", "0.5:1.0:0.5",
+            "--n-list", "2", "--seed", "9") + extra
+
+
+def test_sweep_mc_reproducible(tmp_path, capsys):
+    args = _sweep_args(write_dsbs(tmp_path), "--tries", "2", "--mode", "mc",
+                       "--trials", "50")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0 and out1 == out2
+
+
+def test_sweep_tries_0_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, *_sweep_args(write_dsbs(tmp_path), "--tries", "0"))
+    assert code == 2 and "--tries" in err and "Traceback" not in err
+
+
+def test_trials_0_exit_2(tmp_path, capsys):
     dist = write_dsbs(tmp_path)
-    args = ("sweep", "sw", "--dist", dist, "--rates", "0.5:1.0:0.5",
-            "--n-list", "2,3", "--tries", "2", "--mode", "mc",
-            "--trials", "50", "--seed", "9")
-    monkeypatch.setenv("HASHPROP_THREADS", "1")
-    _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("HASHPROP_THREADS", "4")
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
+    ma = write_matrix(tmp_path, "sw.txt", [[1, 1]])
+    prob, codef = _write_bc_fixture(tmp_path)
+    for argv in (("sw-sim", "--dist", dist, "--matrix", f"x={ma}",
+                  "--matrix", f"y={ma}", "--mode", "mc", "--seed", "1"),
+                 ("bc-sim", "--problem", prob, "--code", codef, "--mode", "mc",
+                  "--seed", "1"),
+                 _sweep_args(dist, "--mode", "mc")):
+        code, _, err = run_cli(capsys, *argv, "--trials", "0")
+        assert code == 2 and "--trials" in err, argv
+
+
+def test_sweep_n_list_0_exit_2(tmp_path, capsys):
+    dist = write_dsbs(tmp_path)
+    for n_list in ("0", "2,0", "2,x"):
+        args = list(_sweep_args(dist))
+        args[args.index("--n-list") + 1] = n_list
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and "--n-list" in err and not out, n_list
+
+
+def test_sw_sim_ml_needs_positive_gamma(tmp_path, capsys):
+    """The ml decoder keeps candidates with divergence < gamma, so gamma = 0
+    would fail every decode; a negative gamma is an input error for any
+    decoder."""
+    dist = write_dsbs(tmp_path)
+    ma = write_matrix(tmp_path, "a.txt", [[1, 1]])
+    argv = ("sw-sim", "--dist", dist, "--matrix", f"x={ma}", "--matrix", f"y={ma}",
+            "--decoder", "ml")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "--gamma" in err and not out
+    code, out, err = run_cli(capsys, *argv[:-1], "ml_unconstrained", "--gamma", "-1")
+    assert code == 2 and "--gamma" in err and not out
+    code, out, _ = run_cli(capsys, *argv, "--gamma", "0.5")
+    assert code == 0 and json.loads(out)["error"] < 1.0

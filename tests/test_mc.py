@@ -1,9 +1,22 @@
-"""Wilson intervals and seed-stream derivation."""
+"""Wilson intervals, seed-stream derivation, and the Monte Carlo block
+engine replayed trial by trial."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from hashprop.mc import McEstimate, Z_95, spawn_rngs, wilson_interval
+from hashprop.broadcast import BcCode, BcProblem, bc_decode, bc_encode, bc_error_mc
+from hashprop.gf import FieldMatrix
+from hashprop.mc import TRIAL_BLOCK, McEstimate, Z_95, spawn_rngs, wilson_interval
+from hashprop.slepian_wolf import (
+    SwCode,
+    sw_decode_md,
+    sw_decode_ml_typical,
+    sw_encode,
+    sw_error_mc,
+)
+from hashprop.types import CondDistribution, Distribution
 
 
 def test_wilson_interval_known_value():
@@ -41,3 +54,149 @@ def test_spawn_rngs_deterministic_and_independent():
     draws_b = [rng.integers(0, 1 << 30) for rng in b]
     assert draws_a == draws_b
     assert len(set(int(d) for d in draws_a)) == 5
+
+
+# --- the block engine against a per-trial replay ----------------------------
+#
+# The replay redraws each block's uniforms in the engine's documented order
+# from the same generators, then runs every trial on its own through the
+# public encoders and decoders, with no cache and no vectorization.
+
+DSBS = Distribution([[0.45, 0.05], [0.05, 0.45]])
+
+
+def _draw(p, u: float) -> int:
+    """The first cell whose normalized cumulative mass exceeds u."""
+    cum = list(itertools.accumulate(float(v) for v in np.ravel(p)))
+    return next(i for i, c in enumerate(cum) if u < c / cum[-1])
+
+
+def _blocks(seed: int, trials: int):
+    n_blocks = -(-trials // TRIAL_BLOCK)
+    for i, rng in enumerate(spawn_rngs(seed, n_blocks)):
+        yield rng, min(TRIAL_BLOCK, trials - i * TRIAL_BLOCK)
+
+
+def _sw_replay(code: SwCode, decoder: str, trials: int, seed: int, gamma: float = 0.0):
+    errors = failures = 0
+    for rng, size in _blocks(seed, trials):
+        u = rng.random((size, code.n))
+        for row in u:
+            cells = [np.unravel_index(_draw(code.mu.table, v), code.mu.shape) for v in row]
+            x_K = tuple(tuple(int(c[j]) for c in cells) for j in range(code.k))
+            syn = sw_encode(code, x_K)
+            if decoder == "md":
+                res = sw_decode_md(code, syn)
+            else:
+                res = sw_decode_ml_typical(code, syn, gamma)
+            failures += res.failure
+            errors += res.failure or res.x_hat != x_K
+    return errors, failures
+
+
+def _dense(rng, q: int, rows: int, n: int) -> FieldMatrix:
+    return FieldMatrix.from_dense(q, rng.integers(0, q, size=(rows, n)))
+
+
+def test_sw_engine_matches_replay_md_across_blocks():
+    rng = np.random.default_rng(70)
+    code = SwCode((_dense(rng, 2, 2, 4), _dense(rng, 2, 2, 4)), DSBS)
+    trials = TRIAL_BLOCK + 1
+    errors, _ = _sw_replay(code, "md", trials, seed=5)
+    assert sw_error_mc(code, trials=trials, seed=5).errors == errors > 0
+
+
+def test_sw_engine_matches_replay_ml_with_failures():
+    rng = np.random.default_rng(71)
+    code = SwCode((_dense(rng, 2, 3, 6), _dense(rng, 2, 3, 6)), DSBS)
+    errors, failures = _sw_replay(code, "ml", 400, seed=6, gamma=0.05)
+    assert 0 < failures < errors < 400
+    est = sw_error_mc(code, decoder="ml", gamma=0.05, trials=400, seed=6)
+    assert est.errors == errors
+
+
+def test_sw_engine_matches_replay_three_sources():
+    """Zero-mass cells, a ternary source, and a binary source coded over GF(3)."""
+    rng = np.random.default_rng(72)
+    mass = rng.random((3, 2, 2)) * (rng.random((3, 2, 2)) < 0.8)
+    mu = Distribution(mass / mass.sum())
+    code = SwCode((_dense(rng, 3, 2, 4), _dense(rng, 3, 2, 4), _dense(rng, 2, 3, 4)), mu)
+    errors, _ = _sw_replay(code, "md", 500, seed=7)
+    assert sw_error_mc(code, trials=500, seed=7).errors == errors > 0
+
+
+def _noisy_split_problem(stochastic: bool) -> BcProblem:
+    table = np.zeros((2, 2, 4))
+    for x in range(4):
+        table[x >> 1, x & 1, x] = 1.0
+    table = 0.85 * table + 0.15 / 4
+    if stochastic:
+        # each u-tuple sends its own x or, with mass 0.3, the next one
+        f = np.zeros((2, 2, 4))
+        for u, v in itertools.product(range(2), repeat=2):
+            f[u, v, 2 * u + v] = 0.7
+            f[u, v, (2 * u + v + 1) % 4] = 0.3
+    else:
+        f = np.array([[0, 1], [2, 3]], dtype=np.int64)
+    return BcProblem(channel=CondDistribution(table, given_shape=(4,)),
+                     mu_u=Distribution([[0.3, 0.2], [0.2, 0.3]]), f=f)
+
+
+def _bc_code(seed: int, n: int = 5) -> BcCode:
+    """Receiver 1's message row repeats the first row of its A, so the
+    message that disagrees with the shared syndrome leaves an empty coset
+    intersection: an encoder failure."""
+    rng = np.random.default_rng(seed)
+    pairs, syndromes = [], []
+    for j in range(2):
+        a = rng.integers(0, 2, size=(2, n))
+        a[0, 0] = 1
+        ap = a[:1] if j == 1 else rng.integers(0, 2, size=(1, n))
+        pairs.append((FieldMatrix.from_dense(2, a), FieldMatrix.from_dense(2, ap)))
+        syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
+    return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
+
+
+def _bc_replay(code: BcCode, p: BcProblem, variant: str, trials: int, seed: int):
+    spaces = [code.message_space(j) for j in range(code.k)]
+    yshape = p.channel.table.shape[:-1]
+    errors = failures = 0
+    for rng, size in _blocks(seed, trials):
+        msgs = [rng.integers(0, len(space), size=size) for space in spaces]
+        ux = None if p.deterministic else rng.random((size, code.n))
+        uy = rng.random((size, code.n))
+        for t in range(size):
+            m_K = tuple(space[int(idx[t])] for space, idx in zip(spaces, msgs))
+            # only u_K is used: the replay draws x itself from ux
+            enc = bc_encode(code, p, m_K, rng=np.random.default_rng(0))
+            if enc.failure:
+                errors += 1
+                failures += 1
+                continue
+            xs = [int(p.f[u]) if p.deterministic else _draw(p.f[u], ux[t, i])
+                  for i, u in enumerate(zip(*enc.u_K))]
+            ys = [np.unravel_index(_draw(p.channel.table[..., x], uy[t, i]), yshape)
+                  for i, x in enumerate(xs)]
+            errors += any(
+                bc_decode(code, p, j, tuple(int(y[j]) for y in ys), variant=variant) != m_K[j]
+                for j in range(code.k))
+    return errors, failures
+
+
+@pytest.mark.parametrize("stochastic", [False, True], ids=["deterministic", "stochastic"])
+@pytest.mark.parametrize("variant", ["ml", "md"])
+def test_bc_engine_matches_replay(variant, stochastic):
+    p = _noisy_split_problem(stochastic)
+    code = _bc_code(80)
+    errors, failures = _bc_replay(code, p, variant, 300, seed=8)
+    assert 0 < failures < errors < 300
+    assert bc_error_mc(code, p, trials=300, seed=8, variant=variant).errors == errors
+
+
+def test_same_seed_same_result():
+    rng = np.random.default_rng(73)
+    code = SwCode((_dense(rng, 2, 3, 6), _dense(rng, 2, 3, 6)), DSBS)
+    assert sw_error_mc(code, trials=700, seed=3) == sw_error_mc(code, trials=700, seed=3)
+    p = _noisy_split_problem(stochastic=True)
+    bc = _bc_code(81)
+    assert bc_error_mc(bc, p, trials=700, seed=3) == bc_error_mc(bc, p, trials=700, seed=3)
