@@ -7,7 +7,7 @@ LP-based minimum-divergence decoding (lp_md), and shared Monte Carlo
 plumbing (mc).  The CLI entry point lives in hashprop.cli.
 """
 
-from .gf import CosetSpec, FieldMatrix, coset, solve_affine
+from .gf import FieldMatrix, coset_array, solve_affine
 from .types import CondDistribution, Distribution, JointType, TypicalityParams
 from .ensemble import Ensemble, EnsembleProfile, TypeFilter
 from .slepian_wolf import SwCode, SwRates
@@ -15,7 +15,7 @@ from .broadcast import BcCode, BcProblem, KappaSchedule, RateParams
 from .mc import McEstimate, wilson_interval
 
 __all__ = [
-    "CosetSpec", "FieldMatrix", "coset", "solve_affine",
+    "FieldMatrix", "coset_array", "solve_affine",
     "CondDistribution", "Distribution", "JointType", "TypicalityParams",
     "Ensemble", "EnsembleProfile", "TypeFilter",
     "SwCode", "SwRates",

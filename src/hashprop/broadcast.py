@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import FieldMatrix, coset_factors, enumerate_image, rank
+from .gf import FieldMatrix, coset_factors, enumerate_image, in_image
 from .mc import McEstimate, decode_distinct, inverse_cdf, run_blocks
 from .types import (
     CondDistribution,
@@ -76,35 +76,41 @@ class BcProblem:
         return len(self.mu_u.shape)
 
     @cached_property
-    def receiver_conditionals(self) -> tuple[np.ndarray, ...]:
-        """mu_{U_j | Y_j} per receiver as a (|U_j|, |Y_j|) table, all from
-        one assembly of the joint law."""
-        joint = bc_build_joint(self)
-        k = self.k
-        return tuple(joint.marginal((j, k + 1 + j)).conditional((0,), (1,)).table
-                     for j in range(k))
-
-    def x_given_u(self, u: tuple) -> np.ndarray:
+    def joint(self) -> Distribution:
+        """The exact joint law over (U_1..U_k, X, Y_1..Y_k): each cell is
+        (mu_U(u) P(x|u)) mu(y|x)."""
         nx = self.channel.table.shape[-1]
-        if self.deterministic:
-            out = np.zeros(nx)
-            out[int(self.f[u])] = 1.0
-            return out
-        return self.f[u]
+        px = np.eye(nx)[self.f] if self.deterministic else self.f  # (..., |X|)
+        weights = self.mu_u.table[..., None] * px
+        ydims = self.channel.table.ndim - 1
+        channel = np.moveaxis(self.channel.table, -1, 0)  # (|X|, |Y_1|, ..., |Y_k|)
+        # C order, so marginal sums add in the same order whatever the views
+        return Distribution(np.ascontiguousarray(
+            weights.reshape(weights.shape + (1,) * ydims) * channel))
 
+    def _receiver_pairs(self) -> list[Distribution]:
+        """The (U_j, Y_j) marginal per receiver."""
+        return [self.joint.marginal((j, self.k + 1 + j)) for j in range(self.k)]
 
-def bc_build_joint(p: BcProblem) -> Distribution:
-    """The exact joint law over (U_1..U_k, X, Y_1..Y_k)."""
-    ushape = p.mu_u.shape
-    yshape = p.channel.table.shape[:-1]
-    nx = p.channel.table.shape[-1]
-    table = np.zeros(ushape + (nx,) + yshape)
-    for u in itertools.product(*(range(s) for s in ushape)):
-        px = p.x_given_u(u)
-        for x in range(nx):
-            if px[x] > 0:
-                table[u + (x,)] = p.mu_u[u] * px[x] * p.channel.table[..., x]
-    return Distribution(table)
+    @cached_property
+    def receiver_conditionals(self) -> tuple[np.ndarray, ...]:
+        """mu_{U_j | Y_j} per receiver as a (|U_j|, |Y_j|) table."""
+        return tuple(pair.conditional((0,), (1,)).table for pair in self._receiver_pairs())
+
+    @cached_property
+    def entropies(self) -> dict:
+        """The entropies of the joint law the rate checks use: ``"U_J"`` maps
+        every nonempty J to H(U_J); ``"cond"`` holds H(U_j | Y_j) and
+        ``"info"`` I(U_j; Y_j) per receiver."""
+        k = self.k
+        h_u = {J: entropy(self.joint.marginal(J))
+               for r in range(1, k + 1) for J in itertools.combinations(range(k), r)}
+        pairs = self._receiver_pairs()
+        h_y = [entropy(pair.marginal((1,))) for pair in pairs]
+        h_uy = [entropy(pair) for pair in pairs]
+        return {"U_J": h_u,
+                "cond": tuple(h_uy[j] - h_y[j] for j in range(k)),
+                "info": tuple(h_u[(j,)] + h_y[j] - h_uy[j] for j in range(k))}
 
 
 def bc_rate_region(p: BcProblem, rates) -> dict:
@@ -114,18 +120,12 @@ def bc_rate_region(p: BcProblem, rates) -> dict:
     k = p.k
     if len(rates) != k:
         raise BcError("one rate per receiver is required")
-    joint = bc_build_joint(p)
-    h_u = [entropy(joint.marginal((j,))) for j in range(k)]
-    i_uy = []
-    for j in range(k):
-        pair = joint.marginal((j, k + 1 + j))
-        i_uy.append(h_u[j] + entropy(pair.marginal((1,))) - entropy(pair))
+    h_u, i_uy = p.entropies["U_J"], p.entropies["info"]
     checks = []
     inside = True
     for r in range(1, k + 1):
         for J in itertools.combinations(range(k), r):
-            h_joint = entropy(joint.marginal(J))
-            bound = sum(i_uy[j] for j in J) - (sum(h_u[j] for j in J) - h_joint)
+            bound = sum(i_uy[j] for j in J) - (sum(h_u[(j,)] for j in J) - h_u[J])
             lhs = sum(rates[j] for j in J)
             slack = bound - lhs
             ok = slack > 0
@@ -158,15 +158,12 @@ class RateParams:
 def bc_check_params(p: BcProblem, params: RateParams) -> dict:
     """Independent re-check of every feasibility inequality."""
     k = p.k
-    joint = bc_build_joint(p)
-    h_u = [entropy(joint.marginal((j,))) for j in range(k)]
-    h_uk = entropy(joint.marginal(tuple(range(k))))
+    h_u, h_cond = p.entropies["U_J"], p.entropies["cond"]
+    h_uk = h_u[tuple(range(k))]
     checks = []
     for j, (r, R) in enumerate(params.pairs):
-        pair = joint.marginal((j, k + 1 + j))
-        h_cond = entropy(pair) - entropy(pair.marginal((1,)))
-        checks.append(("r_gt_cond_entropy", j, r > h_cond))
-        checks.append(("sum_lt_entropy", j, r + R < h_u[j] - params.eps))
+        checks.append(("r_gt_cond_entropy", j, r > h_cond[j]))
+        checks.append(("sum_lt_entropy", j, r + R < h_u[(j,)] - params.eps))
     total = sum(r + R for r, R in params.pairs)
     lower_margin = (k + 1) * params.eps if params.relaxed else params.eps
     checks.append(("total_upper", None, total < h_uk))
@@ -183,18 +180,10 @@ def bc_feasible_params(p: BcProblem, rates, grid: int = 32) -> RateParams | None
     if not region["inside"]:
         return None
     k = p.k
-    joint = bc_build_joint(p)
-    h_cond = []
-    gaps = []
-    for j in range(k):
-        pair = joint.marginal((j, k + 1 + j))
-        hc = entropy(pair) - entropy(pair.marginal((1,)))
-        h_cond.append(hc)
-        i_uy = entropy(joint.marginal((j,))) + entropy(pair.marginal((1,))) - entropy(pair)
-        gaps.append(i_uy - rates[j])
-    h_us = [entropy(joint.marginal((j,))) for j in range(k)]
-    h_uk = entropy(joint.marginal(tuple(range(k))))
-    corr = sum(h_us) - h_uk  # total correlation of the auxiliary law
+    h_u, h_cond = p.entropies["U_J"], p.entropies["cond"]
+    gaps = [i_uy - rate for i_uy, rate in zip(p.entropies["info"], rates)]
+    h_uk = h_u[tuple(range(k))]
+    corr = sum(h_u[(j,)] for j in range(k)) - h_uk  # total correlation of the auxiliary law
     s_max = min(min(gaps), (sum(gaps) - corr) / k)
     if s_max <= 0:
         return None
@@ -236,9 +225,7 @@ class BcCode:
                 raise BcError("receiver matrices must share n and the field")
             if len(a) != a_m.rows:
                 raise BcError("syndrome length mismatch")
-            stacked = a_m.to_dense()
-            aug = np.concatenate([stacked, np.array([a], dtype=np.int64).T], axis=1)
-            if rank(FieldMatrix.from_dense(a_m.q, aug)) != rank(a_m):
+            if not in_image(a_m, a):
                 raise BcError("shared syndrome outside Im A_j")
 
     @property

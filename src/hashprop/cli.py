@@ -38,21 +38,14 @@ def _frac(f: Fraction) -> dict:
 
 
 def _build_ensemble(args) -> tuple[ens_mod.Ensemble, ens_mod.TypeFilter]:
-    if getattr(args, "desc", None):
-        ens, filt, _ = formats.ensemble_from_obj(formats._load_json(args.desc))
-        return ens, filt
-    if args.family == "uniform":
-        ens = ens_mod.Ensemble.uniform_all(args.q, args.l, args.n)
-    elif args.family == "sparse":
-        if args.tau is None:
-            raise ParseError("--tau is required for the sparse family")
-        ens = ens_mod.Ensemble.sparse(args.q, args.l, args.n, args.tau)
-    elif args.family == "binning":
-        ens = ens_mod.Ensemble.binning(args.q, args.n, args.bins or args.q ** args.l)
+    """The ensemble of --desc, or of the ensemble flags read as a descriptor."""
+    if args.desc:
+        obj = formats._load_json(args.desc)
     else:
-        raise ParseError(f"unknown family {args.family!r}")
-    filt = (ens_mod.TypeFilter(args.w_min) if args.w_min is not None
-            else ens_mod.TypeFilter.default(args.n))
+        flags = {"family": args.family, "q": args.q, "l": args.l, "n": args.n,
+                 "tau": args.tau, "w_min": args.w_min}
+        obj = {key: value for key, value in flags.items() if value is not None}
+    ens, filt, _ = formats.ensemble_from_obj(obj)
     return ens, filt
 
 
@@ -108,7 +101,10 @@ def _parse_named(values, what: str) -> list[tuple[str, str]]:
 def cmd_sw_sim(args) -> None:
     mu = formats.load_distribution(args.dist)
     mats = [formats.load_matrix(path) for _, path in _parse_named(args.matrix, "--matrix")]
-    code = sw_mod.SwCode(matrices=tuple(mats), mu=mu)
+    try:
+        code = sw_mod.SwCode(matrices=tuple(mats), mu=mu)
+    except sw_mod.SwError as exc:
+        raise ParseError(str(exc))
     if args.gamma < 0 or (args.decoder == "ml" and args.gamma == 0):
         raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
                          "typical means divergence < gamma")
@@ -297,12 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("hash-audit", cmd_hash_audit), ("spectrum", cmd_spectrum)):
         h = sub.add_parser(name, help=f"{name} over an exact ensemble support")
-        h.add_argument("--family", choices=["uniform", "sparse", "binning"])
+        h.add_argument("--family", choices=["uniform", "sparse"])
         h.add_argument("--q", type=int)
         h.add_argument("--l", type=int)
         h.add_argument("--n", type=int)
         h.add_argument("--tau", type=int)
-        h.add_argument("--bins", type=int)
         h.add_argument("--w-min", dest="w_min", type=int)
         h.add_argument("--desc", help="ensemble descriptor JSON file")
         h.add_argument("--cap", type=int, default=200_000)

@@ -86,11 +86,17 @@ class Ensemble:
         self.tau = tau
         self.bins = bins
         self.parts = parts
+        if l < 0 or n < 1:
+            raise EnsembleError(f"need l >= 0 and n >= 1, got l = {l}, n = {n}")
         if family in ("uniform", "sparse"):
             check_prime(q)
+        if family == "binning" and (bins is None or bins < 1):
+            raise EnsembleError("binning ensembles need at least one bin")
         if family == "sparse":
             if tau is None or tau % 2 != 0 or tau <= 0:
                 raise EnsembleError("sparse ensembles need a positive even tau")
+            if l < 1:
+                raise EnsembleError("sparse ensembles need a row for each draw to land in")
 
     # --- constructors ------------------------------------------------------
 

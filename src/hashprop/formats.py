@@ -119,8 +119,7 @@ def _load_json(path: str):
 
 
 # --- ensemble descriptor ----------------------------------------------------
-# {"family": "sparse"|"uniform"|"binning", "q", "l", "n", "tau", "seed",
-#  "w_min"}
+# {"family": "sparse"|"uniform", "q", "l", "n", "tau", "seed", "w_min"}
 
 
 def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter, int | None]:
@@ -143,8 +142,6 @@ def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter, int | None]:
             if obj.get("tau") is None:
                 raise ParseError("sparse ensembles need 'tau'")
             ens = Ensemble.sparse(q, l, n, int(obj["tau"]))
-        elif family == "binning":
-            ens = Ensemble.binning(q, n, int(obj.get("bins", q ** l)))
         else:
             raise ParseError(f"unknown ensemble family {family!r}")
     except ValueError as exc:

@@ -116,21 +116,6 @@ class FieldMatrix:
         )
 
 
-@dataclass(frozen=True)
-class CosetSpec:
-    """The affine solution set C_A(a) = {u : Au = a}."""
-
-    matrix: FieldMatrix
-    syndrome: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.syndrome) != self.matrix.rows:
-            raise FieldError("syndrome length does not match row count")
-        object.__setattr__(
-            self, "syndrome", tuple(int(s) % self.matrix.q for s in self.syndrome)
-        )
-
-
 def rref(dense: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q); returns (R, pivot columns)."""
     a = np.array(dense, dtype=np.int64) % q
@@ -154,49 +139,13 @@ def rref(dense: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank(matrix: FieldMatrix) -> int:
-    return len(rref(matrix.to_dense(), matrix.q)[1])
-
-
-def rank_and_image_size(matrix: FieldMatrix) -> tuple[int, int]:
-    r = rank(matrix)
-    return r, matrix.q ** r
-
-
-def null_space(matrix: FieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of {u : Au = 0}, one vector per free column."""
-    q = matrix.q
-    r, pivots = rref(matrix.to_dense(), q)
-    free = [c for c in range(matrix.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * matrix.cols
-        vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = (-r[i, f]) % q
-        basis.append(tuple(vec))
-    return basis
-
-
-def image_basis(matrix: FieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of the column space Im A = {Au}."""
-    q = matrix.q
-    r, pivots = rref(matrix.to_dense().T, q)
-    return [tuple(int(x) for x in r[i]) for i in range(len(pivots))]
-
-
-def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
-    """All q^rank distinct syndromes Au, sorted lexicographically."""
-    q = matrix.q
-    basis = image_basis(matrix)
-    vectors = {tuple([0] * matrix.rows)}
+def _span(basis: np.ndarray, q: int, cols: int) -> np.ndarray:
+    """All q^d combinations of the d rows of basis, as a (q^d, cols) array."""
+    span = np.zeros((1, cols), dtype=np.int64)
+    steps = np.arange(q, dtype=np.int64)[None, :, None]
     for b in basis:
-        vectors = {
-            tuple((x + c * bb) % q for x, bb in zip(v, b))
-            for v in vectors
-            for c in range(q)
-        }
-    return sorted(vectors)
+        span = ((span[:, None, :] + steps * b) % q).reshape(-1, cols)
+    return span
 
 
 COSET_CACHE = 128  # matrices whose elimination is kept
@@ -216,10 +165,7 @@ class _Elimination:
 
     @cached_property
     def span(self) -> np.ndarray:
-        span = np.zeros((1, self.cols), dtype=np.int64)
-        steps = np.arange(self.q, dtype=np.int64)[None, :, None]
-        for b in self.basis:
-            span = ((span[:, None, :] + steps * b) % self.q).reshape(-1, self.cols)
+        span = _span(self.basis, self.q, self.cols)
         span.setflags(write=False)
         return span
 
@@ -246,6 +192,33 @@ def coset_size(matrix: FieldMatrix) -> int:
     return matrix.q ** len(_eliminate(matrix).basis)
 
 
+def rank(matrix: FieldMatrix) -> int:
+    return len(_eliminate(matrix).pivots)
+
+
+def _transformed(matrix: FieldMatrix, syndrome: Iterable[int]):
+    """The cached elimination of A and T a; a lies in Im A iff the entries of
+    T a beyond the rank vanish."""
+    e = _eliminate(matrix)
+    a = np.array(tuple(syndrome), dtype=np.int64) % matrix.q
+    if len(a) != matrix.rows:
+        raise FieldError("syndrome length does not match row count")
+    return e, e.transform @ a % matrix.q
+
+
+def in_image(matrix: FieldMatrix, syndrome: Iterable[int]) -> bool:
+    """Whether Au = a has a solution."""
+    e, ta = _transformed(matrix, syndrome)
+    return not ta[len(e.pivots):].any()
+
+
+def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
+    """All q^rank distinct syndromes Au, sorted lexicographically.  The pivot
+    columns of A are a basis of Im A."""
+    basis = matrix.to_dense()[:, _eliminate(matrix).pivots].T
+    return sorted(map(tuple, _span(basis, matrix.q, matrix.rows).tolist()))
+
+
 def coset_array(matrix: FieldMatrix, syndrome: Iterable[int]) -> np.ndarray:
     """The coset C_A(a) as an (m, n) int64 array, rows in lexicographic order.
 
@@ -253,11 +226,7 @@ def coset_array(matrix: FieldMatrix, syndrome: Iterable[int]) -> np.ndarray:
     cached per matrix, so a call only maps the syndrome through T, places the
     particular solution on the pivot columns and shifts the kernel span.
     """
-    e = _eliminate(matrix)
-    a = np.array(tuple(syndrome), dtype=np.int64) % matrix.q
-    if len(a) != matrix.rows:
-        raise FieldError("syndrome length does not match row count")
-    ta = e.transform @ a % matrix.q
+    e, ta = _transformed(matrix, syndrome)
     rank = len(e.pivots)
     if ta[rank:].any():
         return np.zeros((0, matrix.cols), dtype=np.int64)  # a outside Im A
@@ -295,14 +264,6 @@ def coset_factors(matrices: Sequence[FieldMatrix], syndromes, cap: int,
     return factors
 
 
-def solve_affine(spec: CosetSpec) -> Iterator[tuple[int, ...]]:
-    """Yield the coset C_A(a) in lexicographic (full-vector) order.
-
-    Empty iterator iff the syndrome lies outside Im A.  The lexicographic
-    order is what downstream decoders rely on for deterministic ties.
-    """
-    return iter(map(tuple, coset_array(spec.matrix, spec.syndrome).tolist()))
-
-
-def coset(matrix: FieldMatrix, syndrome: Iterable[int]) -> list[tuple[int, ...]]:
-    return list(solve_affine(CosetSpec(matrix, tuple(syndrome))))
+def solve_affine(matrix: FieldMatrix, syndrome: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The rows of ``coset_array``, as tuples, in lexicographic order."""
+    return iter(map(tuple, coset_array(matrix, syndrome).tolist()))

@@ -41,7 +41,8 @@ REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
 FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 INT_TOL = 1e-6
-MAX_ITER = 20000
+MAX_ITER = 20000  # pivots per simplex phase
+DEGREE_CAP = 12  # largest parity-row support expanded into 2^(d-1) subset rows
 
 
 class LpError(ValueError):
@@ -144,11 +145,11 @@ class _Tableau:
         self.in_basis[col] = True
         self.basis[row] = col
 
-    def primal(self, cost: np.ndarray, allowed: int, max_iter: int) -> tuple[str, int]:
+    def primal(self, cost: np.ndarray, allowed: int) -> tuple[str, int]:
         """Minimize cost from the current feasible basis with Bland's rule;
         returns the status and the pivots made."""
         A, b = self.A, self.b
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             # basis columns form an identity, so reduced costs are
             # cost - cost[basis] @ A directly (Bland: smallest eligible
             # index enters)
@@ -166,7 +167,7 @@ class _Tableau:
             self.pivot(int(ties[np.argmin(self.basis[ties])]), enter)  # Bland tie-break
         raise LpError("simplex iteration cap exceeded")
 
-    def phase1(self, max_iter: int) -> tuple[bool, int]:
+    def phase1(self) -> tuple[bool, int]:
         """Minimize the artificials' sum, then pivot every artificial that
         can leave out of the basis; returns feasibility and the pivots made.
         An artificial left basic marks a redundant row."""
@@ -174,7 +175,7 @@ class _Tableau:
             return True, 0
         cost = np.zeros(self.A.shape[1])
         cost[self.real:] = 1.0
-        status, pivots = self.primal(cost, cost.size, max_iter)
+        status, pivots = self.primal(cost, cost.size)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
         feasible = float(cost[self.basis] @ self.b) <= 1e-7
@@ -191,7 +192,7 @@ class _Tableau:
         self.rhs[idx] = rhs
         self.b += self.A[:, self.unit[idx]] @ delta
 
-    def dual(self, max_iter: int) -> tuple[str, int]:
+    def dual(self) -> tuple[str, int]:
         """Restore primal feasibility after ``set_rhs`` by a dual simplex
         under Bland's rule, for a zero objective (every basis is dual
         feasible): the row with b < 0 and the smallest basic index leaves,
@@ -201,7 +202,7 @@ class _Tableau:
         A, b, real = self.A, self.b, self.real
         if np.any(np.abs(b[self.basis >= real]) > FEAS_TOL):
             return "infeasible", 0
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             neg = np.flatnonzero(b < -FEAS_TOL)
             if neg.size == 0:
                 return "optimal", it
@@ -223,16 +224,16 @@ class _Tableau:
         return LpSolution("optimal", x, float(objective @ x), integral)
 
 
-def simplex_solve(lp: LinearProgram, max_iter: int = MAX_ITER) -> LpSolution:
+def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex with Bland's rule on a dense tableau; each
-    phase is bounded by max_iter pivots."""
+    phase is bounded by MAX_ITER pivots."""
     tab = _Tableau(*lp.arrays())
-    feasible, _ = tab.phase1(max_iter)
+    feasible, _ = tab.phase1()
     if not feasible:
         return LpSolution("infeasible", None, None, False)
     cost = np.zeros(tab.A.shape[1])
     cost[:lp.num_vars] = -lp.objective if lp.maximize else lp.objective
-    status, _ = tab.primal(cost, tab.real, max_iter)
+    status, _ = tab.primal(cost, tab.real)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, False)
     return tab.solution(lp.objective)
@@ -257,6 +258,20 @@ def num_vars(n: int, k: int) -> int:
     return k * n + n * (1 << k)
 
 
+def position_rows(b, s: int, u) -> list[tuple[dict, str, float]]:
+    """The rows of the one-position polytope P(b^k) over the indicator
+    variable s and the bit variables u_1..u_k, in this order: s >= 0; the
+    box side of each u_j that matches b_j; s +- u_j <= 1 - b_j; and
+    s + sum_j +-u_j >= 1 - |b|.  The minus sign is taken where b_j = 1."""
+    sign = [-1.0 if bj else 1.0 for bj in b]
+    out: list[tuple[dict, str, float]] = [({s: 1.0}, REL_GE, 0.0)]
+    out += [({uj: 1.0}, REL_LE, 1.0) if bj else ({uj: 1.0}, REL_GE, 0.0)
+            for uj, bj in zip(u, b)]
+    out += [({s: 1.0, uj: sj}, REL_LE, 1.0 - bj) for uj, bj, sj in zip(u, b, sign)]
+    out.append(({s: 1.0, **dict(zip(u, sign))}, REL_GE, 1.0 - sum(b)))
+    return out
+
+
 def build_type_constraints(t, n: int, k: int) -> list[tuple[dict, str, float]]:
     """The per-position pattern system plus the 2^k count equalities.
 
@@ -271,30 +286,13 @@ def build_type_constraints(t, n: int, k: int) -> list[tuple[dict, str, float]]:
     out: list[tuple[dict, str, float]] = []
     for p, b in enumerate(patterns(k)):
         for i in range(n):
-            s = var_s(i, p, n, k)
-            out.append(({s: 1.0}, REL_GE, 0.0))
-            for j, bj in enumerate(b):
-                u = var_u(j, i, n)
-                # box constraint in the direction matching the pattern bit
-                if bj == 0:
-                    out.append(({u: 1.0}, REL_GE, 0.0))
-                else:
-                    out.append(({u: 1.0}, REL_LE, 1.0))
-            for j, bj in enumerate(b):
-                u = var_u(j, i, n)
-                sign = -1.0 if bj else 1.0
-                out.append(({s: 1.0, u: sign}, REL_LE, 1.0 - bj))
-            row = {s: 1.0}
-            for j, bj in enumerate(b):
-                row[var_u(j, i, n)] = -1.0 if bj else 1.0
-            out.append((row, REL_GE, 1.0 - sum(b)))
+            out += position_rows(b, var_s(i, p, n, k), [var_u(j, i, n) for j in range(k)])
         out.append(({var_s(i, p, n, k): 1.0 for i in range(n)}, REL_EQ, float(counts[p])))
     return out
 
 
-def build_parity_constraints(A: FieldMatrix, a, var_offset: int = 0,
-                             num_vars_total: int | None = None,
-                             degree_cap: int = 12) -> list[tuple[dict, str, float]]:
+def build_parity_constraints(A: FieldMatrix, a,
+                             var_offset: int = 0) -> list[tuple[dict, str, float]]:
     """Odd/even-subset inequalities forcing Au = a on integral points."""
     if A.q != 2:
         raise LpError("parity constraints are defined over GF(2)")
@@ -306,8 +304,8 @@ def build_parity_constraints(A: FieldMatrix, a, var_offset: int = 0,
     out: list[tuple[dict, str, float]] = []
     for j in range(A.rows):
         N = sorted(support[j])
-        if len(N) > degree_cap:
-            raise LpError(f"row {j} degree {len(N)} exceeds cap {degree_cap}")
+        if len(N) > DEGREE_CAP:
+            raise LpError(f"row {j} degree {len(N)} exceeds cap {DEGREE_CAP}")
         target = int(a[j]) % 2
         for rsz in range(len(N) + 1):
             if rsz % 2 == target:
@@ -331,7 +329,7 @@ class LpDecodeResult:
 
 
 def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None,
-              fallback_cap: int = 1 << 16, degree_cap: int = 12) -> LpDecodeResult:
+              fallback_cap: int = 1 << 16) -> LpDecodeResult:
     """Minimum-divergence decoding over the coset product by sweeping joint
     types, deciding one feasibility LP per type.
 
@@ -361,7 +359,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     nv = num_vars(n, k)
     parity = []
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
-        parity += build_parity_constraints(m, a, var_offset=j * n, degree_cap=degree_cap)
+        parity += build_parity_constraints(m, a, var_offset=j * n)
     types = list(compositions(n, 1 << k))
     lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
     for row, rel, rhs in build_type_constraints(types[0], n, k) + parity:
@@ -374,11 +372,11 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     all_integral = True
     for i, t in enumerate(types):
         if i == 0:
-            ok, pivots = tab.phase1(MAX_ITER)
+            ok, pivots = tab.phase1()
             status = "optimal" if ok else "infeasible"
         else:
             tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
-            status, pivots = tab.dual(MAX_ITER)
+            status, pivots = tab.dual()
         d = divergence(np.asarray(t) / n, mu)
         entry = {"type": t, "divergence": d, "status": status, "integral": False,
                  "pivots": pivots}
@@ -450,36 +448,17 @@ def polytope_vertex_audit(b) -> dict:
     if k > 4:
         raise LpError("audit supports k <= 4")
     dim = k + 1
-    # constraint rows as (normal, rel, rhs) with variables (s, u_1..u_k)
-    cons: list[tuple[np.ndarray, str, float]] = []
-    e = lambda idx: np.eye(dim)[idx]
-    cons.append((e(0), REL_GE, 0.0))
-    for j, bj in enumerate(b):
-        cons.append((e(j + 1), REL_GE if bj == 0 else REL_LE, 0.0 if bj == 0 else 1.0))
-    for j, bj in enumerate(b):
-        cons.append((e(0) + (-1.0 if bj else 1.0) * e(j + 1), REL_LE, 1.0 - bj))
-    row = e(0).copy()
-    for j, bj in enumerate(b):
-        row += (-1.0 if bj else 1.0) * e(j + 1)
-    cons.append((row, REL_GE, float(1 - sum(b))))
-
-    def satisfied(x) -> bool:
-        for normal, rel, rhs in cons:
-            v = float(normal @ x)
-            if rel == REL_LE and v > rhs + 1e-9:
-                return False
-            if rel == REL_GE and v < rhs - 1e-9:
-                return False
-        return True
-
+    lp = LinearProgram(num_vars=dim, objective=np.zeros(dim))
+    for row in position_rows(b, 0, range(1, dim)):  # variables (s, u_1..u_k)
+        lp.add(*row)
+    rows, rels, rhs = lp.arrays()
     vertices = set()
-    for subset in itertools.combinations(range(len(cons)), dim):
-        M = np.array([cons[i][0] for i in subset])
-        r = np.array([cons[i][2] for i in subset])
+    for subset in itertools.combinations(range(len(rows)), dim):
+        M, r = rows[list(subset)], rhs[list(subset)]
         if abs(np.linalg.det(M)) < 1e-9:
             continue
         x = np.linalg.solve(M, r)
-        if satisfied(x):
+        if _rows_hold(rows, rels, rhs, x, 1e-9):
             vertices.add(tuple(round(float(v), 9) for v in x))
     integral = {v for v in vertices
                 if all(abs(c - round(c)) <= 1e-9 and round(c) in (0, 1) for c in v)}

@@ -21,6 +21,8 @@ from .types import (
     Distribution,
     TypicalityParams,
     cell_counts,
+    cell_log_masses,
+    cell_terms,
     entropy,
     first_best,
     product_divergences,
@@ -214,8 +216,9 @@ def _error_exact_fast2(code: SwCode) -> float:
     coset-product block (coset_a, coset_b) is a rectangle of the table with
     its members in lexicographic order. Cell counts come from one float
     matmul of 0/1 indicators per alphabet cell (exact for counts <= n); a
-    pair's divergence and log-mass are then sums of per-cell lookups
-    term[count] and count * log2(mu_cell), added cell by cell. Each block is
+    pair's divergence and log-mass are then sums of the per-cell lookups
+    ``cell_terms`` and ``cell_log_masses`` of ``hashprop.types``, added cell
+    by cell, as the decoders score. Each block is
     decoded at once: block minima via ``reduceat``, then the winner is the
     tied candidate (within TIE_TOL of the minimum) with the smallest
     row-major rank in its block -- the lexicographic tie-break of
@@ -234,26 +237,14 @@ def _error_exact_fast2(code: SwCode) -> float:
     seqs_x = seqs_x[perm_x]
     seqs_y = seqs_y[perm_y]
 
-    mu_flat = code.mu.table.reshape(-1)
-    with np.errstate(divide="ignore"):
-        log_mu = np.log2(mu_flat)
-    k = np.arange(n + 1)
-    nu = k / n
     div = np.zeros((len(seqs_x), len(seqs_y)))
     mass_log = np.zeros_like(div)
-    for cell in range(sx * sy):
+    for cell, mass in enumerate(code.mu.table.reshape(-1).tolist()):
         a, b = divmod(cell, sy)
         count = ((seqs_x == a).astype(np.float64)
                  @ (seqs_y == b).astype(np.float64).T).astype(np.intp)
-        if mu_flat[cell] > 0:
-            term = np.zeros(n + 1)
-            term[1:] = nu[1:] * (np.log2(nu[1:]) - log_mu[cell])
-            div += term[count]
-            mass_log += (k * log_mu[cell])[count]
-        else:
-            pos = count > 0
-            div[pos] = np.inf
-            mass_log[pos] = -np.inf
+        div += cell_terms(mass, n)[count]
+        mass_log += cell_log_masses(mass, n)[count]
 
     def block_min(table):
         return np.minimum.reduceat(np.minimum.reduceat(table, starts_x, axis=0),

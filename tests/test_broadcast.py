@@ -13,7 +13,6 @@ from hashprop.broadcast import (
     BcError,
     BcProblem,
     RateParams,
-    bc_build_joint,
     bc_check_params,
     bc_code_search,
     bc_decode,
@@ -52,12 +51,12 @@ def test_problem_validation():
     stoch[..., 0] = 1.0
     sp = BcProblem(channel=p.channel, mu_u=p.mu_u, f=stoch)
     assert not sp.deterministic
-    assert sp.x_given_u((1, 1))[0] == 1.0
+    assert sp.joint[1, 1, 0, 0, 0] == 0.25  # x = 0 whatever u, so y = z = 0
 
 
 def test_build_joint_mass_and_structure():
     p = split_channel()
-    joint = bc_build_joint(p)
+    joint = p.joint
     assert joint.table.shape == (2, 2, 4, 2, 2)
     assert joint.table.sum() == pytest.approx(1.0)
     # noiseless: Y = U and Z = V hold with probability one

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hashprop.cli import build_parser, main
 from hashprop.formats import emit_matrix, parse_matrix
@@ -98,6 +99,21 @@ def test_spectrum_from_descriptor(tmp_path, capsys):
                                  "value": {"num": 1, "den": 1, "value": 1.0}}]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "uniform", "--q", "2", "--l", "-1", "--n", "2"],
+    ["--family", "uniform", "--q", "2", "--l", "1", "--n", "0"],
+    ["--family", "uniform"],
+    ["--family", "uniform", "--q", "4", "--l", "1", "--n", "2"],
+    ["--family", "sparse", "--q", "2", "--l", "0", "--n", "2", "--tau", "2"],
+    ["--family", "binning", "--q", "2", "--l", "1", "--n", "2"],
+], ids=["l_negative", "n_zero", "q_missing", "q_composite", "sparse_l_zero", "binning"])
+def test_ensemble_flags_rejected_exit_2(capsys, flags):
+    """Ensemble flags are read as a descriptor, so a bad one is an input error."""
+    for cmd in ("hash-audit", "spectrum"):
+        code, _, _ = run_cli(capsys, cmd, *flags)
+        assert code == 2
+
+
 def test_sw_sim_exact_and_csv(tmp_path, capsys):
     dist = write_dsbs(tmp_path)
     ma = write_matrix(tmp_path, "a.txt", [[1, 1, 0], [0, 1, 1]])
@@ -157,6 +173,18 @@ def test_sw_sim_bad_matrix_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sw-sim", "--dist", dist,
                            "--matrix", f"x={bad}", "--matrix", f"y={bad}")
     assert code == 2 and "error:" in err
+
+
+def test_sw_sim_rejected_code_exit_2(tmp_path, capsys):
+    """A code SwCode rejects is an input error; a decode past the cap is not."""
+    dist = write_dsbs(tmp_path)
+    a = write_matrix(tmp_path, "a.txt", [[1, 0]])
+    code, _, err = run_cli(capsys, "sw-sim", "--dist", dist, "--matrix", f"x={a}")
+    assert code == 2 and "one matrix per source axis" in err
+    big = write_matrix(tmp_path, "big.txt", [[1] * 11])
+    code, _, err = run_cli(capsys, "sw-sim", "--dist", dist,
+                           "--matrix", f"x={big}", "--matrix", f"y={big}")
+    assert code == 3 and "exceed cap" in err
 
 
 def _write_bc_fixture(tmp_path):

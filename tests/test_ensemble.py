@@ -40,6 +40,14 @@ def test_sparse_parameter_validation():
         Ensemble.sparse(4, 2, 2, 2)  # composite modulus
 
 
+def test_dimension_validation():
+    for bad in (lambda: Ensemble.uniform_all(2, -1, 2), lambda: Ensemble.uniform_all(2, 1, 0),
+                lambda: Ensemble.sparse(2, 0, 2, 2), lambda: Ensemble.binning(2, 2, 0)):
+        with pytest.raises(EnsembleError):
+            bad()
+    assert Ensemble.uniform_all(2, 0, 1).support_size() == 1  # zero rows is fine
+
+
 def test_support_sizes():
     assert Ensemble.uniform_all(2, 2, 3).support_size() == 2 ** 6
     assert Ensemble.sparse(3, 2, 2, 2).support_size() == (2 * 2) ** 4

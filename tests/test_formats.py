@@ -87,6 +87,8 @@ def test_ensemble_descriptor():
         ensemble_from_obj({"family": "sparse", "q": 2, "l": 1, "n": 2})
     with pytest.raises(ParseError):
         ensemble_from_obj({"family": "magic", "q": 2, "l": 1, "n": 2})
+    with pytest.raises(ParseError):  # binning is a library ensemble only
+        ensemble_from_obj({"family": "binning", "q": 2, "l": 1, "n": 2})
     with pytest.raises(ParseError):
         ensemble_from_obj({"q": 2, "l": 1, "n": 2})
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hashprop.gf import FieldMatrix, coset
+from hashprop.gf import FieldMatrix
 from hashprop.lp_md import (
     REL_EQ,
     REL_GE,
@@ -117,10 +117,12 @@ def test_type_constraints_integral_points():
 
 
 def test_parity_constraints_cut_exactly_wrong_vectors():
-    A = FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])
+    dense = np.array([[1, 1, 0], [0, 1, 1]])
     a = (1, 0)
-    cons = build_parity_constraints(A, a)
-    members = set(coset(A, a))
+    cons = build_parity_constraints(FieldMatrix.from_dense(2, dense), a)
+    # the coset by brute force: every word of GF(2)^3 with the syndrome
+    members = {u for u in itertools.product((0, 1), repeat=3)
+               if (dense @ u % 2 == a).all()}
     for u in itertools.product((0, 1), repeat=3):
         ok = all(
             sum(v * u[i] for i, v in row.items()) <= rhs + 1e-9

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hashprop.gf import FieldMatrix, coset
+from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import (
     SwCode,
     SwError,
@@ -76,16 +76,18 @@ def test_decode_md_brute_force_oracle():
         n = int(rng.integers(2, 5))
         la = int(rng.integers(1, n + 1))
         lb = int(rng.integers(1, n + 1))
-        a = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(la, n)))
-        b = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(lb, n)))
-        code = SwCode((a, b), mu)
+        da = rng.integers(0, 2, size=(la, n))
+        db = rng.integers(0, 2, size=(lb, n))
+        code = SwCode((FieldMatrix.from_dense(2, da), FieldMatrix.from_dense(2, db)), mu)
         x = tuple(int(v) for v in rng.integers(0, 2, size=n))
         y = tuple(int(v) for v in rng.integers(0, 2, size=n))
         syn = sw_encode(code, (x, y))
+        # the cosets by brute force: every word of GF(2)^n with the syndrome
+        words = list(itertools.product((0, 1), repeat=n))
         cands = [
             (cx, cy)
-            for cx in coset(a, syn[0])
-            for cy in coset(b, syn[1])
+            for cx in words if (da @ cx % 2 == syn[0]).all()
+            for cy in words if (db @ cy % 2 == syn[1]).all()
         ]
         best = min(
             cands,
