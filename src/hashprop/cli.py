@@ -108,6 +108,10 @@ def cmd_sw_sim(args) -> None:
     if args.gamma < 0 or (args.decoder == "ml" and args.gamma == 0):
         raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
                          "typical means divergence < gamma")
+    if args.decoder != "md" and code.k != 2:
+        raise ParseError(f"--decoder {args.decoder} needs two sources, got {code.k}")
+    if args.csv and code.k != 2:
+        raise ParseError(f"--csv writes R_X,R_Y and needs two sources, got {code.k}")
     result = {"command": "sw-sim", "decoder": args.decoder, "n": code.n,
               "rates": list(code.rates().rates), "mode": args.mode}
     if args.mode == "exact":
@@ -126,15 +130,16 @@ def cmd_sw_sim(args) -> None:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["R_X", "R_Y", "n", "error", "ci_lo", "ci_hi"])
-            rates = list(code.rates().rates) + [0.0, 0.0]
-            w.writerow([rates[0], rates[1], code.n, result["error"],
-                        result["ci"][0], result["ci"][1]])
+            w.writerow([*result["rates"], code.n, result["error"], *result["ci"]])
     _emit(result)
 
 
 def cmd_bc_sim(args) -> None:
     problem = formats.load_bc_problem(args.problem)
     code = formats.load_bc_code(args.code)
+    if args.mode == "exact" and not problem.deterministic:
+        raise ParseError("--mode exact needs a deterministic symbol map 'f', "
+                         "not 'f_stochastic'")
     result = {"command": "bc-sim", "mode": args.mode, "variant": args.variant,
               "n": code.n, "rates": [list(p) for p in code.rates()]}
     if args.mode == "exact":

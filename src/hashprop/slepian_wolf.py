@@ -8,6 +8,7 @@ feasible and the reference oracle for the LP decoder.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldMatrix, coset_factors
-from .mc import TRIAL_BLOCK, McEstimate, decode_distinct, inverse_cdf, run_blocks
+from .mc import McEstimate, decode_distinct, inverse_cdf, run_blocks
 from .types import (
     TIE_TOL,
     Distribution,
@@ -140,130 +141,105 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     return SwDecodeResult(x_hat=product_member(factors, winner))
 
 
-def _wrong_decodes(code: SwCode, decoder: str, gamma: float, cap: int):
-    """A function telling which rows of an (N, k, n) array of source tuples
-    decode wrongly, failures included; each distinct syndrome tuple is
-    decoded once, with a cache kept across calls."""
+def _check_decoder(code: SwCode, decoder: str) -> None:
     if decoder not in ("md", "ml", "ml_unconstrained"):
         raise SwError(f"unknown decoder {decoder!r}")
-    ends = np.cumsum([0] + [m.rows for m in code.matrices]).tolist()
-    cache: dict = {}
-
-    def decode_row(row):
-        syn = tuple(row[a:b] for a, b in zip(ends, ends[1:]))
-        res = (sw_decode_md(code, syn, cap=cap) if decoder == "md" else
-               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml", cap=cap))
-        # -1 marks a failure: it never equals a source symbol
-        return np.full((code.k, code.n), -1) if res.failure else res.x_hat
-
-    def wrong(x: np.ndarray) -> np.ndarray:
-        if not len(x):
-            return np.zeros(0, dtype=bool)
-        syn = np.concatenate([x[:, j] @ m.to_dense().T % m.q
-                              for j, m in enumerate(code.matrices)], axis=1)
-        return (decode_distinct(syn, cache, decode_row) != x).any(axis=(1, 2))
-
-    return wrong
+    if decoder != "md" and code.k != 2:
+        raise SwError("the ML decoder is defined for two sources")
 
 
-def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
-                   cap: int = DEFAULT_CAP) -> float:
-    """Exact decoding-error probability: total mu-mass of source tuples whose
-    decode differs from the input (including decoder failures). Besides
-    two-source MD, the tuples go through the Monte Carlo wrong-decode test."""
-    sizes = [size ** code.n for size in code.mu.shape]
-    total_seqs = math.prod(sizes)
-    if total_seqs > cap:
-        raise SwError(f"{total_seqs} source tuples exceed cap {cap}")
-    if decoder == "md" and code.k == 2:
-        return _error_exact_fast2(code)
-    wrong = _wrong_decodes(code, decoder, gamma, cap)
-    error = 0.0
-    for start in range(0, total_seqs, TRIAL_BLOCK):
-        # source tuples in row-major order, each sequence the digits of its
-        # index; masses multiplied position by position
-        idx = np.unravel_index(np.arange(start, min(start + TRIAL_BLOCK, total_seqs)), sizes)
-        x = np.stack([np.stack(np.unravel_index(i, (size,) * code.n), axis=1)
-                      for i, size in zip(idx, code.mu.shape)], axis=1)
-        mass = np.ones(len(x))
-        for i in range(code.n):
-            mass *= code.mu.table[tuple(x[:, :, i].T)]
-        x, mass = x[mass > 0], mass[mass > 0]
-        # one running left-to-right sum, as a per-tuple loop would add
-        error = np.cumsum(np.concatenate([[error], mass[wrong(x)]]))[-1]
-    return min(1.0, float(error))
+def _syndrome_order(matrix: FieldMatrix, size: int, n: int):
+    """Every alphabet sequence of length n, reordered so that each coset is
+    one contiguous run.
 
-
-def _syndrome_order(seqs: np.ndarray, matrix: FieldMatrix):
-    """Reorder sequences so that each coset is one contiguous run.
-
-    Returns the (stable) permutation, the start of every run, the run
-    lengths, and each reordered sequence's offset inside its run; members
-    of a run stay in lexicographic order.
+    Returns the reordered sequences, the (stable) permutation from
+    lexicographic order, the start of every run, the run lengths, and each
+    reordered sequence's offset inside its run; members of a run stay in
+    lexicographic order.
     """
+    seqs = np.array(list(itertools.product(range(size), repeat=n)),
+                    dtype=np.int64).reshape(-1, n)
     weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
     idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
     perm = np.argsort(idx, kind="stable")
     _, starts, sizes = np.unique(idx[perm], return_index=True, return_counts=True)
     offsets = np.arange(len(seqs)) - np.repeat(starts, sizes)
-    return perm, starts, sizes, offsets
+    return seqs[perm], perm, starts, sizes, offsets
 
 
-def _error_exact_fast2(code: SwCode) -> float:
-    """Vectorized two-source minimum-divergence error via a full pair table.
+def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
+                   cap: int = DEFAULT_CAP) -> float:
+    """Exact decoding-error probability: the total mu-mass of the source
+    tuples whose decode differs from the input, decoder failures included.
 
-    Enumerates all |X|^n x |Y|^n source pairs once, reordered so that every
-    coset-product block (coset_a, coset_b) is a rectangle of the table with
-    its members in lexicographic order. Cell counts come from one float
-    matmul of 0/1 indicators per alphabet cell (exact for counts <= n); a
-    pair's divergence and log-mass are then sums of the per-cell lookups
-    ``cell_terms`` and ``cell_log_masses`` of ``hashprop.types``, added cell
-    by cell, as the decoders score. Each block is
-    decoded at once: block minima via ``reduceat``, then the winner is the
-    tied candidate (within TIE_TOL of the minimum) with the smallest
-    row-major rank in its block -- the lexicographic tie-break of
-    ``sw_decode_md``. Cosets of different sizes need no padding. The masses
-    of wrongly decoded pairs are summed left to right in row-major source
-    order, so the result is bit-identical to a per-pair loop. Memory is
-    O(|X|^n |Y|^n).
+    One table holds every source tuple. Each axis lists its source's
+    alphabet sequences reordered by syndrome, so every coset-product block
+    is a box of the table with its members in lexicographic order. Cell
+    counts come from float matmuls of 0/1 indicators (exact for counts
+    <= n). A tuple is scored cell by cell, as the decoders score: MD adds
+    ``cell_terms``, ML adds ``-cell_log_masses``, and its log-mass adds
+    ``cell_log_masses``. For "ml" a tuple with an atypical source scores
+    NaN, which the block minima (``fmin.reduceat`` along every axis) skip.
+    A block decodes to its tied tuple (within TIE_TOL of the minimum) of
+    smallest row-major rank, the lexicographic rule of ``first_best``; a
+    block with no admissible tuple decodes every tuple wrongly. The masses
+    of the wrong tuples are summed left to right in row-major source order,
+    as a per-tuple loop adds them. Memory is a few floats per tuple.
     """
-    (sx, sy) = code.mu.shape
-    n = code.n
-    ma, mb = code.matrices
-    seqs_x = np.array(list(itertools.product(range(sx), repeat=n)), dtype=np.int64)
-    seqs_y = np.array(list(itertools.product(range(sy), repeat=n)), dtype=np.int64)
-    perm_x, starts_x, sizes_x, off_x = _syndrome_order(seqs_x, ma)
-    perm_y, starts_y, sizes_y, off_y = _syndrome_order(seqs_y, mb)
-    seqs_x = seqs_x[perm_x]
-    seqs_y = seqs_y[perm_y]
+    _check_decoder(code, decoder)
+    n, shape = code.n, code.mu.shape
+    total = math.prod(size ** n for size in shape)
+    if total > cap:
+        raise SwError(f"{total} source tuples exceed cap {cap}")
+    seqs, perms, starts, sizes, offsets = zip(*(
+        _syndrome_order(m, size, n) for m, size in zip(code.matrices, shape)))
+    table_shape = tuple(len(s) for s in seqs)
 
-    div = np.zeros((len(seqs_x), len(seqs_y)))
-    mass_log = np.zeros_like(div)
-    for cell, mass in enumerate(code.mu.table.reshape(-1).tolist()):
-        a, b = divmod(cell, sy)
-        count = ((seqs_x == a).astype(np.float64)
-                 @ (seqs_y == b).astype(np.float64).T).astype(np.intp)
-        div += cell_terms(mass, n)[count]
+    if decoder == "ml":
+        gamma = TypicalityParams(gamma).gamma
+        penalty = [np.where(type_divergences(cell_counts(s, size),
+                                             code.mu.marginal((j,))) < gamma, 0.0, np.nan)
+                   for j, (s, size) in enumerate(zip(seqs, shape))]
+        score = functools.reduce(np.add.outer, penalty)
+    else:
+        score = np.zeros(table_shape)
+    terms = cell_terms if decoder == "md" else lambda mass, n: -cell_log_masses(mass, n)
+    indicators = [[(s == a).astype(np.float64) for a in range(size)]
+                  for s, size in zip(seqs, shape)]
+    mass_log = np.zeros(table_shape)
+    for cell, mass in zip(np.ndindex(shape), code.mu.table.reshape(-1).tolist()):
+        # the first k - 1 indicators folded into rows of the leading axes
+        rows = np.ones((1, n))
+        for ind, a in zip(indicators[:-1], cell[:-1]):
+            rows = (rows[:, None] * ind[a]).reshape(-1, n)
+        count = (rows @ indicators[-1][cell[-1]].T).astype(np.intp).reshape(table_shape)
+        score += terms(mass, n)[count]
         mass_log += cell_log_masses(mass, n)[count]
 
     def block_min(table):
-        return np.minimum.reduceat(np.minimum.reduceat(table, starts_x, axis=0),
-                                   starts_y, axis=1)
+        for axis, axis_starts in enumerate(starts):
+            table = np.fmin.reduceat(table, axis_starts, axis=axis)
+        return table
 
     def spread(blocks):
-        # one value per block, repeated over the block's rectangle
-        return np.repeat(np.repeat(blocks, sizes_x, axis=0), sizes_y, axis=1)
+        # one value per block, repeated over the block's box
+        for axis, axis_sizes in enumerate(sizes):
+            blocks = np.repeat(blocks, axis_sizes, axis=axis)
+        return blocks
 
-    tied = div <= spread(block_min(div) + TIE_TOL)
-    rank = off_x[:, None] * np.repeat(sizes_y, sizes_y)[None, :] + off_y[None, :]
+    tied = score <= spread(block_min(score) + TIE_TOL)
+    # row-major rank of each tuple inside its block
+    rank = np.zeros((), dtype=np.intp)
+    for axis_sizes, axis_offsets in zip(sizes, offsets):
+        rank = rank[..., None] * np.repeat(axis_sizes, axis_sizes) + axis_offsets
     winner = block_min(np.where(tied, rank, np.iinfo(np.intp).max))
-    wrong_log_mass = np.where(rank != spread(winner), mass_log, -np.inf)
+    mass_log[rank == spread(winner)] = -np.inf
 
-    # back to row-major (x, y) source order for a left-to-right error sum;
-    # right pairs contribute exact zeros, which leave the running sum alone
-    w = np.exp2(wrong_log_mass[np.ix_(np.argsort(perm_x), np.argsort(perm_y))])
-    error = np.cumsum(w)[-1]
-    return min(1.0, float(error))
+    # back to row-major source order for a left-to-right error sum; right
+    # tuples contribute exact zeros, which leave the running sum alone
+    for axis, perm in enumerate(perms):
+        mass_log = np.take(mass_log, np.argsort(perm), axis=axis)
+    return min(1.0, float(np.cumsum(np.exp2(mass_log))[-1]))
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
@@ -278,11 +254,23 @@ def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
     counts as an error. The result depends only on the arguments."""
     if trials < 1:
         raise SwError("trials must be >= 1")
-    wrong = _wrong_decodes(code, decoder, gamma, cap)
+    _check_decoder(code, decoder)
+    ends = np.cumsum([0] + [m.rows for m in code.matrices]).tolist()
+    cache: dict = {}
+
+    def decode_row(row):
+        syn = tuple(row[a:b] for a, b in zip(ends, ends[1:]))
+        res = (sw_decode_md(code, syn, cap=cap) if decoder == "md" else
+               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml", cap=cap))
+        # -1 marks a failure: it never equals a source symbol
+        return np.full((code.k, code.n), -1) if res.failure else res.x_hat
 
     def block_errors(rng, size):
         cells = inverse_cdf(code.mu.table.reshape(-1), rng.random((size, code.n)))
-        return wrong(np.stack(np.unravel_index(cells, code.mu.shape), axis=1)).sum()
+        x = np.stack(np.unravel_index(cells, code.mu.shape), axis=1)
+        syn = np.concatenate([x[:, j] @ m.to_dense().T % m.q
+                              for j, m in enumerate(code.matrices)], axis=1)
+        return (decode_distinct(syn, cache, decode_row) != x).any(axis=(1, 2)).sum()
 
     return run_blocks(seed, trials, block_errors)
 

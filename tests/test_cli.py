@@ -187,6 +187,39 @@ def test_sw_sim_rejected_code_exit_2(tmp_path, capsys):
     assert code == 3 and "exceed cap" in err
 
 
+def _write_dist(tmp_path, sizes):
+    path = tmp_path / f"dist{len(sizes)}.json"
+    probs = np.random.default_rng(len(sizes)).dirichlet(np.ones(2 ** len(sizes)))
+    path.write_text(json.dumps({"sizes": sizes, "probs": probs.tolist()}))
+    return str(path)
+
+
+def test_sw_sim_ml_needs_two_sources_exit_2(tmp_path, capsys):
+    """The ML decoders are two-source; with three sources that is an input
+    error, caught before any decode."""
+    dist = _write_dist(tmp_path, [2, 2, 2])
+    a = write_matrix(tmp_path, "a.txt", [[1, 1, 0]])
+    argv = ["sw-sim", "--dist", dist] + ["--matrix", f"x={a}"] * 3
+    for decoder in ("ml", "ml_unconstrained"):
+        code, out, err = run_cli(capsys, *argv, "--decoder", decoder, "--gamma", "0.5")
+        assert code == 2 and "two sources" in err and not out
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and 0.0 <= json.loads(out)["error"] <= 1.0
+
+
+def test_sw_sim_csv_needs_two_sources_exit_2(tmp_path, capsys):
+    """--csv writes one R_X,R_Y row: one source would make up R_Y, three would
+    drop R_Z."""
+    a = write_matrix(tmp_path, "a.txt", [[1, 1, 0]])
+    csv_path = tmp_path / "out.csv"
+    for k in (1, 3):
+        argv = ["sw-sim", "--dist", _write_dist(tmp_path, [2] * k)]
+        argv += ["--matrix", f"x={a}"] * k + ["--csv", str(csv_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "--csv" in err and not out
+        assert not csv_path.exists()
+
+
 def _write_bc_fixture(tmp_path):
     channel = np.zeros((2, 2, 4))
     for x in range(4):
@@ -216,6 +249,21 @@ def test_bc_sim_exact_zero_error(tmp_path, capsys):
     assert data["error"] == 0.0
     assert data["rates"] == [[0.5, 0.5], [0.5, 0.5]]
     code, out, _ = run_cli(capsys, "bc-sim", "--problem", prob, "--code", codef,
+                           "--mode", "mc", "--trials", "50", "--seed", "1")
+    assert code == 0 and json.loads(out)["error"] == 0.0
+
+
+def test_bc_sim_exact_stochastic_map_exit_2(tmp_path, capsys):
+    """Exact evaluation needs a deterministic symbol map: asking for it on an
+    f_stochastic problem is an input error; MC takes either map."""
+    prob, codef = _write_bc_fixture(tmp_path)
+    obj = json.loads(open(prob).read())
+    obj["f_stochastic"] = np.eye(4)[obj.pop("f")].reshape(-1).tolist()
+    stochastic = tmp_path / "stochastic.json"
+    stochastic.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "bc-sim", "--problem", str(stochastic), "--code", codef)
+    assert code == 2 and "deterministic" in err and not out
+    code, out, _ = run_cli(capsys, "bc-sim", "--problem", str(stochastic), "--code", codef,
                            "--mode", "mc", "--trials", "50", "--seed", "1")
     assert code == 0 and json.loads(out)["error"] == 0.0
 

@@ -144,36 +144,50 @@ def test_decode_ml_typical():
     assert not res.failure
 
 
-def _per_pair_error(code):
-    """Exact MD error by decoding every source pair with sw_decode_md."""
-    sx, sy = code.mu.shape
-    error = 0.0
-    for x in itertools.product(range(sx), repeat=code.n):
-        for y in itertools.product(range(sy), repeat=code.n):
-            mass = math.prod(code.mu[xs, ys] for xs, ys in zip(x, y))
-            res = sw_decode_md(code, sw_encode(code, (x, y)))
-            if res.x_hat != (x, y):
-                error += mass
-    return error
+def _per_tuple_error(code, decoder="md", gamma=0.0):
+    """(error, failures): the exact error found by decoding every source
+    tuple with sw_decode_md or sw_decode_ml_typical, a failed decode counting
+    as wrong, and the number of tuples whose decode failed."""
+    error, failures = 0.0, 0
+    for x_K in itertools.product(*(itertools.product(range(size), repeat=code.n)
+                                   for size in code.mu.shape)):
+        syn = sw_encode(code, x_K)
+        res = (sw_decode_md(code, syn) if decoder == "md" else
+               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml"))
+        failures += res.failure
+        if res.x_hat != x_K:
+            error += math.prod(code.mu[cell] for cell in zip(*x_K))
+    return error, failures
+
+
+# gamma = 0.05 leaves some cosets with no typical member: at n = 3 no
+# binary sequence is typical for a uniform marginal
+DECODERS = [("md", 0.0), ("ml", 0.05), ("ml", 0.3), ("ml_unconstrained", 0.0)]
 
 
 def test_error_exact_fast_path_matches_generic():
-    """The vectorized two-source path must equal the generic loop exactly."""
+    """The table engine equals the per-tuple decoder loop for every decoder."""
     rng = np.random.default_rng(9)
+    failures = 0
     for _ in range(6):
         n = int(rng.integers(2, 4))
         a = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))
         b = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))
         code = SwCode((a, b), DSBS)
-        fast = sw_error_exact(code)  # dispatches to the fast path
-        assert fast == pytest.approx(_per_pair_error(code), abs=1e-12)
+        for decoder, gamma in DECODERS:
+            expected, failed = _per_tuple_error(code, decoder, gamma)
+            assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
+            failures += failed
+    assert failures > 0
 
 
 def test_error_exact_fast_path_matches_generic_edge_cases():
     """Unequal coset sizes (q above the alphabet size), zero-mass cells,
-    non-square alphabets and l = 0 against the per-pair decoder loop."""
+    non-square alphabets, l = 0, one source and three sources against the
+    per-tuple decoder loop."""
     diag = Distribution([[0.5, 0.0], [0.0, 0.5]])
     rect = Distribution([[0.2, 0.1, 0.05], [0.05, 0.1, 0.5]])
+    skew = Distribution([[0.81, 0.09], [0.09, 0.01]])
     codes = [
         # GF(3) and GF(5) checks over binary alphabets
         SwCode((FieldMatrix.from_dense(3, [[1, 2, 0], [0, 1, 1]]),
@@ -185,6 +199,9 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
                 FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])), diag),
         SwCode((FieldMatrix.from_dense(2, [[1, 0, 1]]),
                 FieldMatrix.from_dense(2, [[0, 1, 1]])), ZERO_MASS),
+        # skewed marginals: only some cosets hold a typical member
+        SwCode((FieldMatrix.from_dense(2, [[1, 1, 0, 0], [0, 0, 1, 1]]),
+                FieldMatrix.from_dense(3, [[1, 0, 1, 0]])), skew),
         # 3 x 2 and 2 x 3 alphabets
         SwCode((FieldMatrix.from_dense(3, [[1, 2, 0], [0, 1, 1]]),
                 FieldMatrix.from_dense(2, [[1, 1, 0]])), THREE_BY_TWO),
@@ -196,8 +213,25 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
         SwCode((FieldMatrix.from_dense(3, [[1, 1, 1], [0, 1, 2]]),
                 FieldMatrix.zeros(2, 0, 3)), THREE_BY_TWO),
     ]
+    failures = 0
     for code in codes:
-        assert sw_error_exact(code) == pytest.approx(_per_pair_error(code), abs=1e-12)
+        for decoder, gamma in DECODERS:
+            expected, failed = _per_tuple_error(code, decoder, gamma)
+            assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
+            failures += failed
+    assert failures > 0
+    # one source, and three sources with a zero-mass cell; ML is two-source
+    one = SwCode((FieldMatrix.from_dense(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
+                 Distribution([0.6, 0.3, 0.1]))
+    law = np.array([0.3, 0.1, 0.05, 0.0, 0.05, 0.1, 0.1, 0.3]).reshape(2, 2, 2)
+    three = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
+                    FieldMatrix.from_dense(3, [[1, 0, 2]]),
+                    FieldMatrix.zeros(2, 0, 3)), Distribution(law))
+    for code in (one, three):
+        assert sw_error_exact(code) == pytest.approx(_per_tuple_error(code)[0], abs=1e-12)
+        for decoder, gamma in DECODERS[1:]:
+            with pytest.raises(SwError, match="two sources"):
+                sw_error_exact(code, decoder, gamma)
 
 
 def test_field_larger_than_alphabet_decodes_over_alphabet():
@@ -213,15 +247,16 @@ def test_field_larger_than_alphabet_decodes_over_alphabet():
         assert code.matrices[0].matvec(res.x_hat[0]) == syn[0]
     est = sw_error_mc(code, trials=200, seed=0)
     assert est.ci_lo <= sw_error_exact(code) <= est.ci_hi
-    assert 0.0 <= sw_error_exact(code, decoder="ml_unconstrained") <= 1.0  # generic branch
+    assert sw_error_exact(code, decoder="ml_unconstrained") == pytest.approx(
+        _per_tuple_error(code, "ml_unconstrained")[0], abs=1e-12)
     one = SwCode((FieldMatrix.from_dense(3, [[1]]), FieldMatrix.from_dense(2, [[1]])),
                  DSBS)
     with pytest.raises(SwError):
         sw_decode_md(one, ((2,), (0,)))  # only u = (2,) has syndrome 2
 
 
-# Exact errors recorded from the per-pair reference implementation; the
-# vectorized path must reproduce them bit for bit, not just to a tolerance.
+# Exact MD errors recorded from the per-pair reference implementation; the
+# table engine must reproduce them bit for bit, not just to a tolerance.
 PINNED_EXACT = [
     # sparse tau = 2 codes over DSBS(0.05) at n = 4, 6, 8, two rates each
     (DSBS, (2, [[1, 0, 0, 0], [1, 0, 0, 0]]), (2, [[0, 0, 1, 0], [0, 0, 1, 0]]),
