@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +76,10 @@ class BcProblem:
     def k(self) -> int:
         return len(self.mu_u.shape)
 
+    def check_code(self, code: "BcCode") -> None:
+        if code.k != self.k:
+            raise BcError(f"the code has {code.k} receivers, the problem {self.k}")
+
     @cached_property
     def joint(self) -> Distribution:
         """The exact joint law over (U_1..U_k, X, Y_1..Y_k): each cell is
@@ -122,17 +127,13 @@ def bc_rate_region(p: BcProblem, rates) -> dict:
         raise BcError("one rate per receiver is required")
     h_u, i_uy = p.entropies["U_J"], p.entropies["info"]
     checks = []
-    inside = True
     for r in range(1, k + 1):
         for J in itertools.combinations(range(k), r):
             bound = sum(i_uy[j] for j in J) - (sum(h_u[(j,)] for j in J) - h_u[J])
             lhs = sum(rates[j] for j in J)
-            slack = bound - lhs
-            ok = slack > 0
-            inside = inside and ok
             checks.append({"J": J, "rate_sum": lhs, "bound": bound,
-                           "slack": slack, "holds": ok})
-    return {"inside": inside, "constraints": checks}
+                           "slack": bound - lhs, "holds": bound - lhs > 0})
+    return {"inside": all(c["holds"] for c in checks), "constraints": checks}
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,7 @@ def bc_feasible_params(p: BcProblem, rates, grid: int = 32) -> RateParams | None
     """Search r_j = H(U_j|Y_j) + s over a margin grid, deriving eps from the
     remaining slack; returns the first tuple passing every inequality."""
     rates = tuple(rates)
-    region = bc_rate_region(p, rates)
-    if not region["inside"]:
+    if not bc_rate_region(p, rates)["inside"]:
         return None
     k = p.k
     h_u, h_cond = p.entropies["U_J"], p.entropies["cond"]
@@ -196,9 +196,7 @@ def bc_feasible_params(p: BcProblem, rates, grid: int = 32) -> RateParams | None
             eps_hi = min(g - s for g in gaps)
             if eps_lo >= eps_hi:
                 continue
-            eps = (eps_lo + eps_hi) / 2
-            if eps <= 0:
-                continue
+            eps = (eps_lo + eps_hi) / 2  # > 0, as 0 <= eps_lo < eps_hi
             params = RateParams(
                 pairs=tuple((h_cond[j] + s, rates[j]) for j in range(k)),
                 eps=eps, relaxed=relaxed,
@@ -219,6 +217,8 @@ class BcCode:
     syndromes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.pairs or len(self.syndromes) != len(self.pairs):
+            raise BcError("a code needs at least one receiver, and one syndrome per receiver")
         n = self.pairs[0][0].cols
         for (a_m, ap_m), a in zip(self.pairs, self.syndromes):
             if a_m.cols != n or ap_m.cols != n or a_m.q != ap_m.q:
@@ -263,12 +263,13 @@ class BcEncodeResult:
 def bc_select(code: BcCode, p: BcProblem, messages,
               cap: int = DEFAULT_CAP) -> tuple[tuple | None, float]:
     """Minimum-divergence u_K over the product of coset intersections
-    C_{A_j}(a_j) cap C_{A'_j}(m_j), and its divergence; (None, inf) when an
-    intersection is empty. The symbol map plays no part."""
+    C_{A_j}(a_j) cap C_{A'_j}(m_j) cap U_j^n, and its divergence; (None, inf)
+    when an intersection is empty. The symbol map plays no part."""
+    p.check_code(code)
     if len(messages) != code.k:
         raise BcError("one message per receiver is required")
     systems = [tuple(a) + tuple(m) for a, m in zip(code.syndromes, messages)]
-    factors = coset_factors(code.stacked, systems, cap, BcError)
+    factors = coset_factors(code.stacked, systems, cap, BcError, p.mu_u.shape)
     if factors is None:
         return None, math.inf
     d = product_divergences(factors, p.mu_u)
@@ -296,11 +297,12 @@ def bc_decode(code: BcCode, p: BcProblem, j: int, y,
               variant: str = "ml", cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """Receiver j's estimate: pick the coset member maximizing the memoryless
     posterior (ml) or minimizing the conditional divergence (md), then report
-    its image under A'_j."""
+    its image under A'_j. Members outside U_j^n are not candidates."""
+    p.check_code(code)
     a_m, ap_m = code.pairs[j]
-    factors = coset_factors([a_m], [code.syndromes[j]], cap, BcError)
+    factors = coset_factors([a_m], [code.syndromes[j]], cap, BcError, p.mu_u.shape[j:j + 1])
     if factors is None:
-        raise BcError("empty shared coset")
+        raise BcError("no member of the shared coset inside U_j^n")
     cond = p.receiver_conditionals[j]
     y = np.array(y, dtype=np.int64)
     candidates = [factors[0], y[None]]
@@ -315,54 +317,45 @@ def bc_decode(code: BcCode, p: BcProblem, j: int, y,
     return ap_m.matvec(tuple(factors[0][winner].tolist()))
 
 
-def _wrong_receivers(code: BcCode, p: BcProblem, variant: str, cap: int):
-    """The message spaces, and a function telling which of N trials any receiver
-    misdecodes, from (N, n) flat output indices into Y_1 x ... x Y_k and (N, k)
-    message indices; each distinct y_j is decoded once, cached across calls."""
-    spaces = [code.message_space(j) for j in range(code.k)]
-    index = [{m: i for i, m in enumerate(space)} for space in spaces]
-    caches: list[dict] = [{} for _ in spaces]
-
-    def wrong(flat: np.ndarray, m: np.ndarray) -> np.ndarray:
-        y = np.unravel_index(flat, p.channel.table.shape[:-1])
-        bad = np.zeros(len(m), dtype=bool)
-        for j in range(code.k):
-            bad |= decode_distinct(y[j], caches[j], lambda yj: index[j][
-                bc_decode(code, p, j, yj, variant=variant, cap=cap)]) != m[:, j]
-        return bad
-
-    return spaces, wrong
-
-
 def bc_error_exact(code: BcCode, p: BcProblem, variant: str = "ml",
                    cap: int = DEFAULT_CAP) -> float:
     """Exact error under uniform messages: mass of (m_K, y_K) where any
-    receiver misdecodes; encoder failures count with full mass. The outputs of
-    each message tuple are decoded as one array, each distinct y_j once."""
+    receiver misdecodes; encoder failures count with full mass. Each y_j in
+    Y_j^n is decoded once, into a table of message indices; the success mass
+    of a message tuple is one contraction of the hit indicators [dec_j = m_j]
+    with the channel slices W(.|x_i), on a path found once. ``cap`` bounds the
+    decode tables' entries plus those of the contraction's largest operand,
+    checked before either is built."""
     if not p.deterministic:
         raise BcError("exact evaluation needs a deterministic symbol map")
-    spaces, wrong = _wrong_receivers(code, p, variant, cap)
-    columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
-    p_m = 1.0 / math.prod(len(s) for s in spaces)
+    p.check_code(code)
+    k, n = code.k, code.n
+    axes = string.ascii_letters  # label j*n + i is position i of y_j
+    if k * n > len(axes):
+        raise BcError(f"{k} receivers at n = {n} need {k * n} einsum labels; numpy has 52")
+    yshape = p.channel.table.shape[:-1]
+    tables = [size ** n for size in yshape]
+    room = cap - sum(tables)  # left for the contraction's largest operand
+    if room < max(tables + [math.prod(yshape)]):
+        raise BcError(f"decode tables and contraction exceed cap {cap}")
+    subscripts = ",".join([axes[j * n:j * n + n] for j in range(k)] +
+                          [axes[i:k * n:n] for i in range(n)]) + "->"
+    shapes = [(size,) * n for size in yshape] + [yshape] * n
+    path = np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes),
+                          optimize=("greedy", room))[0]
+    spaces = [code.message_space(j) for j in range(k)]
+    index = [{m: i for i, m in enumerate(space)} for space in spaces]
+    dec = [np.array([index[j][bc_decode(code, p, j, y, variant, cap)] for y in
+                     itertools.product(range(yshape[j]), repeat=n)]).reshape(shapes[j])
+           for j in range(k)]
     success = 0.0
     for m in itertools.product(*(range(len(s)) for s in spaces)):
-        enc = bc_encode(code, p, [space[i] for space, i in zip(spaces, m)], cap=cap)
-        if enc.failure:
-            continue
-        support = [np.flatnonzero(columns[x]) for x in enc.x]
-        total_outputs = math.prod(len(s) for s in support)
-        if total_outputs > cap:
-            raise BcError("output space exceeds cap")
-        # output tuples in row-major order, probabilities multiplied position
-        # by position, and one running left-to-right sum, as a loop would add
-        idx = np.unravel_index(np.arange(total_outputs), [len(s) for s in support])
-        flat = np.stack([s[i] for s, i in zip(support, idx)], axis=1)
-        prob = np.ones(total_outputs)
-        for i, x in enumerate(enc.x):
-            prob *= columns[x][flat[:, i]]
-        ok = ~wrong(flat, np.broadcast_to(m, (total_outputs, code.k)))
-        success = np.cumsum(np.concatenate([[success], p_m * prob[ok]]))[-1]
-    return min(1.0, max(0.0, 1.0 - float(success)))
+        best, _ = bc_select(code, p, [space[i] for space, i in zip(spaces, m)], cap)
+        if best is not None:
+            success += np.einsum(subscripts, *(table == i for table, i in zip(dec, m)),
+                                 *(p.channel.table[..., x] for x in p.f[tuple(np.array(best))]),
+                                 optimize=path)
+    return min(1.0, max(0.0, 1.0 - float(success) / math.prod(len(s) for s in spaces)))
 
 
 def bc_error_mc(code: BcCode, p: BcProblem, trials: int = 1000, seed: int = 0,
@@ -377,9 +370,12 @@ def bc_error_mc(code: BcCode, p: BcProblem, trials: int = 1000, seed: int = 0,
     once, cached across blocks. An encoder failure counts as an error."""
     if trials < 1:
         raise BcError("trials must be >= 1")
-    spaces, wrong = _wrong_receivers(code, p, variant, cap)
-    columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
+    spaces = [code.message_space(j) for j in range(code.k)]
+    index = [{m: i for i, m in enumerate(space)} for space in spaces]
     cache: dict = {}
+    caches: list[dict] = [{} for _ in spaces]
+    yshape = p.channel.table.shape[:-1]
+    columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
 
     def select(key):
         best, _ = bc_select(code, p, [space[i] for space, i in zip(spaces, key)], cap)
@@ -388,10 +384,14 @@ def bc_error_mc(code: BcCode, p: BcProblem, trials: int = 1000, seed: int = 0,
     def block_errors(rng, size):
         m = np.stack([rng.integers(0, len(space), size=size) for space in spaces], axis=1)
         u = decode_distinct(m, cache, select)  # (size, k, n)
-        failed = u[:, 0, 0] < 0
+        bad = u[:, 0, 0] < 0
         u = tuple(np.maximum(u, 0).transpose(1, 0, 2))
         x = p.f[u] if p.deterministic else inverse_cdf(p.f[u], rng.random((size, code.n)))
-        return (failed | wrong(inverse_cdf(columns[x], rng.random((size, code.n))), m)).sum()
+        y = np.unravel_index(inverse_cdf(columns[x], rng.random((size, code.n))), yshape)
+        for j in range(code.k):
+            bad |= decode_distinct(y[j], caches[j], lambda yj: index[j][
+                bc_decode(code, p, j, yj, variant=variant, cap=cap)]) != m[:, j]
+        return bad.sum()
 
     return run_blocks(seed, trials, block_errors)
 
@@ -485,7 +485,6 @@ def bc_code_search(p: BcProblem, params: RateParams, ensembles, tries: int,
             best = (code, err)
         if err == 0.0:
             break
-    realized = best[0].rates()
     return {"code": best[0], "error": best[1], "tries": len(history),
             "history": history, "requested_rates": params.pairs,
-            "realized_rates": realized}
+            "realized_rates": best[0].rates()}

@@ -137,6 +137,10 @@ def cmd_sw_sim(args) -> None:
 def cmd_bc_sim(args) -> None:
     problem = formats.load_bc_problem(args.problem)
     code = formats.load_bc_code(args.code)
+    try:
+        problem.check_code(code)
+    except broadcast.BcError as exc:
+        raise ParseError(f"code JSON: {exc}")
     if args.mode == "exact" and not problem.deterministic:
         raise ParseError("--mode exact needs a deterministic symbol map 'f', "
                          "not 'f_stochastic'")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hashprop import broadcast
 from hashprop.broadcast import (
     BcCode,
     BcError,
@@ -272,10 +273,10 @@ def _dyadic_code(rng, n: int) -> BcCode:
     return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 
 
-def _solutions(n: int, dense: np.ndarray, rhs) -> list[tuple[int, ...]]:
-    """Every u in GF(2)^n with dense u = rhs, in lexicographic order."""
+def _solutions(n: int, dense: np.ndarray, rhs, q: int = 2) -> list[tuple[int, ...]]:
+    """Every u in {0, 1}^n with dense u = rhs over GF(q), in lexicographic order."""
     words = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-    keep = (words @ dense.T % 2 == np.asarray(rhs, dtype=np.int64)).all(axis=1)
+    keep = (words @ dense.T % q == np.asarray(rhs, dtype=np.int64)).all(axis=1)
     return [tuple(int(v) for v in w) for w in words[keep]]
 
 
@@ -301,7 +302,7 @@ def _oracle_encode(code: BcCode, p: BcProblem, messages):
     inter = []
     for (a_m, ap_m), a, m in zip(code.pairs, code.syndromes, messages):
         dense = np.concatenate([a_m.to_dense(), ap_m.to_dense()])
-        inter.append(_solutions(code.n, dense, tuple(a) + tuple(m)))
+        inter.append(_solutions(code.n, dense, tuple(a) + tuple(m), a_m.q))
     if not all(inter):
         return None
     cands = list(itertools.product(*inter))
@@ -502,3 +503,179 @@ def test_pinned_bc_decisions():
         ml = bc_error_mc(code, p, trials=200, seed=31 + i, variant="ml").errors
         md = bc_error_mc(code, p, trials=200, seed=31 + i, variant="md").errors
         assert (ml, md) == PINNED_BC_MC[i]
+
+
+def test_gf3_code_over_binary_auxiliaries_matches_oracle():
+    """A GF(3) code over binary auxiliaries: the encoder and both decoders
+    search only the coset members inside {0, 1}^n, as the oracle does."""
+    rng = np.random.default_rng(303)
+    failures = decodes = 0
+    for trial in range(16):
+        p = _dyadic_problem(rng)
+        n = 3 + trial % 2
+        pairs, syndromes = [], []
+        for _ in range(2):
+            a = rng.integers(0, 3, size=(int(rng.integers(0, 3)), n))
+            pairs.append((FieldMatrix.from_dense(3, a) if len(a) else FieldMatrix.zeros(3, 0, n),
+                          FieldMatrix.from_dense(3, rng.integers(0, 3, size=(1, n)))))
+            # a binary u, so the shared coset has a member inside the alphabet
+            syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 3))
+        code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
+        spaces = [sorted({tuple(int(v) for v in ap.to_dense() @ np.array(u) % 3)
+                          for u in itertools.product(range(3), repeat=n)})
+                  for _, ap in code.pairs]
+        for m_K in itertools.product(*spaces):
+            enc = bc_encode(code, p, m_K)
+            ref = _oracle_encode(code, p, m_K)
+            if ref is None:
+                assert enc.failure
+                failures += 1
+                continue
+            assert (enc.u_K, enc.divergence) == ref
+        for j, (a_m, ap_m) in enumerate(code.pairs):
+            members = _solutions(n, a_m.to_dense(), syndromes[j], 3)
+            cond = _oracle_conditional(p, j)
+            for y in itertools.product((0, 1), repeat=n):
+                for variant in ("ml", "md"):
+                    u, _ = _oracle_decode(members, cond, y, variant)
+                    expected = tuple(int(v) for v in ap_m.to_dense() @ np.array(u) % 3)
+                    assert bc_decode(code, p, j, y, variant=variant) == expected
+                    decodes += 1
+        assert 0.0 <= bc_error_exact(code, p) <= 1.0
+        assert bc_error_mc(code, p, trials=50, seed=trial).trials == 50
+    assert failures > 0 and decodes == 8 * 4 * (2 ** 3 + 2 ** 4)  # per n: 2 receivers, 2 variants
+
+
+def test_no_member_inside_alphabet_is_a_bc_error():
+    """A shared coset with no member inside U_j^n leaves receiver j nothing
+    to decode to, as a SW coset with no member inside the source alphabet."""
+    p = split_channel()
+    a = FieldMatrix.from_dense(3, [[1, 0]])  # a = 2 forces u_1 = 2
+    ap = FieldMatrix.from_dense(3, [[0, 1]])
+    code = BcCode(pairs=((a, ap), (a, ap)), syndromes=((2,), (2,)))
+    assert bc_encode(code, p, ((0,), (0,))).failure
+    with pytest.raises(BcError, match="inside U_j"):
+        bc_decode(code, p, 0, (0, 0))
+    with pytest.raises(BcError, match="inside U_j"):
+        bc_error_exact(code, p)
+    with pytest.raises(BcError, match="inside U_j"):
+        bc_error_mc(code, p, trials=20)
+
+
+def test_code_must_match_problem_receivers():
+    p = split_channel()
+    pair = _split_code().pairs[0]
+    with pytest.raises(BcError, match="receiver"):
+        BcCode(pairs=(), syndromes=())
+    for count in (1, 3):
+        code = BcCode(pairs=(pair,) * count, syndromes=((0,),) * count)
+        with pytest.raises(BcError, match="receivers"):
+            bc_error_exact(code, p)
+        with pytest.raises(BcError, match="receivers"):
+            bc_error_mc(code, p, trials=10)
+
+
+def noisy_split_channel() -> BcProblem:
+    """The split channel, each output pair replaced by a uniform one w.p. 0.1."""
+    table = 0.9 * split_channel().channel.table + 0.1 / 4
+    return BcProblem(channel=CondDistribution(table, given_shape=(4,)),
+                     mu_u=Distribution(np.full((2, 2), 0.25)),
+                     f=np.array([[0, 1], [2, 3]], dtype=np.int64))
+
+
+def _noisy_split_code(n: int) -> BcCode:
+    """Per receiver a 1 x n shared check and an (n // 2) x n message matrix."""
+    rng = np.random.default_rng(n)
+    pairs, syndromes = [], []
+    for _ in range(2):
+        a = rng.integers(0, 2, size=(1, n))
+        pairs.append((FieldMatrix.from_dense(2, a),
+                      FieldMatrix.from_dense(2, rng.integers(0, 2, size=(n // 2, n)))))
+        syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
+    return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
+
+
+# (ml, md) exact errors recorded from the per-message enumeration of output
+# tuples; the contraction sums in another order, so they agree to ulps
+PINNED_BC_EXACT = {6: (0.3106482890624709, 0.30383261608883727),
+                   7: (0.3418690476104259, 0.30610661042171017)}
+
+
+def test_pinned_bc_exact_noisy_split():
+    p = noisy_split_channel()
+    for n, values in PINNED_BC_EXACT.items():
+        code = _noisy_split_code(n)
+        for variant, value in zip(("ml", "md"), values):
+            assert bc_error_exact(code, p, variant=variant) == pytest.approx(value, abs=1e-12)
+
+
+def test_exact_cap_raises_before_building(monkeypatch):
+    """The cap counts both decode tables plus the contraction's largest
+    operand (here one hit indicator), and is checked before any decode."""
+    p = noisy_split_channel()
+    code = _noisy_split_code(6)
+    need = 2 * 2 ** 6 + 2 ** 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(broadcast, "bc_select", refuse)
+    monkeypatch.setattr(broadcast, "bc_decode", refuse)
+    with pytest.raises(BcError, match="exceed cap"):
+        bc_error_exact(code, p, cap=need - 1)
+    with pytest.raises(BcError, match="exceed cap"):
+        bc_error_exact(_noisy_split_code(24), p)  # 2 * 2^24 table entries
+    monkeypatch.undo()
+    assert bc_error_exact(code, p, cap=need) == pytest.approx(PINNED_BC_EXACT[6][0], abs=1e-12)
+
+
+def test_exact_label_limit_is_a_bc_error():
+    """numpy's einsum has 52 labels, one per (receiver, position)."""
+    table = np.zeros((2, 2, 2, 2))
+    table[0, 0, 0, :] = 1.0
+    p = BcProblem(channel=CondDistribution(table, given_shape=(2,)),
+                  mu_u=Distribution(np.full((2, 2, 2), 0.125)), f=np.zeros((2, 2, 2), dtype=np.int64))
+    pair = (FieldMatrix.from_dense(2, [[1] * 18]), FieldMatrix.from_dense(2, [[1] + [0] * 17]))
+    code = BcCode(pairs=(pair,) * 3, syndromes=((0,),) * 3)  # 3 tables of 2^18 fit the cap
+    with pytest.raises(BcError, match="52"):
+        bc_error_exact(code, p)
+
+
+def _random_k_instance(rng, k: int):
+    """k receivers with |U_j| = |Y_j| = 2, zero-mass channel and auxiliary
+    cells, and a GF(2) or GF(3) code whose message cosets are often empty."""
+    x_size = int(rng.integers(2, 4))
+    channel = rng.random((2,) * k + (x_size,)) * (rng.random((2,) * k + (x_size,)) < 0.5)
+    channel[(0,) * k] += 0.05
+    channel /= channel.reshape(-1, x_size).sum(axis=0)
+    mu_u = rng.random((2,) * k) * (rng.random((2,) * k) < 0.8)
+    mu_u[(1,) * k] += 0.1
+    p = BcProblem(channel=CondDistribution(channel, given_shape=(x_size,)),
+                  mu_u=Distribution(mu_u / mu_u.sum()), f=rng.integers(0, x_size, size=(2,) * k))
+    q = int(rng.integers(2, 4))
+    n = int(rng.integers(3, 6)) if k == 1 else int(rng.integers(2, 4))
+    pairs, syndromes = [], []
+    for _ in range(k):
+        a = rng.integers(0, q, size=(int(rng.integers(0, 2)), n))
+        pairs.append((FieldMatrix.from_dense(q, a) if len(a) else FieldMatrix.zeros(q, 0, n),
+                      FieldMatrix.from_dense(q, rng.integers(0, q, size=(int(rng.integers(1, 3)), n)))))
+        syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % q))
+    return p, BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_error_exact_matches_criterion_7_oracle(k):
+    """The contraction against criterion 7's enumeration of output tuples,
+    for one and for three receivers, with ml and md."""
+    from test_acceptance import _oracle_bc_error
+
+    rng = np.random.default_rng(70 + k)
+    failures = 0
+    for i in range(12):
+        p, code = _random_k_instance(rng, k)
+        spaces = [code.message_space(j) for j in range(k)]
+        failures += any(bc_encode(code, p, m).failure for m in itertools.product(*spaces))
+        variant = ("ml", "md")[i % 2]
+        assert bc_error_exact(code, p, variant=variant) == \
+            pytest.approx(_oracle_bc_error(code, p, variant), abs=1e-12)
+    assert failures > 0

@@ -268,6 +268,19 @@ def test_bc_sim_exact_stochastic_map_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["error"] == 0.0
 
 
+def test_bc_sim_receiver_count_exit_2(tmp_path, capsys):
+    """A code with no receivers, or with other than one receiver per
+    auxiliary axis of the problem, is an input error in either mode."""
+    prob, codef = _write_bc_fixture(tmp_path)
+    receiver = json.loads(open(codef).read())["receivers"][0]
+    for count in (0, 1, 3):
+        bad = tmp_path / f"code{count}.json"
+        bad.write_text(json.dumps({"receivers": [receiver] * count}))
+        for mode in (["--mode", "exact"], ["--mode", "mc", "--trials", "10", "--seed", "1"]):
+            code, out, err = run_cli(capsys, "bc-sim", "--problem", prob, "--code", str(bad), *mode)
+            assert code == 2 and "receiver" in err and not out
+
+
 def test_lp_md_cli(tmp_path, capsys):
     dist = write_dsbs(tmp_path)
     a = write_matrix(tmp_path, "a.txt", [[1, 0, 0], [0, 1, 0]])
