@@ -174,10 +174,17 @@ def cmd_lp_md(args) -> None:
         )
     if any(s != 2 for s in mu.shape):
         raise ParseError(f"lp-md needs a binary alphabet per terminal, got sizes {mu.shape}")
-    for (name, _), m, (sname, s) in zip(stacks, mats, syns):
+    for (name, _), m, (sname, _), s in zip(stacks, mats, syns, syndromes):
+        if m.q != 2:
+            raise ParseError(f"lp-md needs GF(2) matrices, {name!r} is over GF({m.q})")
         if len(s) != m.rows:
             raise ParseError(f"syndrome {sname!r} has {len(s)} symbols but matrix "
                              f"{name!r} has {m.rows} rows")
+        if set(s) - {0, 1}:
+            raise ParseError(f"syndrome {sname!r} has a symbol outside GF(2)")
+    if len({m.cols for m in mats}) != 1:
+        raise ParseError("every --stack matrix needs the same column count n, got "
+                         + ", ".join(f"{name}: {m.cols}" for (name, _), m in zip(stacks, mats)))
     k = len(mu.shape)
     stacked = []
     merged = []

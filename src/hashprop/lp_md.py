@@ -13,9 +13,10 @@ and the inequality sum_{i in S} u_i - sum_{N\\S} u_i <= |S| - 1 cuts off
 exactly the vectors agreeing with S on N.
 
 The type LPs of one decode differ only in the count right-hand sides, so a
-decode builds one tableau: the first type is solved by the two-phase primal
-simplex and every later type is warm-started from the previous type's final
-basis by a dual simplex.  Both share one pivot routine and Bland's rule.
+decode builds one slack-only tableau, and a dual simplex brings each type to
+a feasible basis: the first from the all-slack basis, every later one from
+the previous type's final basis.  A solve with an objective follows the dual
+simplex with the primal one.  Both share one pivot routine and Bland's rule.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
 FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 INT_TOL = 1e-6
-MAX_ITER = 20000  # pivots per simplex phase
+MAX_ITER = 20000  # pivots per dual or primal simplex run
 DEGREE_CAP = 12  # largest parity-row support expanded into 2^(d-1) subset rows
 
 
@@ -96,56 +97,52 @@ def _rows_hold(rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray, x: np.ndarra
 
 
 class _Tableau:
-    """A dense simplex tableau [rows | slacks | artificials] over x >= 0 with
-    its basis, pivoted in place by ``pivot`` in every solve.
+    """A dense simplex tableau [rows | slacks] over x >= 0 with its basis,
+    pivoted in place by ``pivot`` in every solve.
 
-    Row i is normalized to a nonnegative right-hand side and starts with its
-    slack (<= rows) or its artificial (>= and = rows) basic.  That starting
-    column keeps holding column i of B^-1 under any pivots, so ``set_rhs``
-    moves the basic solution to new right-hand sides without a rebuild.
-    Artificial columns never re-enter after phase 1.
+    Every row is kept as a <= row: the <= rows come first as written, then
+    the >= rows negated, each block in the original order, and an = row
+    appears in both blocks.  Rows that x >= 0 already implies (one nonzero
+    coefficient, positive, in a >= row with rhs <= 0) are left out.  Each
+    row gets a +1 slack, and the all-slack basis is the start.  The layout
+    fixes Bland's order, and with it the pivots taken and the vertices
+    reached by the zero-objective type LPs.  Slack column i keeps holding
+    column i of B^-1 under any pivots, so ``set_rhs`` moves the basic
+    solution to new right-hand sides without a rebuild.
     """
 
     def __init__(self, rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
-        m, n = rows.shape
         self.rows, self.rels, self.rhs = rows, rels, rhs  # for the row check
-        self.sign = np.where(rhs < 0, -1.0, 1.0)
-        le = np.where(rhs < 0, rels == REL_GE, rels == REL_LE)  # <= once normalized
-        slack_rows = np.flatnonzero(rels != REL_EQ)
-        art_rows = np.flatnonzero(~le)
-        self.n = n
-        self.real = n + slack_rows.size  # columns allowed to enter after phase 1
-        total = self.real + art_rows.size
-        self.A = np.zeros((m, total))
-        self.A[:, :n] = rows * self.sign[:, None]
-        slack_cols = n + np.arange(slack_rows.size)
-        self.A[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
-        art_cols = self.real + np.arange(art_rows.size)
-        self.A[art_rows, art_cols] = 1.0
-        self.b = rhs * self.sign
-        self.unit = np.empty(m, dtype=np.int64)  # the column holding B^-1 e_i
-        self.unit[slack_rows] = slack_cols
-        self.unit[art_rows] = art_cols
-        self.basis = self.unit.copy()
-        self.in_basis = np.zeros(total, dtype=bool)
+        implied = ((rels == REL_GE) & (rhs <= 0) & ((rows != 0).sum(axis=1) == 1)
+                   & (rows.sum(axis=1) > 0))
+        le = np.flatnonzero(rels != REL_GE)
+        ge = np.flatnonzero((rels != REL_LE) & ~implied)
+        self.source = np.concatenate([le, ge])  # original row of each tableau row
+        self.sign = np.repeat([1.0, -1.0], [le.size, ge.size])
+        m, self.n = self.source.size, rows.shape[1]
+        self.A = np.hstack([rows[self.source] * self.sign[:, None], np.eye(m)])
+        self.b = rhs[self.source] * self.sign
+        self.basis = self.n + np.arange(m)
+        self.in_basis = np.zeros(self.A.shape[1], dtype=bool)
         self.in_basis[self.basis] = True
 
     def pivot(self, row: int, col: int) -> None:
-        """Make col basic in row: the one pivot of every solve."""
+        """Make col basic in row: the one pivot of every solve.  A dense
+        rank-1 update of every row measured faster here than updating only
+        the rows with a nonzero factor."""
         A, b = self.A, self.b
         piv = A[row, col]
         A[row] /= piv
         b[row] /= piv
         factors = A[:, col].copy()
         factors[row] = 0.0
-        touched = np.nonzero(np.abs(factors) > 1e-15)[0]
-        A[touched] -= factors[touched, None] * A[row]
-        b[touched] -= factors[touched] * b[row]
+        A -= np.outer(factors, A[row])
+        b -= factors * b[row]
         self.in_basis[self.basis[row]] = False
         self.in_basis[col] = True
         self.basis[row] = col
 
-    def primal(self, cost: np.ndarray, allowed: int) -> tuple[str, int]:
+    def primal(self, cost: np.ndarray) -> tuple[str, int]:
         """Minimize cost from the current feasible basis with Bland's rule;
         returns the status and the pivots made."""
         A, b = self.A, self.b
@@ -153,8 +150,8 @@ class _Tableau:
             # basis columns form an identity, so reduced costs are
             # cost - cost[basis] @ A directly (Bland: smallest eligible
             # index enters)
-            red = cost[:allowed] - cost[self.basis] @ A[:, :allowed]
-            eligible = np.nonzero((red < -FEAS_TOL) & ~self.in_basis[:allowed])[0]
+            red = cost - cost[self.basis] @ A
+            eligible = np.nonzero((red < -FEAS_TOL) & ~self.in_basis)[0]
             if eligible.size == 0:
                 return "optimal", it
             enter = int(eligible[0])
@@ -167,47 +164,28 @@ class _Tableau:
             self.pivot(int(ties[np.argmin(self.basis[ties])]), enter)  # Bland tie-break
         raise LpError("simplex iteration cap exceeded")
 
-    def phase1(self) -> tuple[bool, int]:
-        """Minimize the artificials' sum, then pivot every artificial that
-        can leave out of the basis; returns feasibility and the pivots made.
-        An artificial left basic marks a redundant row."""
-        if self.real == self.A.shape[1]:
-            return True, 0
-        cost = np.zeros(self.A.shape[1])
-        cost[self.real:] = 1.0
-        status, pivots = self.primal(cost, cost.size)
-        if status != "optimal":
-            raise LpError("phase 1 cannot be unbounded")
-        feasible = float(cost[self.basis] @ self.b) <= 1e-7
-        for i in np.flatnonzero(self.basis >= self.real):
-            cols = np.flatnonzero(np.abs(self.A[i, :self.real]) > FEAS_TOL)
-            if cols.size:
-                self.pivot(int(i), int(cols[0]))
-                pivots += 1
-        return feasible, pivots
-
     def set_rhs(self, idx: np.ndarray, rhs: np.ndarray) -> None:
-        """Give rows idx new right-hand sides: b += B^-1 delta."""
-        delta = self.sign[idx] * (rhs - self.rhs[idx])
+        """Give original rows idx new right-hand sides: b += B^-1 delta."""
+        delta = np.zeros(self.rhs.size)
+        delta[idx] = rhs - self.rhs[idx]
         self.rhs[idx] = rhs
-        self.b += self.A[:, self.unit[idx]] @ delta
+        step = self.sign * delta[self.source]
+        moved = np.flatnonzero(step)
+        self.b += self.A[:, self.n + moved] @ step[moved]
 
     def dual(self) -> tuple[str, int]:
-        """Restore primal feasibility after ``set_rhs`` by a dual simplex
-        under Bland's rule, for a zero objective (every basis is dual
-        feasible): the row with b < 0 and the smallest basic index leaves,
-        the smallest column with a negative entry in it enters.  Infeasible
-        when such a row has no negative entry, or when a redundant row (an
-        artificial left basic) gets a nonzero right-hand side."""
-        A, b, real = self.A, self.b, self.real
-        if np.any(np.abs(b[self.basis >= real]) > FEAS_TOL):
-            return "infeasible", 0
+        """Reach a feasible basis by a dual simplex under Bland's rule, for a
+        zero objective (every basis is dual feasible): the row with b < 0
+        and the smallest basic index leaves, the smallest column with a
+        negative entry in it enters.  Infeasible when such a row has no
+        negative entry."""
+        A, b = self.A, self.b
         for it in range(MAX_ITER):
             neg = np.flatnonzero(b < -FEAS_TOL)
             if neg.size == 0:
                 return "optimal", it
             leave = int(neg[np.argmin(self.basis[neg])])
-            cols = np.flatnonzero((A[leave, :real] < -FEAS_TOL) & ~self.in_basis[:real])
+            cols = np.flatnonzero((A[leave] < -FEAS_TOL) & ~self.in_basis)
             if cols.size == 0:
                 return "infeasible", it
             self.pivot(leave, int(cols[0]))
@@ -225,16 +203,15 @@ class _Tableau:
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase primal simplex with Bland's rule on a dense tableau; each
-    phase is bounded by MAX_ITER pivots."""
+    """The dual simplex on a zero objective reaches a feasible basis, then
+    the primal simplex minimizes the objective, both under Bland's rule on
+    one slack-only tableau and each bounded by MAX_ITER pivots."""
     tab = _Tableau(*lp.arrays())
-    feasible, _ = tab.phase1()
-    if not feasible:
+    if tab.dual()[0] == "infeasible":
         return LpSolution("infeasible", None, None, False)
     cost = np.zeros(tab.A.shape[1])
     cost[:lp.num_vars] = -lp.objective if lp.maximize else lp.objective
-    status, _ = tab.primal(cost, tab.real)
-    if status == "unbounded":
+    if tab.primal(cost)[0] == "unbounded":
         return LpSolution("unbounded", None, None, False)
     return tab.solution(lp.objective)
 
@@ -298,6 +275,8 @@ def build_parity_constraints(A: FieldMatrix, a,
         raise LpError("parity constraints are defined over GF(2)")
     if len(a) != A.rows:
         raise LpError("syndrome length mismatch")
+    if any(int(v) not in (0, 1) for v in a):
+        raise LpError("syndrome symbols must be 0 or 1 over GF(2)")
     support: dict[int, list[int]] = {j: [] for j in range(A.rows)}
     for r, c, _ in A.entries:
         support[r].append(c)
@@ -306,7 +285,7 @@ def build_parity_constraints(A: FieldMatrix, a,
         N = sorted(support[j])
         if len(N) > DEGREE_CAP:
             raise LpError(f"row {j} degree {len(N)} exceeds cap {DEGREE_CAP}")
-        target = int(a[j]) % 2
+        target = int(a[j])
         for rsz in range(len(N) + 1):
             if rsz % 2 == target:
                 continue
@@ -334,9 +313,10 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     types, deciding one feasibility LP per type.
 
     The type LPs differ only in the right-hand sides of the 2^k count rows,
-    so one tableau serves the whole decode: the first type is solved by the
-    two-phase primal simplex, and every later type starts from the previous
-    type's final basis and is restored to feasibility by a dual simplex.
+    so one tableau serves the whole decode: each type moves those right-hand
+    sides and is brought to feasibility by a dual simplex, the first type
+    from the all-slack basis and every later one from the previous type's
+    final basis.
     Statuses are exact: infeasible types are exactly those whose LP is
     infeasible, and they cannot occur in the coset product.  Each type LP
     has a zero objective, so its point is whichever vertex the warm start
@@ -370,13 +350,9 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     log = []
     feasible: list[tuple[float, tuple, bool]] = []  # (divergence, type, certified)
     all_integral = True
-    for i, t in enumerate(types):
-        if i == 0:
-            ok, pivots = tab.phase1()
-            status = "optimal" if ok else "infeasible"
-        else:
-            tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
-            status, pivots = tab.dual()
+    for t in types:
+        tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
+        status, pivots = tab.dual()
         d = divergence(np.asarray(t) / n, mu)
         entry = {"type": t, "divergence": d, "status": status, "integral": False,
                  "pivots": pivots}

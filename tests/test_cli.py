@@ -331,6 +331,32 @@ def test_lp_md_cli_input_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "binary alphabet" in err
 
 
+def test_lp_md_cli_matrix_and_symbol_errors_exit_2(tmp_path, capsys):
+    """Matrices that are not all over GF(2) with one column count, and
+    syndrome symbols outside GF(2), are input errors."""
+    dist = write_dsbs(tmp_path)
+    a = write_matrix(tmp_path, "a.txt", [[1, 0, 0], [0, 1, 0]])
+    ap = write_matrix(tmp_path, "ap.txt", [[0, 0, 1]])
+    ap4 = write_matrix(tmp_path, "ap4.txt", [[0, 0, 0, 1]])
+    b4 = write_matrix(tmp_path, "b4.txt", [[1, 0, 0, 0], [0, 1, 0, 0]])
+    ternary = write_matrix(tmp_path, "ternary.txt", [[1, 0, 0], [0, 1, 0]], q=3)
+    syn = ["a=01", "m=1", "b=01", "m=1"]
+    cases = [
+        ((a, ap4, a, ap), syn, "same column count"),  # A and Ap differ in n
+        ((a, ap, b4, ap4), syn, "same column count"),  # the terminals differ in n
+        ((ternary, ap, a, ap), syn, "over GF(3)"),
+        ((a, ap, a, ap), ["a=02", "m=1", "b=01", "m=1"], "outside GF(2)"),
+    ]
+    for mats, syns, what in cases:
+        argv = ["lp-md", "--dist", dist]
+        for name, path in zip(("A", "Ap", "B", "Bp"), mats):
+            argv += ["--stack", f"{name}={path}"]
+        for s in syns:
+            argv += ["--syndrome", s]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and what in err and not out, (what, err)
+
+
 def test_lp_md_cli_degree_cap_exit_3(tmp_path, capsys):
     """A parity row past the degree cap is a compute limit, not an input error."""
     dist = write_dsbs(tmp_path)

@@ -136,6 +136,8 @@ def test_parity_constraints_guards():
         build_parity_constraints(FieldMatrix.from_dense(3, [[1]]), (0,))
     with pytest.raises(LpError):
         build_parity_constraints(FieldMatrix.from_dense(2, [[1, 1]]), (0, 1))
+    with pytest.raises(LpError, match="0 or 1"):
+        build_parity_constraints(FieldMatrix.from_dense(2, [[1, 1]]), (2,))
     wide = FieldMatrix.from_dense(2, [[1] * 13])
     with pytest.raises(LpError):
         build_parity_constraints(wide, (0,))
@@ -200,7 +202,7 @@ def _warm_start_instances():
 
 
 def test_md_via_lp_warm_start_matches_cold_solver():
-    """Every type's status equals a cold two-phase solve of the same program;
+    """Every type's status equals a cold solve of the same program;
     every logged point satisfies the program's rows, and every integral one
     is a coset-product member carrying the logged type."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
@@ -230,6 +232,33 @@ def test_md_via_lp_warm_start_matches_cold_solver():
         if all(e["status"] == "infeasible" for e in res.type_log):
             seen["empty"] += 1
             assert res.error and res.x_hat is None
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def _highs_status(lp):
+    """The status scipy's HiGHS gives the program, in this module's names."""
+    from scipy.optimize import linprog
+
+    rows, rels, rhs = lp.arrays()
+    le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
+    res = linprog(np.zeros(lp.num_vars), A_ub=np.vstack([rows[le], -rows[ge]]),
+                  b_ub=np.concatenate([rhs[le], -rhs[ge]]), A_eq=rows[eq], b_eq=rhs[eq],
+                  bounds=(0, None), method="highs")
+    return {0: "optimal", 2: "infeasible"}[res.status]
+
+
+def test_md_via_lp_statuses_match_highs():
+    """An oracle that shares no code with the tableau: every logged status
+    on the warm-start instances equals the status HiGHS gives the type's
+    program."""
+    pytest.importorskip("scipy")
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    seen = {"optimal": 0, "infeasible": 0}
+    for mats, syns in _warm_start_instances():
+        for entry in md_via_lp(mats, syns, mu).type_log:
+            lp = _cold_program(entry["type"], mats, syns)
+            assert entry["status"] == _highs_status(lp), entry["type"]
+            seen[entry["status"]] += 1
     assert all(v > 0 for v in seen.values()), seen
 
 
