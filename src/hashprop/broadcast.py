@@ -19,16 +19,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import FieldMatrix, coset_factors, enumerate_image, in_image
-from .mc import McEstimate, decode_distinct, inverse_cdf, run_blocks
+from .gf import FieldMatrix, coset_factor_batch, coset_size, enumerate_image, in_image
+from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     CondDistribution,
     Distribution,
+    cell_counts,
     entropy,
     first_best,
+    product_best,
     product_divergences,
     product_log_masses,
-    product_member,
+    product_valid,
+    row_groups,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -260,21 +263,48 @@ class BcEncodeResult:
     divergence: float
 
 
+def bc_select_batch(code: BcCode, p: BcProblem, messages,
+                    cap: int = DEFAULT_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bc_select`` for D message tuples at once; ``messages[j]`` is a
+    (D, rows of A'_j) array.  Returns ``(u, failure, divergence)``: u is
+    (D, k, n), with -1 on the rows whose coset intersections are not all
+    inhabited (failure), where the divergence is inf."""
+    p.check_code(code)
+    if len(messages) != code.k:
+        raise BcError("one message per receiver is required")
+    messages = [np.asarray(m, dtype=np.int64) for m in messages]
+    rows = len(messages[0])
+    systems = [np.concatenate([np.broadcast_to(np.asarray(a, dtype=np.int64), (rows, len(a))),
+                               m], axis=1)
+               for a, m in zip(code.syndromes, messages)]
+    u = np.full((rows, code.k, code.n), -1, dtype=np.int64)
+    failure = np.ones(rows, dtype=bool)
+    divergence = np.full(rows, math.inf)
+    per_row = math.prod(coset_size(m) for m in code.stacked)
+    for sl in row_groups(rows, per_row):
+        found = coset_factor_batch(code.stacked, [s[sl] for s in systems], cap, BcError,
+                                   p.mu_u.shape)
+        if found is None:
+            continue
+        factors, kept = found
+        best, d, failed = product_best(factors, product_divergences(factors, p.mu_u),
+                                       product_valid(kept))
+        u[sl] = np.where(failed[:, None, None], -1, best)
+        failure[sl] = failed
+        divergence[sl] = np.where(failed, math.inf, d)
+    return u, failure, divergence
+
+
 def bc_select(code: BcCode, p: BcProblem, messages,
               cap: int = DEFAULT_CAP) -> tuple[tuple | None, float]:
     """Minimum-divergence u_K over the product of coset intersections
     C_{A_j}(a_j) cap C_{A'_j}(m_j) cap U_j^n, and its divergence; (None, inf)
-    when an intersection is empty. The symbol map plays no part."""
-    p.check_code(code)
-    if len(messages) != code.k:
-        raise BcError("one message per receiver is required")
-    systems = [tuple(a) + tuple(m) for a, m in zip(code.syndromes, messages)]
-    factors = coset_factors(code.stacked, systems, cap, BcError, p.mu_u.shape)
-    if factors is None:
+    when an intersection is empty. The symbol map plays no part. The
+    one-row case of ``bc_select_batch``."""
+    u, failure, divergence = bc_select_batch(code, p, [[tuple(m)] for m in messages], cap)
+    if failure[0]:
         return None, math.inf
-    d = product_divergences(factors, p.mu_u)
-    winner = first_best(d)
-    return product_member(factors, winner), float(d[winner])
+    return tuple(map(tuple, u[0].tolist())), float(divergence[0])
 
 
 def bc_encode(code: BcCode, p: BcProblem, messages,
@@ -293,28 +323,46 @@ def bc_encode(code: BcCode, p: BcProblem, messages,
                           divergence=divergence)
 
 
+def bc_decode_batch(code: BcCode, p: BcProblem, j: int, ys,
+                    variant: str = "ml", cap: int = DEFAULT_CAP) -> np.ndarray:
+    """``bc_decode`` for D outputs of receiver j at once: ``ys`` is (D, n),
+    and row d of the (D, rows of A'_j) result is the estimate for ys[d].
+
+    The shared coset is built once. For md, the rows are grouped by the
+    type of y, and each group is scored against its own mu_{U_j|Y_j} nu_y.
+    """
+    p.check_code(code)
+    if variant not in ("ml", "md"):
+        raise BcError(f"unknown decoder variant {variant!r}")
+    a_m, ap_m = code.pairs[j]
+    found = coset_factor_batch([a_m], [[code.syndromes[j]]], cap, BcError, p.mu_u.shape[j:j + 1])
+    if found is None:
+        raise BcError("no member of the shared coset inside U_j^n")
+    members = found[0][0]
+    cond = p.receiver_conditionals[j]
+    ys = np.asarray(ys, dtype=np.int64)
+    n = ys.shape[1]
+    winners = np.empty(len(ys), dtype=np.intp)
+    for sl in row_groups(len(ys), members.shape[1]):
+        candidates = [members, ys[sl, None, :]]
+        if variant == "ml":
+            winners[sl] = first_best(product_log_masses(candidates, cond), maximize=True)
+            continue
+        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y) = D(nu_{uy} || mu_{U_j|Y_j} nu_y)
+        counts = cell_counts(ys[sl], cond.shape[1])
+        first, groups = distinct_rows(counts, [n + 1] * cond.shape[1])
+        refs = [Distribution(cond * (c / n)) for c in counts[first]]
+        winners[sl] = first_best(product_divergences(candidates, refs, groups))
+    return members[0, winners] @ ap_m.to_dense().T % ap_m.q
+
+
 def bc_decode(code: BcCode, p: BcProblem, j: int, y,
               variant: str = "ml", cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """Receiver j's estimate: pick the coset member maximizing the memoryless
     posterior (ml) or minimizing the conditional divergence (md), then report
-    its image under A'_j. Members outside U_j^n are not candidates."""
-    p.check_code(code)
-    a_m, ap_m = code.pairs[j]
-    factors = coset_factors([a_m], [code.syndromes[j]], cap, BcError, p.mu_u.shape[j:j + 1])
-    if factors is None:
-        raise BcError("no member of the shared coset inside U_j^n")
-    cond = p.receiver_conditionals[j]
-    y = np.array(y, dtype=np.int64)
-    candidates = [factors[0], y[None]]
-    if variant == "ml":
-        winner = first_best(product_log_masses(candidates, cond), maximize=True)
-    elif variant == "md":
-        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y) = D(nu_{uy} || mu_{U_j|Y_j} nu_y)
-        nu_y = np.bincount(y, minlength=cond.shape[1]) / len(y)
-        winner = first_best(product_divergences(candidates, Distribution(cond * nu_y)))
-    else:
-        raise BcError(f"unknown decoder variant {variant!r}")
-    return ap_m.matvec(tuple(factors[0][winner].tolist()))
+    its image under A'_j. Members outside U_j^n are not candidates. The
+    one-row case of ``bc_decode_batch``."""
+    return tuple(bc_decode_batch(code, p, j, [tuple(y)], variant, cap)[0].tolist())
 
 
 def bc_error_exact(code: BcCode, p: BcProblem, variant: str = "ml",
@@ -345,15 +393,22 @@ def bc_error_exact(code: BcCode, p: BcProblem, variant: str = "ml",
                           optimize=("greedy", room))[0]
     spaces = [code.message_space(j) for j in range(k)]
     index = [{m: i for i, m in enumerate(space)} for space in spaces]
-    dec = [np.array([index[j][bc_decode(code, p, j, y, variant, cap)] for y in
-                     itertools.product(range(yshape[j]), repeat=n)]).reshape(shapes[j])
-           for j in range(k)]
+    dec = []
+    for j in range(k):
+        # every y_j in lexicographic order, decoded in one batch
+        ys = np.indices(shapes[j]).reshape(n, -1).T
+        msgs = bc_decode_batch(code, p, j, ys, variant, cap)
+        first, inverse = distinct_rows(msgs, [code.pairs[j][1].q] * msgs.shape[1])
+        indices = np.array([index[j][m] for m in map(tuple, msgs[first].tolist())])
+        dec.append(indices[inverse].reshape(shapes[j]))
+    tuples = np.indices([len(s) for s in spaces]).reshape(k, -1)
+    u, failure, _ = bc_select_batch(
+        code, p, [np.array(space, dtype=np.int64)[i] for space, i in zip(spaces, tuples)], cap)
     success = 0.0
-    for m in itertools.product(*(range(len(s)) for s in spaces)):
-        best, _ = bc_select(code, p, [space[i] for space, i in zip(spaces, m)], cap)
-        if best is not None:
+    for m, u_m, failed in zip(tuples.T.tolist(), u, failure):
+        if not failed:
             success += np.einsum(subscripts, *(table == i for table, i in zip(dec, m)),
-                                 *(p.channel.table[..., x] for x in p.f[tuple(np.array(best))]),
+                                 *(p.channel.table[..., x] for x in p.f[tuple(u_m)]),
                                  optimize=path)
     return min(1.0, max(0.0, 1.0 - float(success) / math.prod(len(s) for s in spaces)))
 
@@ -365,32 +420,29 @@ def bc_error_mc(code: BcCode, p: BcProblem, trials: int = 1000, seed: int = 0,
     A block of ``size`` trials (see ``hashprop.mc``) draws the message
     indices by ``rng.integers``, one receiver at a time; then, for a
     stochastic map, the (size, n) inputs by inverse CDF of f[u]; then the
-    (size, n) outputs by inverse CDF of each input's channel column. Each
-    distinct message tuple is encoded once and each distinct y_j decoded
-    once, cached across blocks. An encoder failure counts as an error."""
+    (size, n) outputs by inverse CDF of each input's channel column. The
+    block's distinct message tuples are encoded by one ``bc_select_batch``
+    call, and its distinct y_j by one ``bc_decode_batch`` call per
+    receiver. An encoder failure counts as an error."""
     if trials < 1:
         raise BcError("trials must be >= 1")
-    spaces = [code.message_space(j) for j in range(code.k)]
-    index = [{m: i for i, m in enumerate(space)} for space in spaces]
-    cache: dict = {}
-    caches: list[dict] = [{} for _ in spaces]
+    spaces = [np.array(code.message_space(j), dtype=np.int64) for j in range(code.k)]
     yshape = p.channel.table.shape[:-1]
     columns = p.channel.table.reshape(-1, p.channel.table.shape[-1]).T  # (|X|, |Y_K|)
 
-    def select(key):
-        best, _ = bc_select(code, p, [space[i] for space, i in zip(spaces, key)], cap)
-        return np.full((code.k, code.n), -1) if best is None else best  # -1: a failure
-
     def block_errors(rng, size):
         m = np.stack([rng.integers(0, len(space), size=size) for space in spaces], axis=1)
-        u = decode_distinct(m, cache, select)  # (size, k, n)
-        bad = u[:, 0, 0] < 0
-        u = tuple(np.maximum(u, 0).transpose(1, 0, 2))
+        first, inverse = distinct_rows(m, [len(space) for space in spaces])
+        u, failure, _ = bc_select_batch(
+            code, p, [space[m[first, j]] for j, space in enumerate(spaces)], cap)
+        bad = failure[inverse]
+        u = tuple(np.maximum(u[inverse], 0).transpose(1, 0, 2))  # failed rows: any symbol
         x = p.f[u] if p.deterministic else inverse_cdf(p.f[u], rng.random((size, code.n)))
         y = np.unravel_index(inverse_cdf(columns[x], rng.random((size, code.n))), yshape)
-        for j in range(code.k):
-            bad |= decode_distinct(y[j], caches[j], lambda yj: index[j][
-                bc_decode(code, p, j, yj, variant=variant, cap=cap)]) != m[:, j]
+        for j, space in enumerate(spaces):
+            first, inverse = distinct_rows(y[j], [yshape[j]] * code.n)
+            decoded = bc_decode_batch(code, p, j, y[j][first], variant, cap)
+            bad |= (decoded[inverse] != space[m[:, j]]).any(axis=1)
         return bad.sum()
 
     return run_blocks(seed, trials, block_errors)

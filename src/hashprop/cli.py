@@ -88,13 +88,19 @@ def cmd_spectrum(args) -> None:
 
 
 def _parse_named(values, what: str) -> list[tuple[str, str]]:
+    """``name=value`` pairs, several per flag when comma-separated; a part
+    without ``=`` continues the value before it, so ``a=0,1`` is ``0,1``."""
     out = []
     for v in values:
+        first = len(out)
         for part in v.split(","):
-            if "=" not in part:
+            if "=" in part:
+                name, val = part.split("=", 1)
+                out.append((name.strip(), val.strip()))
+            elif len(out) > first:
+                out[-1] = (out[-1][0], f"{out[-1][1]},{part.strip()}")
+            else:
                 raise ParseError(f"{what} must look like name=value, got {part!r}")
-            name, val = part.split("=", 1)
-            out.append((name.strip(), val.strip()))
     return out
 
 
@@ -286,6 +292,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # numpy seeds must be non-negative
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_ints(text: str) -> list[int]:
     return [_positive_int(v) for v in text.split(",")]
 
@@ -303,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rows", type=int, required=True)
     g.add_argument("--cols", type=int, required=True)
     g.add_argument("--tau", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen_matrix)
 
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, default=0.0, help="typicality slack, > 0 for ml")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
     s.add_argument("--trials", type=_positive_int, default=1000)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--csv")
     s.set_defaults(fn=cmd_sw_sim)
 
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--variant", choices=["ml", "md"], default="ml")
     b.add_argument("--mode", choices=["exact", "mc"], default="exact")
     b.add_argument("--trials", type=_positive_int, default=1000)
-    b.add_argument("--seed", type=int)
+    b.add_argument("--seed", type=_seed)
     b.set_defaults(fn=cmd_bc_sim)
 
     l = sub.add_parser("lp-md", help="LP minimum-divergence decoding")
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--tries", type=_positive_int, default=8)
     sw.add_argument("--mode", choices=["exact", "mc"], default="exact")
     sw.add_argument("--trials", type=_positive_int, default=1000)
-    sw.add_argument("--seed", type=int, required=True)
+    sw.add_argument("--seed", type=_seed, required=True)
     sw.add_argument("--csv")
     sw.set_defaults(fn=cmd_sweep)
 

@@ -196,20 +196,20 @@ def rank(matrix: FieldMatrix) -> int:
     return len(_eliminate(matrix).pivots)
 
 
-def _transformed(matrix: FieldMatrix, syndrome: Iterable[int]):
-    """The cached elimination of A and T a; a lies in Im A iff the entries of
-    T a beyond the rank vanish."""
+def _transformed(matrix: FieldMatrix, syndromes):
+    """The cached elimination of A and T a for a (D, rows) array of
+    syndromes; a lies in Im A iff the entries of T a beyond the rank vanish."""
     e = _eliminate(matrix)
-    a = np.array(tuple(syndrome), dtype=np.int64) % matrix.q
-    if len(a) != matrix.rows:
+    a = np.asarray(syndromes, dtype=np.int64) % matrix.q
+    if a.ndim != 2 or a.shape[1] != matrix.rows:
         raise FieldError("syndrome length does not match row count")
-    return e, e.transform @ a % matrix.q
+    return e, a @ e.transform.T % matrix.q
 
 
 def in_image(matrix: FieldMatrix, syndrome: Iterable[int]) -> bool:
     """Whether Au = a has a solution."""
-    e, ta = _transformed(matrix, syndrome)
-    return not ta[len(e.pivots):].any()
+    e, ta = _transformed(matrix, [tuple(syndrome)])
+    return not ta[0, len(e.pivots):].any()
 
 
 def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
@@ -219,49 +219,89 @@ def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
     return sorted(map(tuple, _span(basis, matrix.q, matrix.rows).tolist()))
 
 
-def coset_array(matrix: FieldMatrix, syndrome: Iterable[int]) -> np.ndarray:
-    """The coset C_A(a) as an (m, n) int64 array, rows in lexicographic order.
+def lex_order(rows: np.ndarray, q: int) -> np.ndarray:
+    """Per batch row of a (D, m, n) array of symbols in [0, q), the order
+    that sorts its m rows lexicographically: by the radix key sum of
+    x_i q^(n-1-i) when q^n fits an int64, else by ``lexsort``."""
+    d, m, n = rows.shape
+    if q ** n < 1 << 63:
+        return np.argsort(rows @ q ** np.arange(n - 1, -1, -1, dtype=np.int64), axis=1)
+    keys = tuple(rows.reshape(d * m, n).T[::-1]) + (np.repeat(np.arange(d), m),)
+    return np.lexsort(keys).reshape(d, m) - np.arange(d)[:, None] * m
 
-    Empty (0, n) iff the syndrome lies outside Im A.  The elimination of A is
-    cached per matrix, so a call only maps the syndrome through T, places the
-    particular solution on the pivot columns and shifts the kernel span.
+
+def coset_batch(matrix: FieldMatrix, syndromes) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets C_A(a) of D syndromes at once: ``(members, outside)``.
+
+    ``syndromes`` is a (D, rows) array.  T maps them in one matmul, the
+    particular solutions sit on the pivot columns, and the kernel span is
+    shifted for all D rows together.  ``members`` is (D, q^(n-rank), n),
+    each row's members in lexicographic order; ``outside`` marks the
+    syndromes outside Im A, whose rows of ``members`` mean nothing.
     """
-    e, ta = _transformed(matrix, syndrome)
+    e, ta = _transformed(matrix, syndromes)
     rank = len(e.pivots)
-    if ta[rank:].any():
-        return np.zeros((0, matrix.cols), dtype=np.int64)  # a outside Im A
-    x = np.zeros(matrix.cols, dtype=np.int64)
-    x[e.pivots] = ta[:rank]
-    members = (e.span + x) % matrix.q
-    return members[np.lexsort(members.T[::-1])]
+    x = np.zeros((len(ta), matrix.cols), dtype=np.int64)
+    x[:, e.pivots] = ta[:, :rank]
+    members = (x[:, None, :] + e.span) % matrix.q
+    members = members[np.arange(len(ta))[:, None], lex_order(members, matrix.q)]
+    return members, ta[:, rank:].any(axis=1)
 
 
-def coset_factors(matrices: Sequence[FieldMatrix], syndromes, cap: int,
-                  error: type[ValueError] = FieldError,
-                  sizes: Sequence[int] | None = None) -> list[np.ndarray] | None:
-    """The cosets C_{A_j}(a_j), as ``coset_array``s, whose product is the
-    candidate set of an exhaustive decoder.
+def coset_array(matrix: FieldMatrix, syndrome: Iterable[int]) -> np.ndarray:
+    """The coset C_A(a) as an (m, n) int64 array, rows in lexicographic order:
+    the one-row case of ``coset_batch``.  Empty (0, n) iff the syndrome lies
+    outside Im A."""
+    members, outside = coset_batch(matrix, [tuple(syndrome)])
+    return members[0, :0] if outside[0] else members[0]
 
-    With ``sizes``, coset j keeps only its members inside {0..sizes[j]-1}^n,
-    in order.  The cap bounds the members built, not only those kept:
-    coset j is built only if q_j^(n - rank) times the product of the sizes
-    kept so far is at most ``cap``; otherwise ``error`` is raised.  Returns
-    None as soon as a coset is empty.
+
+def coset_factor_batch(matrices: Sequence[FieldMatrix], syndromes, cap: int,
+                       error: type[ValueError] = FieldError,
+                       sizes: Sequence[int] | None = None):
+    """The cosets C_{A_j}(a_j) of D rows at once, whose per-row product is
+    the candidate set of an exhaustive decoder: ``(factors, kept)``.
+
+    ``syndromes[j]`` is a (D, rows_j) array.  Factor j is (D, m_j, n) and
+    ``kept[j]`` (D, m_j) marks its real members.  With ``sizes``, coset j
+    keeps only its members inside {0..sizes[j]-1}^n: they move to the front
+    of their row, in order, and the rest is zero padding, so m_j is the
+    largest count kept by a row.  A row outside Im A_j keeps nothing.  The
+    cap bounds the members built, not only those kept: coset j is built
+    only if q_j^(n - rank) times the product of the m_i so far is at most
+    ``cap``; otherwise ``error`` is raised.  Returns None as soon as every
+    row has an empty coset.
     """
-    factors = []
+    factors, kept = [], []
     total = 1
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
         built = total * coset_size(m)
         if built > cap:
             raise error(f"coset product of {built} candidates exceeds cap {cap}")
-        members = coset_array(m, a)
+        members, outside = coset_batch(m, a)
+        keep = (~outside)[:, None].repeat(members.shape[1], axis=1)
         if sizes is not None and m.q > sizes[j]:
-            members = members[(members < sizes[j]).all(axis=1)]
-        if not len(members):
+            keep &= (members < sizes[j]).all(axis=2)
+            width = int(keep.sum(axis=1).max())
+            rows = np.arange(len(keep))[:, None]
+            order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+            keep, members = keep[rows, order], members[rows, order]
+            members[~keep] = 0
+        if not keep.any():
             return None
         factors.append(members)
-        total *= len(members)
-    return factors
+        kept.append(keep)
+        total *= members.shape[1]
+    return factors, kept
+
+
+def coset_factors(matrices: Sequence[FieldMatrix], syndromes, cap: int,
+                  error: type[ValueError] = FieldError,
+                  sizes: Sequence[int] | None = None) -> list[np.ndarray] | None:
+    """The one-row case of ``coset_factor_batch``: the kept members of each
+    coset as an (m_j, n) array, or None as soon as a coset is empty."""
+    found = coset_factor_batch(matrices, [[tuple(a)] for a in syndromes], cap, error, sizes)
+    return None if found is None else [f[0] for f in found[0]]
 
 
 def solve_affine(matrix: FieldMatrix, syndrome: Iterable[int]) -> Iterator[tuple[int, ...]]:

@@ -31,7 +31,6 @@ from .gf import FieldMatrix, coset_factors
 from .types import (
     TIE_TOL,
     Distribution,
-    cell_counts,
     compositions,
     divergence,
     product_member,
@@ -391,11 +390,10 @@ def _type_hits(matrices, syndromes, types, cap: int):
     ncells = 1 << len(matrices)
     wanted = np.array(sorted(types), dtype=np.int64).reshape(-1, ncells)
 
-    def hit(cells):
-        counts = cell_counts(cells, ncells)
+    def hit(counts):
         return (counts[:, None, :] == wanted[None]).all(axis=2).any(axis=1)
 
-    return factors, product_scores(factors, (2,) * len(matrices), hit)
+    return factors, product_scores([f[None] for f in factors], (2,) * len(matrices), hit)[0]
 
 
 def _type_occurs(matrices, syndromes, t, cap: int) -> bool:

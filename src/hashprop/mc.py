@@ -1,4 +1,5 @@
-"""Shared Monte Carlo plumbing: Wilson intervals, seed streams, the block engine."""
+"""Shared Monte Carlo plumbing: Wilson intervals, seed streams, the block
+engine and the distinct rows of a block."""
 
 from __future__ import annotations
 
@@ -65,12 +66,15 @@ def inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
 
 
-def decode_distinct(rows: np.ndarray, cache: dict, decode: Callable) -> np.ndarray:
-    """``decode(row)`` for every row of a 2-D integer array, as one array; each
-    distinct row is decoded once, through ``cache`` (row tuple -> result)."""
-    keys, inverse = np.unique(rows, axis=0, return_inverse=True)
-    keys = [tuple(key) for key in keys.tolist()]
-    for key in keys:
-        if key not in cache:
-            cache[key] = decode(key)
-    return np.array([cache[key] for key in keys])[inverse.reshape(-1)]
+def distinct_rows(rows: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for a 2-D integer array whose column i holds
+    symbols in [0, bases[i]): the index of one row per distinct row, and
+    per row the position of its distinct row in ``first``.  Rows are keyed
+    by one mixed-radix int64 when the product of the bases fits, else
+    compared whole."""
+    if math.prod(bases) >= 1 << 63:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return first, inverse.reshape(-1)
+    weights = np.array([math.prod(bases[i + 1:]) for i in range(len(bases))], dtype=np.int64)
+    _, first, inverse = np.unique(rows @ weights, return_index=True, return_inverse=True)
+    return first, inverse

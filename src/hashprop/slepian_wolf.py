@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldMatrix, coset_factors
-from .mc import McEstimate, decode_distinct, inverse_cdf, run_blocks
+from .gf import FieldMatrix, coset_factor_batch, coset_size
+from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     TIE_TOL,
     Distribution,
@@ -25,10 +25,11 @@ from .types import (
     cell_log_masses,
     cell_terms,
     entropy,
-    first_best,
+    product_best,
     product_divergences,
     product_log_masses,
-    product_member,
+    product_valid,
+    row_groups,
     type_divergences,
 )
 
@@ -95,57 +96,91 @@ def sw_encode(code: SwCode, x_K) -> tuple[tuple[int, ...], ...]:
     return tuple(m.matvec(x) for m, x in zip(code.matrices, x_K))
 
 
-def _cosets(code: SwCode, syndromes, cap: int) -> list[np.ndarray]:
-    # GF(q) symbols beyond a source alphabet are not candidates; the product
-    # of the lex-sorted cosets, in itertools.product order, is the tie order
-    factors = coset_factors(code.matrices, syndromes, cap, SwError, code.mu.shape)
-    if factors is None:
-        raise SwError("syndrome outside the matrix image, or no coset member "
-                      "inside the source alphabet")
-    return factors
+def _check_decoder(code: SwCode, decoder: str) -> None:
+    if decoder not in ("md", "ml", "ml_unconstrained"):
+        raise SwError(f"unknown decoder {decoder!r}")
+    if decoder != "md" and code.k != 2:
+        raise SwError("the ML decoder is defined for two sources")
+
+
+def sw_decode_batch(code: SwCode, syndromes, decoder: str = "md", gamma: float = 0.0,
+                    cap: int = DEFAULT_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode D syndrome tuples at once; ``syndromes[j]`` is a (D, rows_j)
+    array.  Returns ``(x_hat, failure, all_infinite)``: x_hat is (D, k, n),
+    with -1 on the rows where ML found no admissible candidate (failure);
+    all_infinite marks MD rows whose every candidate is off-support.
+
+    Each row searches its coset product, scored through joint types:
+    "md" minimizes the divergence from mu; "ml" and "ml_unconstrained"
+    maximize the log-mass, "ml" only over tuples whose every source type is
+    within divergence gamma of its marginal.  GF(q) symbols beyond a source
+    alphabet are not candidates.  The lex-first optimum wins (the rule of
+    ``first_best``).  A row whose coset has no member inside the alphabet
+    raises ``SwError``, as does a product beyond ``cap``.
+    """
+    _check_decoder(code, decoder)
+    if decoder != "md":
+        gamma = TypicalityParams(gamma).gamma
+    syndromes = [np.asarray(a, dtype=np.int64) for a in syndromes]
+    rows = len(syndromes[0])
+    x_hat = np.empty((rows, code.k, code.n), dtype=np.int64)
+    failure = np.zeros(rows, dtype=bool)
+    all_infinite = np.zeros(rows, dtype=bool)
+    per_row = math.prod(coset_size(m) for m in code.matrices)
+    for sl in row_groups(rows, per_row):
+        found = coset_factor_batch(code.matrices, [a[sl] for a in syndromes],
+                                   cap, SwError, code.mu.shape)
+        if found is None or not all(keep.any(axis=1).all() for keep in found[1]):
+            raise SwError("syndrome outside the matrix image, or no coset member "
+                          "inside the source alphabet")
+        factors, kept = found
+        if decoder == "md":
+            scores = product_divergences(factors, code.mu)
+        else:
+            scores = product_log_masses(factors, code.mu.table)
+        if decoder == "ml":
+            kept = [keep & (type_divergences(cell_counts(f.reshape(-1, code.n), size),
+                                             code.mu.marginal((axis,))) < gamma
+                            ).reshape(keep.shape)
+                    for axis, (f, keep, size) in enumerate(zip(factors, kept, code.mu.shape))]
+        best, score, failed = product_best(factors, scores, product_valid(kept),
+                                           maximize=decoder != "md")
+        x_hat[sl] = np.where(failed[:, None, None], -1, best)
+        failure[sl] = failed
+        all_infinite[sl] = (decoder == "md") & np.isinf(score)
+    return x_hat, failure, all_infinite
+
+
+def _one_row(syndromes) -> list:
+    return [[tuple(a)] for a in syndromes]
+
+
+def _as_tuples(x: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, x.tolist()))
 
 
 def sw_decode_md(code: SwCode, syndromes, cap: int = DEFAULT_CAP) -> SwDecodeResult:
-    """Minimum joint-empirical-divergence decoding over the coset product."""
-    factors = _cosets(code, syndromes, cap)
-    d = product_divergences(factors, code.mu)
-    winner = first_best(d)
-    return SwDecodeResult(x_hat=product_member(factors, winner),
-                          all_infinite=bool(np.isinf(d[winner])))
+    """Minimum joint-empirical-divergence decoding over the coset product:
+    the one-row case of ``sw_decode_batch``."""
+    x_hat, _, all_infinite = sw_decode_batch(code, _one_row(syndromes), "md", cap=cap)
+    return SwDecodeResult(x_hat=_as_tuples(x_hat[0]), all_infinite=bool(all_infinite[0]))
 
 
 def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
                          constrained: bool = True,
                          cap: int = DEFAULT_CAP) -> SwDecodeResult:
     """Maximum-likelihood decoding over the coset product, optionally
-    restricted to per-source typical sequences (divergence < gamma).
+    restricted to per-source typical sequences (divergence < gamma): the
+    one-row case of ``sw_decode_batch``.
 
     Whether the typicality restriction is actually necessary is open; the
     unconstrained variant is provided for experimentation.
     """
-    if code.k != 2:
-        raise SwError("the ML decoder is defined for two sources")
-    params = TypicalityParams(gamma)
-    factors = _cosets(code, syndromes, cap)
-    log_masses = product_log_masses(factors, code.mu.table)
-    candidates = np.arange(len(log_masses))
-    if constrained:
-        typical = [
-            type_divergences(cell_counts(f, size), code.mu.marginal((axis,))) < params.gamma
-            for axis, (f, size) in enumerate(zip(factors, code.mu.shape))
-        ]
-        candidates = np.flatnonzero(np.outer(*typical))
-        if not len(candidates):
-            return SwDecodeResult(x_hat=None, failure=True)
-    winner = int(candidates[first_best(log_masses[candidates], maximize=True)])
-    return SwDecodeResult(x_hat=product_member(factors, winner))
-
-
-def _check_decoder(code: SwCode, decoder: str) -> None:
-    if decoder not in ("md", "ml", "ml_unconstrained"):
-        raise SwError(f"unknown decoder {decoder!r}")
-    if decoder != "md" and code.k != 2:
-        raise SwError("the ML decoder is defined for two sources")
+    decoder = "ml" if constrained else "ml_unconstrained"
+    x_hat, failure, _ = sw_decode_batch(code, _one_row(syndromes), decoder, gamma, cap)
+    if failure[0]:
+        return SwDecodeResult(x_hat=None, failure=True)
+    return SwDecodeResult(x_hat=_as_tuples(x_hat[0]))
 
 
 def _syndrome_order(matrix: FieldMatrix, size: int, n: int):
@@ -249,28 +284,25 @@ def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
 
     Runs on the block engine of ``hashprop.mc``: a block of ``size`` trials
     draws its (size, n) source cells by inverse CDF of the row-major flat
-    law from one ``rng.random`` call, and each distinct syndrome tuple is
-    decoded once, with the cache kept across blocks. A decoder failure
+    law from one ``rng.random`` call, and the block's distinct syndrome
+    tuples are decoded by one ``sw_decode_batch`` call. A decoder failure
     counts as an error. The result depends only on the arguments."""
     if trials < 1:
         raise SwError("trials must be >= 1")
     _check_decoder(code, decoder)
     ends = np.cumsum([0] + [m.rows for m in code.matrices]).tolist()
-    cache: dict = {}
-
-    def decode_row(row):
-        syn = tuple(row[a:b] for a, b in zip(ends, ends[1:]))
-        res = (sw_decode_md(code, syn, cap=cap) if decoder == "md" else
-               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml", cap=cap))
-        # -1 marks a failure: it never equals a source symbol
-        return np.full((code.k, code.n), -1) if res.failure else res.x_hat
+    bases = [m.q for m in code.matrices for _ in range(m.rows)]
 
     def block_errors(rng, size):
         cells = inverse_cdf(code.mu.table.reshape(-1), rng.random((size, code.n)))
         x = np.stack(np.unravel_index(cells, code.mu.shape), axis=1)
         syn = np.concatenate([x[:, j] @ m.to_dense().T % m.q
                               for j, m in enumerate(code.matrices)], axis=1)
-        return (decode_distinct(syn, cache, decode_row) != x).any(axis=(1, 2)).sum()
+        first, inverse = distinct_rows(syn, bases)
+        x_hat, _, _ = sw_decode_batch(code, [syn[first, a:b] for a, b in zip(ends, ends[1:])],
+                                      decoder, gamma, cap)
+        # a failed row decodes to -1, which never equals a source symbol
+        return (x_hat[inverse] != x).any(axis=(1, 2)).sum()
 
     return run_blocks(seed, trials, block_errors)
 

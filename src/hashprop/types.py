@@ -141,13 +141,15 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
 # --- count-lookup scoring of candidate products -----------------------------
 #
 # A minimum-divergence or maximum-likelihood search scores each candidate of
-# a product of row sets (coset members) through its joint type.  Candidates
-# are materialized SCORE_CHUNK at a time as flat cell indices, one bincount
-# gives their cell counts, and a score is a sum of per-cell lookups
-# term[count], added in flat cell order.  The divergence tables hold the
-# Python floats that ``divergence`` computes, so every divergence equals
-# ``divergence(joint_type(...).empirical(), p_ref)`` bit for bit; candidates
-# of the same joint type get bit-equal scores, and ``first_best`` decides.
+# a product of row sets (coset members) through its joint type.  A batch of
+# D searches is scored at once, at most SCORE_CHUNK candidates per batch
+# slice (``row_groups``): indicator matmuls give the count of each cell in
+# every candidate, and a score is a sum of per-cell lookups term[count],
+# added in flat cell order.
+# The divergence tables hold the Python floats that ``divergence`` computes,
+# so every divergence equals ``divergence(joint_type(...).empirical(),
+# p_ref)`` bit for bit, whatever the batch; candidates of the same joint
+# type get bit-equal scores, and ``first_best`` decides.
 
 SCORE_CHUNK = 1 << 14  # candidates materialized at once
 # mathematically tied scores of different joint types can differ in their
@@ -156,40 +158,96 @@ SCORE_CHUNK = 1 << 14  # candidates materialized at once
 TIE_TOL = 1e-12
 
 
-def first_best(scores: np.ndarray, maximize: bool = False) -> int:
-    """Index of the first score within TIE_TOL of the minimum (or maximum).
+def first_best(scores: np.ndarray, maximize: bool = False, valid=None) -> np.ndarray:
+    """Per row of ``scores`` (last axis: candidates), the index of the first
+    valid score within TIE_TOL of the valid minimum (or maximum); -1 for a
+    row without a valid candidate.
 
     Candidates scored in ``itertools.product`` order of lex-sorted factors
-    make this the lexicographically first optimal candidate; when every score
-    is infinite, it is index 0.
+    make this the lexicographically first optimal candidate; when every
+    valid score is infinite, it is the first valid index.
     """
+    if valid is None:
+        valid = np.ones(scores.shape, dtype=bool)
+    fill = -np.inf if maximize else np.inf
+    kept = np.where(valid, scores, fill)
     if maximize:
-        return int(np.flatnonzero(scores >= scores.max() - TIE_TOL)[0])
-    return int(np.flatnonzero(scores <= scores.min() + TIE_TOL)[0])
+        hit = valid & (scores >= kept.max(axis=-1, keepdims=True) - TIE_TOL)
+    else:
+        hit = valid & (scores <= kept.min(axis=-1, keepdims=True) + TIE_TOL)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+
+
+def row_groups(rows: int, per_row: int) -> list[slice]:
+    """Slices of a batch of ``rows`` searches of ``per_row`` candidates each,
+    so that a slice holds at most SCORE_CHUNK candidates (or one row)."""
+    step = max(1, SCORE_CHUNK // max(1, per_row))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def product_counts(factors: Sequence[np.ndarray], shape: Sequence[int]):
+    """The joint-type counts of every candidate of every batch row's product,
+    one cell of ``shape`` at a time, in flat cell order: a (D, M) int array
+    per cell, candidates in ``itertools.product`` order.
+
+    Factor j is a (D or 1, m_j, n) array of symbols on axis j of ``shape``;
+    a factor with one row serves every batch row.  Counts come from integer
+    matmuls of 0/1 indicators: the indicators of the first k - 1 factors
+    are folded into rows, which meet those of the last factor.
+    """
+    rows = max(len(f) for f in factors)
+    n = factors[0].shape[2]
+    indicators = [[(f == a).astype(np.intp) for a in range(size)]
+                  for f, size in zip(factors, shape)]
+    for prefix in np.ndindex(*shape[:-1]):
+        lead = np.ones((1, 1, n), dtype=np.intp)
+        for ind, a in zip(indicators, prefix):
+            lead = lead[:, :, None, :] * ind[a][:, None, :, :]
+            lead = lead.reshape(len(lead), -1, n)
+        for last in indicators[-1]:
+            yield (lead @ last.transpose(0, 2, 1)).reshape(rows, -1)
 
 
 def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -> np.ndarray:
-    """One value per candidate of ``factors[0] x factors[1] x ...`` in
-    ``itertools.product`` order.
+    """A (D, M) array: row d holds one value per candidate of
+    ``factors[0][d] x factors[1][d] x ...``, in ``itertools.product`` order
+    (see ``product_counts``); ``score`` maps the (c, ncells) cell counts of
+    c candidates to one value per candidate."""
+    counts = np.stack(list(product_counts(factors, shape)), axis=-1)
+    return score(counts.reshape(-1, counts.shape[-1])).reshape(counts.shape[:2])
 
-    Factor j is an (m_j, n) array of symbols on axis j of ``shape``; ``score``
-    maps a (rows, n) array of flat cell indices to one value per row.
-    """
-    sizes = tuple(len(f) for f in factors)
-    total = math.prod(sizes)
-    out = None
-    for start in range(0, total, SCORE_CHUNK):
-        rows = np.unravel_index(np.arange(start, min(start + SCORE_CHUNK, total)), sizes)
-        cells = np.ravel_multi_index(tuple(f[r] for f, r in zip(factors, rows)), tuple(shape))
-        values = score(cells)
-        if out is None:
-            out = np.empty(total, dtype=values.dtype)
-        out[start:start + len(values)] = values
-    return out
+
+def product_valid(kept: Sequence[np.ndarray]) -> np.ndarray:
+    """(D, M): whether each candidate of the product is made of kept
+    members, from one (D or 1, m_j) mask per factor."""
+    valid = kept[0]
+    for k in kept[1:]:
+        valid = (valid[:, :, None] & k[:, None, :]).reshape(max(len(valid), len(k)), -1)
+    return valid
+
+
+def product_members(factors: Sequence[np.ndarray], index) -> np.ndarray:
+    """(D, k, n): candidate ``index[d]`` of batch row d's product."""
+    index = np.asarray(index)
+    rows = np.arange(len(index))
+    picks = np.unravel_index(index, tuple(f.shape[1] for f in factors))
+    return np.stack([f[rows if len(f) > 1 else 0, r] for f, r in zip(factors, picks)], axis=1)
+
+
+def product_best(factors: Sequence[np.ndarray], scores: np.ndarray, valid=None,
+                 maximize: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per batch row, the ``first_best`` candidate of the product:
+    ``(members, score, failed)``, with members (D, k, n); a row without a
+    valid candidate is ``failed``, and its members and score mean nothing."""
+    winner = first_best(scores, maximize, valid)
+    failed = winner < 0
+    winner = np.maximum(winner, 0)
+    return (product_members(factors, winner), scores[np.arange(len(winner)), winner], failed)
 
 
 def product_member(factors: Sequence[np.ndarray], index: int) -> tuple:
-    """Candidate ``index`` of the product, as a tuple of symbol tuples."""
+    """Candidate ``index`` of the product of (m_j, n) factors, as a tuple
+    of symbol tuples."""
     rows = np.unravel_index(index, tuple(len(f) for f in factors))
     return tuple(tuple(f[r].tolist()) for f, r in zip(factors, rows))
 
@@ -223,11 +281,36 @@ def type_divergences(counts: np.ndarray, p_ref: Distribution) -> np.ndarray:
     return d
 
 
-def product_divergences(factors: Sequence[np.ndarray], p_ref: Distribution) -> np.ndarray:
-    """Joint-type divergence from ``p_ref`` of every candidate of the product."""
-    ncells = p_ref.table.size
-    return product_scores(factors, p_ref.shape,
-                          lambda cells: type_divergences(cell_counts(cells, ncells), p_ref))
+@lru_cache(maxsize=4096)
+def _term_table(terms, masses: tuple, n: int) -> np.ndarray:
+    """(ncells, n + 1): ``terms(mass, n)`` per cell mass."""
+    out = np.array([terms(mass, n) for mass in masses])
+    out.setflags(write=False)
+    return out
+
+
+def _term_sums(factors, shape, tables: np.ndarray, groups) -> np.ndarray:
+    """(D, M) sums of per-cell lookups tables[t, cell, count] over the cells
+    of each candidate's joint type, added in flat cell order; batch row d
+    reads table groups[d] (table 0 without ``groups``)."""
+    t = 0 if groups is None else np.asarray(groups)[:, None]
+    out = None
+    for cell, counts in enumerate(product_counts(factors, shape)):
+        if out is None:
+            out = np.zeros(counts.shape)
+        out += tables[t, cell, counts]
+    return out
+
+
+def product_divergences(factors: Sequence[np.ndarray], p_ref, groups=None) -> np.ndarray:
+    """(D, M) joint-type divergences of every candidate of every batch row's
+    product.  ``p_ref`` is one Distribution, or with ``groups`` ((D,) ints)
+    a sequence of them: row d is scored against p_ref[groups[d]]."""
+    refs = [p_ref] if groups is None else p_ref
+    n = factors[0].shape[2]
+    tables = np.stack([_term_table(cell_terms, tuple(ref.table.reshape(-1).tolist()), n)
+                       for ref in refs])
+    return _term_sums(factors, refs[0].shape, tables, groups)
 
 
 @lru_cache(maxsize=4096)
@@ -240,21 +323,12 @@ def cell_log_masses(mass: float, n: int) -> np.ndarray:
     return out
 
 
-def type_log_masses(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """log2 of prod_cell table[cell]^count for every row of a nonempty counts
-    array: the log-mass of any sequence tuple with that joint type."""
-    n = int(counts[0].sum())
-    out = np.zeros(len(counts))
-    for cell, mass in enumerate(table.reshape(-1).tolist()):
-        out += cell_log_masses(mass, n)[counts[:, cell]]
-    return out
-
-
 def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
-    """Joint-type log2-mass under the memoryless law ``table`` of every
-    candidate of the product."""
-    return product_scores(factors, table.shape,
-                          lambda cells: type_log_masses(cell_counts(cells, table.size), table))
+    """(D, M) joint-type log2-masses under the memoryless law ``table`` of
+    every candidate of every batch row's product."""
+    n = factors[0].shape[2]
+    tables = _term_table(cell_log_masses, tuple(table.reshape(-1).tolist()), n)[None]
+    return _term_sums(factors, table.shape, tables, None)
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hashprop import broadcast
+from hashprop import broadcast, gf, types
 from hashprop.broadcast import (
     BcCode,
     BcError,
@@ -17,11 +17,13 @@ from hashprop.broadcast import (
     bc_check_params,
     bc_code_search,
     bc_decode,
+    bc_decode_batch,
     bc_encode,
     bc_error_exact,
     bc_error_mc,
     bc_feasible_params,
     bc_rate_region,
+    bc_select_batch,
     kappa_schedule,
     rows_for_rate,
 )
@@ -452,6 +454,77 @@ def test_cap_counts_members_built():
         bc_decode(_split_code(), p, 0, (0, 0), cap=1)  # a coset of 2
 
 
+@pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 7])
+def test_batch_select_and_decode_match_oracle(monkeypatch, chunk):
+    """One ``bc_select_batch`` call over every message tuple and one
+    ``bc_decode_batch`` call per receiver and variant over every output
+    equal the independent oracle row by row, whether the batch is scored in
+    one slice or in SCORE_CHUNK-sized slices.  Receiver 1's message row
+    repeats the first row of its A, so the message that disagrees with the
+    shared syndrome leaves an empty coset intersection."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(5150)
+    seen = {"failure": 0, "infinite": 0, "ml": 0, "md": 0}
+    decodes = 0
+    for trial in range(12):
+        p = _dyadic_problem(rng)
+        n = 3 + trial % 3
+        pairs, syndromes = [], []
+        for j in range(2):
+            a = rng.integers(0, 2, size=(2, n))
+            a[0, 0] = 1
+            ap = a[:1] if j == 1 else rng.integers(0, 2, size=(1, n))
+            pairs.append((FieldMatrix.from_dense(2, a), FieldMatrix.from_dense(2, ap)))
+            syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
+        code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
+        tuples = list(itertools.product(code.message_space(0), code.message_space(1)))
+        u, failure, divergence = bc_select_batch(
+            code, p, [np.array([m[j] for m in tuples]) for j in range(2)])
+        for row, m_K in enumerate(tuples):
+            ref = _oracle_encode(code, p, m_K)
+            if ref is None:
+                assert failure[row] and math.isinf(divergence[row])
+                seen["failure"] += 1
+                continue
+            assert not failure[row]
+            assert tuple(map(tuple, u[row].tolist())) == ref[0]
+            assert divergence[row] == ref[1]
+            seen["infinite"] += math.isinf(ref[1])
+        ys = np.array(list(itertools.product((0, 1), repeat=n)))
+        for j, (a_m, ap_m) in enumerate(code.pairs):
+            members = _solutions(n, a_m.to_dense(), code.syndromes[j])
+            cond = _oracle_conditional(p, j)
+            for variant in ("ml", "md"):
+                got = bc_decode_batch(code, p, j, ys, variant)
+                for y, message in zip(ys.tolist(), got.tolist()):
+                    ref, infinite = _oracle_decode(members, cond, tuple(y), variant)
+                    assert tuple(message) == tuple(
+                        int(v) for v in ap_m.to_dense() @ np.array(ref) % 2)
+                    decodes += 1
+                    seen[variant] += infinite
+    assert decodes == 2 * 2 * 4 * (2 ** 3 + 2 ** 4 + 2 ** 5)
+    # empty intersections and the all-infinite first-member rules were exercised
+    assert min(seen.values()) > 0, seen
+
+
+def test_batch_cap_raises_before_building(monkeypatch):
+    """Both batch forms check the cap against each coset's size before they
+    build it."""
+    p = split_channel()
+    code = _split_code()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(gf, "coset_batch", refuse)
+    with pytest.raises(BcError, match="exceeds cap"):
+        bc_select_batch(code, p, [np.zeros((3, 1), dtype=np.int64)] * 2, cap=0)
+    with pytest.raises(BcError, match="exceeds cap"):
+        bc_decode_batch(code, p, 0, np.zeros((3, 2), dtype=np.int64), cap=1)
+    monkeypatch.undo()
+    assert bc_decode_batch(code, p, 0, np.zeros((3, 2), dtype=np.int64), cap=2).shape == (3, 1)
+
+
 def _pinned_bc_cases():
     """A noisy split channel and a random channel with zero-mass outputs and a
     zero-mass auxiliary cell, each with a seeded two-receiver n = 6 code."""
@@ -619,8 +692,8 @@ def test_exact_cap_raises_before_building(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built before the cap check")
 
-    monkeypatch.setattr(broadcast, "bc_select", refuse)
-    monkeypatch.setattr(broadcast, "bc_decode", refuse)
+    monkeypatch.setattr(broadcast, "bc_select_batch", refuse)
+    monkeypatch.setattr(broadcast, "bc_decode_batch", refuse)
     with pytest.raises(BcError, match="exceed cap"):
         bc_error_exact(code, p, cap=need - 1)
     with pytest.raises(BcError, match="exceed cap"):

@@ -458,3 +458,47 @@ def test_sw_sim_ml_needs_positive_gamma(tmp_path, capsys):
     assert code == 2 and "--gamma" in err and not out
     code, out, _ = run_cli(capsys, *argv, "--gamma", "0.5")
     assert code == 0 and json.loads(out)["error"] < 1.0
+
+
+def test_lp_md_cli_comma_syndromes(tmp_path, capsys):
+    """The comma form of a symbol string reaches the parser, as the digit
+    form does; comma-separated name=value pairs in one flag still split."""
+    dist = write_dsbs(tmp_path)
+    digits = run_cli(capsys, *_lp_md_args(tmp_path, dist, ["a=01", "m=1", "b=01", "m=1"]))
+    commas = run_cli(capsys, *_lp_md_args(tmp_path, dist, ["a=0,1", "m=1", "b=0,1", "m=1"]))
+    paired = run_cli(capsys, *_lp_md_args(tmp_path, dist, ["a=0,1,m=1", "b=0, 1,m=1"]))
+    assert digits[0] == commas[0] == paired[0] == 0
+    assert digits[1] == commas[1] == paired[1]
+    a = write_matrix(tmp_path, "a.txt", [[1, 0, 0], [0, 1, 0]])
+    ap = write_matrix(tmp_path, "ap.txt", [[0, 0, 1]])
+    joined = run_cli(capsys, "lp-md", "--dist", dist, "--stack", f"A={a},Ap={ap}",
+                     "--stack", f"B={a},Bp={ap}",
+                     *(arg for s in ["a=01", "m=1", "b=01", "m=1"] for arg in ("--syndrome", s)))
+    assert joined[:2] == digits[:2]
+    # a part without '=' continues a value only inside its own flag
+    code, out, err = run_cli(capsys, *_lp_md_args(tmp_path, dist, ["a=01", "1", "b=01", "m=1"]))
+    assert code == 2 and "name=value" in err and not out
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    """numpy seeds are non-negative, so a negative --seed is an input error
+    for every subcommand that takes one, in either mode."""
+    dist = write_dsbs(tmp_path)
+    ma = write_matrix(tmp_path, "sw.txt", [[1, 1]])
+    prob, codef = _write_bc_fixture(tmp_path)
+    sw = ("sw-sim", "--dist", dist, "--matrix", f"x={ma}", "--matrix", f"y={ma}")
+    bc = ("bc-sim", "--problem", prob, "--code", codef)
+    cases = [
+        ("gen-matrix", "--q", "2", "--rows", "2", "--cols", "4", "--tau", "2"),
+        sw + ("--mode", "mc", "--trials", "10"),
+        sw + ("--mode", "exact"),
+        bc + ("--mode", "mc", "--trials", "10"),
+        ("sweep", "sw", "--dist", dist, "--rates", "0.5:0.5:1", "--n-list", "2",
+         "--tries", "1", "--mode", "exact"),
+        ("sweep", "sw", "--dist", dist, "--rates", "0.5:0.5:1", "--n-list", "2",
+         "--tries", "1", "--mode", "mc", "--trials", "10"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and "--seed" in err and not out, argv
+        assert run_cli(capsys, *argv, "--seed", "0")[0] == 0, argv

@@ -9,10 +9,12 @@ from hashprop.gf import (
     FieldError,
     FieldMatrix,
     coset_array,
+    coset_batch,
     coset_size,
     enumerate_image,
     finv,
     in_image,
+    lex_order,
     rank,
     rref,
     solve_affine,
@@ -150,3 +152,36 @@ def test_coset_array_edge_cases():
     assert coset_array(dup, (1, 2)).shape == (9, 3) == (coset_size(dup), 3)
     with pytest.raises(FieldError):
         coset_array(dup, (1,))
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (5, 4), (7, 23)])
+def test_lex_order_sorts_each_row(q, n):
+    """The radix key (q^n within int64) and the lexsort fallback (7^23 is
+    not) both sort every batch row lexicographically."""
+    rng = np.random.default_rng(q * n)
+    rows = rng.integers(0, q, size=(5, 9, n))
+    rows[2, 3] = rows[2, 1]  # a repeated member sorts stably
+    got = np.take_along_axis(rows, lex_order(rows, q)[..., None], axis=1)
+    for d in range(len(rows)):
+        assert got[d].tolist() == sorted(rows[d].tolist())
+
+
+def test_coset_batch_matches_coset_array():
+    """Every row of one batch call equals its own one-row call, syndromes
+    outside Im A included."""
+    rng = np.random.default_rng(6)
+    for q, rows, n in [(2, 3, 5), (3, 2, 4), (5, 0, 2)]:
+        dense = rng.integers(0, q, size=(rows, n))
+        if rows >= 2:
+            dense[-1] = dense[0]  # rank-deficient: some syndromes lie outside
+        m = FieldMatrix.from_dense(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
+        syndromes = np.array(list(itertools.product(range(q), repeat=rows)),
+                             dtype=np.int64).reshape(q ** rows, rows)
+        members, outside = coset_batch(m, syndromes)
+        assert members.shape == (len(syndromes), coset_size(m), n)
+        for syn, row, out in zip(syndromes.tolist(), members, outside):
+            expected = coset_array(m, syn)
+            assert out == (len(expected) == 0)
+            if not out:
+                assert np.array_equal(row, expected)
+        assert outside.any() == (rows >= 2)

@@ -8,7 +8,14 @@ import pytest
 
 from hashprop.broadcast import BcCode, BcProblem, bc_decode, bc_encode, bc_error_mc
 from hashprop.gf import FieldMatrix
-from hashprop.mc import TRIAL_BLOCK, McEstimate, Z_95, spawn_rngs, wilson_interval
+from hashprop.mc import (
+    TRIAL_BLOCK,
+    McEstimate,
+    Z_95,
+    distinct_rows,
+    spawn_rngs,
+    wilson_interval,
+)
 from hashprop.slepian_wolf import (
     SwCode,
     sw_decode_md,
@@ -54,6 +61,20 @@ def test_spawn_rngs_deterministic_and_independent():
     draws_b = [rng.integers(0, 1 << 30) for rng in b]
     assert draws_a == draws_b
     assert len(set(int(d) for d in draws_a)) == 5
+
+
+@pytest.mark.parametrize("bases", [[2] * 6 + [5] * 3, [1 << 40] * 2, []],
+                         ids=["radix", "whole-rows", "no-columns"])
+def test_distinct_rows(bases):
+    """One representative per distinct row and the map back, by a radix key
+    or, when the key would overflow int64, by whole rows."""
+    rng = np.random.default_rng(len(bases))
+    pool = np.stack([rng.integers(0, b, size=7) for b in bases], axis=1) if bases \
+        else np.zeros((7, 0), dtype=np.int64)
+    rows = pool[rng.integers(0, 7, size=200)]
+    first, inverse = distinct_rows(rows, bases)
+    assert len(first) == len({tuple(r) for r in rows.tolist()})
+    assert np.array_equal(rows[first][inverse], rows)
 
 
 # --- the block engine against a per-trial replay ----------------------------

@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hashprop import gf, types
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import (
     SwCode,
     SwError,
     SwRates,
+    sw_decode_batch,
     sw_decode_md,
     sw_decode_ml_typical,
     sw_encode,
@@ -328,22 +330,25 @@ def _oracle_sides(dense_mats, qs, mu: Distribution, syndromes):
             for dense, q, size, a in zip(dense_mats, qs, mu.shape, syndromes)]
 
 
+def _oracle_divergence(cand, mu: Distribution) -> float:
+    """The joint-type divergence of a candidate tuple, from explicit counts."""
+    n = len(cand[0])
+    counts = np.zeros(mu.shape)
+    for symbols in zip(*cand):
+        counts[symbols] += 1
+    d = 0.0
+    for c, m in zip(counts.reshape(-1), mu.table.reshape(-1)):
+        if c:
+            d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
+    return d
+
+
 def _oracle_md_decode(dense_mats, qs, mu: Distribution, syndromes):
     """Minimum-divergence decode by brute force: the divergence comes from
     explicit counts, and ties within 1e-12 go to the lexicographically first
-    candidate pair."""
-    sx, sy = mu.shape
-    n = dense_mats[0].shape[1]
-    scored = []
-    for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes)):
-        counts = np.zeros((sx, sy))
-        for xs, ys in zip(*cand):
-            counts[xs, ys] += 1
-        d = 0.0
-        for c, m in zip(counts.reshape(-1), mu.table.reshape(-1)):
-            if c:
-                d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
-        scored.append((d, cand))
+    candidate tuple."""
+    scored = [(_oracle_divergence(cand, mu), cand)
+              for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes))]
     best = min(d for d, _ in scored)
     return next(cand for d, cand in scored if d <= best + 1e-12)
 
@@ -352,9 +357,11 @@ def _exact_log2(mass: Fraction) -> float:
     return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
 
 
-def _oracle_ml_decode(dense_mats, mu: Distribution, syndromes, gamma, constrained):
-    """(winner, size of the tied set) of a brute-force ML decode over binary
-    codes with exact masses: each position multiplies Fraction(mu cell), so
+def _oracle_ml_decode(dense_mats, mu: Distribution, syndromes, gamma, constrained,
+                      qs=(2, 2)):
+    """(winner, size of the tied set) of a brute-force ML decode over two
+    sources, with codes over GF(qs[j]) and exact masses: each position
+    multiplies Fraction(mu cell), so
     candidates of one joint type tie exactly.  When constrained, a candidate
     is admissible only if each source's empirical divergence from its
     marginal is below gamma.  The first admissible candidate whose log2-mass
@@ -373,7 +380,7 @@ def _oracle_ml_decode(dense_mats, mu: Distribution, syndromes, gamma, constraine
         return d < gamma
 
     scored = []
-    for cand in itertools.product(*_oracle_sides(dense_mats, (2, 2), mu, syndromes)):
+    for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes)):
         if constrained and not all(typical(w, m) for w, m in zip(cand, marginals)):
             continue
         mass = Fraction(1)
@@ -446,6 +453,92 @@ def test_cap_counts_members_built():
                    lambda: sw_decode_ml_typical(code, ((0,), (0,)), gamma=1.0)):
         with pytest.raises(SwError, match="exceeds cap"):
             decode()
+
+
+def _all_syndromes(code: SwCode) -> list[tuple]:
+    """Every syndrome tuple of a source tuple inside the alphabets, in
+    lexicographic order."""
+    words = [list(itertools.product(range(size), repeat=code.n)) for size in code.mu.shape]
+    return sorted({tuple(m.matvec(w) for m, w in zip(code.matrices, ws))
+                   for ws in itertools.product(*words)})
+
+
+def _batch_cases():
+    """(code, dense matrices, fields): DSBS at n = 5; a GF(3) check over a
+    binary alphabet, so the cosets are ragged once filtered; two laws with
+    zero-mass cells; and three sources with a zero-mass cell."""
+    rng = np.random.default_rng(808)
+
+    def dense(q, rows, n):
+        return rng.integers(0, q, size=(rows, n))
+
+    three = rng.random((2, 2, 2)) * (rng.random((2, 2, 2)) < 0.8)
+    three[0, 0, 0] += 0.1
+    laws = [(DSBS, ((2, 3, 5), (2, 3, 5))),
+            (DSBS, ((3, 2, 5), (2, 3, 5))),
+            (ZERO_MASS, ((2, 3, 4), (2, 2, 4))),
+            (Distribution([[0.45, 0.0], [0.0, 0.55]]), ((2, 3, 4), (2, 3, 4))),
+            (Distribution(three / three.sum()), ((2, 1, 3), (3, 2, 3), (2, 2, 3)))]
+    cases = []
+    for mu, shapes in laws:
+        mats = [dense(*shape) for shape in shapes]
+        code = SwCode(tuple(FieldMatrix.from_dense(shape[0], m)
+                            for shape, m in zip(shapes, mats)), mu)
+        cases.append((code, mats, [shape[0] for shape in shapes]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 50, 7])
+def test_batch_decoders_match_oracles_on_every_syndrome(monkeypatch, chunk):
+    """One batch call per decoder over every syndrome of small codes equals
+    the brute-force oracles row by row, whether the batch is scored in one
+    slice or split across SCORE_CHUNK-sized slices."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+    seen = {"failure": 0, "all_infinite": 0, "ragged": 0}
+    for code, mats, qs in _batch_cases():
+        syndromes = _all_syndromes(code)
+        batch = [np.array([syn[j] for syn in syndromes]).reshape(len(syndromes), -1)
+                 for j in range(code.k)]
+        decoders = [("md", 0.0)] if code.k != 2 else \
+            [("md", 0.0), ("ml", 0.05), ("ml", 0.4), ("ml_unconstrained", 0.0)]
+        for decoder, gamma in decoders:
+            x_hat, failure, all_infinite = sw_decode_batch(code, batch, decoder, gamma)
+            assert x_hat.shape == (len(syndromes), code.k, code.n)
+            for row, syn in enumerate(syndromes):
+                if decoder == "md":
+                    expected = _oracle_md_decode(mats, qs, code.mu, syn)
+                    infinite = math.isinf(_oracle_divergence(expected, code.mu))
+                    assert bool(all_infinite[row]) == infinite
+                    seen["all_infinite"] += infinite
+                else:
+                    expected, _ = _oracle_ml_decode(mats, code.mu, syn, gamma,
+                                                    decoder == "ml", qs)
+                if expected is None:
+                    assert failure[row] and (x_hat[row] == -1).all()
+                    seen["failure"] += 1
+                    continue
+                assert not failure[row]
+                assert tuple(map(tuple, x_hat[row].tolist())) == expected
+            seen["ragged"] += max(qs) > 2
+    # failures, off-support rows and filtered cosets were all exercised
+    assert min(seen.values()) > 0, seen
+
+
+def test_batch_cap_raises_before_building(monkeypatch):
+    """The cap is checked against each coset's size before the batch builds
+    it, for every row at once."""
+    code, _, _ = _batch_cases()[0]
+    batch = [np.zeros((4, m.rows), dtype=np.int64) for m in code.matrices]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(gf, "coset_batch", refuse)
+    first = gf.coset_size(code.matrices[0])
+    with pytest.raises(SwError, match="exceeds cap"):
+        sw_decode_batch(code, batch, "md", cap=first - 1)
+    monkeypatch.undo()
+    sw_decode_batch(code, batch, "md", cap=first * gf.coset_size(code.matrices[1]))
 
 
 def _pinned_sw_codes():

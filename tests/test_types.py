@@ -26,6 +26,7 @@ from hashprop.types import (
     mutual_information,
     product_divergences,
     product_member,
+    product_members,
     slack_functions,
     type_census,
     verify_typicality_bounds,
@@ -176,7 +177,8 @@ def test_verify_typicality_bounds_guards():
 
 def test_product_divergences_bit_exact_across_chunks(monkeypatch):
     """The count-lookup scorer equals divergence(joint_type(..).empirical())
-    bit for bit, in itertools.product order, also across chunk boundaries."""
+    bit for bit, in itertools.product order per batch row, also across chunk
+    boundaries and batch rows; a one-row factor serves every batch row."""
     monkeypatch.setattr(types, "SCORE_CHUNK", 7)
     rng = np.random.default_rng(12)
     laws = [Distribution([[0.475, 0.025], [0.025, 0.475]]),
@@ -185,10 +187,16 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
             Distribution(np.full((2, 2, 2), 1 / 8))]
     for mu in laws:
         n = int(rng.integers(2, 6))
-        factors = [rng.integers(0, size, size=(int(rng.integers(1, 6)), n))
-                   for size in mu.shape]
+        rows = int(rng.integers(1, 4))
+        factors = [rng.integers(0, size, size=(rows if j else 1, int(rng.integers(1, 6)), n))
+                   for j, size in enumerate(mu.shape)]
         got = product_divergences(factors, mu)
-        for i, cand in enumerate(itertools.product(*(f.tolist() for f in factors))):
-            expected = divergence(joint_type(cand, mu.shape).empirical(), mu)
-            assert got[i] == expected
-            assert product_member(factors, i) == tuple(map(tuple, cand))
+        picks = rng.integers(0, got.shape[1], size=rows)
+        chosen = product_members(factors, picks)
+        for d in range(rows):
+            row = [f[d if len(f) > 1 else 0] for f in factors]
+            for i, cand in enumerate(itertools.product(*(f.tolist() for f in row))):
+                expected = divergence(joint_type(cand, mu.shape).empirical(), mu)
+                assert got[d, i] == expected
+                assert product_member(row, i) == tuple(map(tuple, cand))
+            assert tuple(map(tuple, chosen[d].tolist())) == product_member(row, picks[d])
