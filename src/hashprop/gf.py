@@ -267,15 +267,18 @@ def coset_factor_batch(matrices: Sequence[FieldMatrix], syndromes, cap: int,
     keeps only its members inside {0..sizes[j]-1}^n: they move to the front
     of their row, in order, and the rest is zero padding, so m_j is the
     largest count kept by a row.  A row outside Im A_j keeps nothing.  The
-    cap bounds the members built, not only those kept: coset j is built
-    only if q_j^(n - rank) times the product of the m_i so far is at most
-    ``cap``; otherwise ``error`` is raised.  Returns None as soon as every
+    cap bounds the members built for a row, not only those kept: coset j is
+    built only if q_j^(n - rank) times the largest product of the counts one
+    row kept so far is at most ``cap``; otherwise ``error`` is raised, as it
+    would be for that row alone.  The padded product of k >= 3 factors can
+    exceed every row's own; slicing the batch by ``types.row_groups`` on the
+    product of the q_j^(n - rank) bounds it.  Returns None as soon as every
     row has an empty coset.
     """
     factors, kept = [], []
-    total = 1
+    total = 1  # per row: the product of the counts kept so far
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
-        built = total * coset_size(m)
+        built = int(np.max(total)) * coset_size(m)
         if built > cap:
             raise error(f"coset product of {built} candidates exceeds cap {cap}")
         members, outside = coset_batch(m, a)
@@ -291,7 +294,7 @@ def coset_factor_batch(matrices: Sequence[FieldMatrix], syndromes, cap: int,
             return None
         factors.append(members)
         kept.append(keep)
-        total *= members.shape[1]
+        total = total * keep.sum(axis=1)
     return factors, kept
 
 

@@ -33,7 +33,7 @@ from .types import (
     Distribution,
     compositions,
     divergence,
-    product_member,
+    product_members,
     product_scores,
 )
 
@@ -406,7 +406,8 @@ def _first_member_with_type(matrices, syndromes, winners: set, cap: int):
     if found is None or not found[1].any():
         return None
     factors, hits = found
-    return product_member(factors, int(np.flatnonzero(hits)[0]))
+    first = product_members([f[None] for f in factors], [np.flatnonzero(hits)[0]])[0]
+    return tuple(map(tuple, first.tolist()))
 
 
 # --- single-position polytope audit -----------------------------------------

@@ -142,16 +142,17 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
 #
 # A minimum-divergence or maximum-likelihood search scores each candidate of
 # a product of row sets (coset members) through its joint type.  A batch of
-# D searches is scored at once, at most SCORE_CHUNK candidates per batch
-# slice (``row_groups``): indicator matmuls give the count of each cell in
-# every candidate, and a score is a sum of per-cell lookups term[count],
-# added in flat cell order.
+# D searches is scored at once; callers slice a batch (``row_groups``) and
+# ``product_counts`` slices a product's candidates, so that at most
+# SCORE_CHUNK candidates are counted at a time.  Indicator matmuls give the
+# count of each cell in every candidate, and a score is a sum of per-cell
+# lookups term[count], added in flat cell order.
 # The divergence tables hold the Python floats that ``divergence`` computes,
 # so every divergence equals ``divergence(joint_type(...).empirical(),
-# p_ref)`` bit for bit, whatever the batch; candidates of the same joint
-# type get bit-equal scores, and ``first_best`` decides.
+# p_ref)`` bit for bit, whatever the batch or slice; candidates of the same
+# joint type get bit-equal scores, and ``first_best`` decides.
 
-SCORE_CHUNK = 1 << 14  # candidates materialized at once
+SCORE_CHUNK = 1 << 14  # candidates counted at once
 # mathematically tied scores of different joint types can differ in their
 # last ulps, as their cells are added in a different order; scores within
 # TIE_TOL of the optimum tie, so the lexicographic rule is what decides
@@ -187,25 +188,50 @@ def row_groups(rows: int, per_row: int) -> list[slice]:
 
 def product_counts(factors: Sequence[np.ndarray], shape: Sequence[int]):
     """The joint-type counts of every candidate of every batch row's product,
-    one cell of ``shape`` at a time, in flat cell order: a (D, M) int array
-    per cell, candidates in ``itertools.product`` order.
+    candidates in ``itertools.product`` order, as ``(span, counts)`` pieces:
+    ``span`` slices the flat candidate index and ``counts`` holds, per cell
+    of ``shape`` in flat order, a (D, span length) int array.
 
     Factor j is a (D or 1, m_j, n) array of symbols on axis j of ``shape``;
-    a factor with one row serves every batch row.  Counts come from integer
-    matmuls of 0/1 indicators: the indicators of the first k - 1 factors
-    are folded into rows, which meet those of the last factor.
+    a factor with one row serves every batch row.  A piece covers at most
+    max(1, SCORE_CHUNK // D) candidates per row: whole runs of the last
+    factor when they fit, else slices of it.  Counts come from integer
+    matmuls of 0/1 indicators: those of the first k - 1 factors, multiplied
+    into lead rows, meet those of the last factor.
     """
     rows = max(len(f) for f in factors)
-    n = factors[0].shape[2]
-    indicators = [[(f == a).astype(np.intp) for a in range(size)]
-                  for f, size in zip(factors, shape)]
-    for prefix in np.ndindex(*shape[:-1]):
-        lead = np.ones((1, 1, n), dtype=np.intp)
-        for ind, a in zip(indicators, prefix):
-            lead = lead[:, :, None, :] * ind[a][:, None, :, :]
-            lead = lead.reshape(len(lead), -1, n)
-        for last in indicators[-1]:
-            yield (lead @ last.transpose(0, 2, 1)).reshape(rows, -1)
+    sizes = [f.shape[1] for f in factors]
+    leads, last = math.prod(sizes[:-1]), sizes[-1]
+    step = max(1, SCORE_CHUNK // rows)
+    lead_step, last_step = (max(1, step // last), last) if last <= step else (1, step)
+    for a0 in range(0, leads, lead_step):
+        a1 = min(a0 + lead_step, leads)
+        picks = np.unravel_index(np.arange(a0, a1), sizes[:-1]) if len(sizes) > 1 else ()
+        heads = [f[:, r] for f, r in zip(factors, picks)]
+        for s0 in range(0, last, last_step):
+            s1 = min(s0 + last_step, last)
+            tails = [(factors[-1][:, s0:s1] == b).astype(np.intp).transpose(0, 2, 1)
+                     for b in range(shape[-1])]
+            counts = []
+            for prefix in np.ndindex(*shape[:-1]):
+                lead = np.ones((1, a1 - a0, factors[0].shape[2]), dtype=np.intp)
+                for head, a in zip(heads, prefix):
+                    lead = lead * (head == a)
+                counts += [(lead @ tail).reshape(rows, -1) for tail in tails]
+            yield slice(a0 * last + s0, (a1 - 1) * last + s1), counts
+
+
+def _fill(factors, shape, part) -> np.ndarray:
+    """(D, M): ``part`` maps each piece's per-cell counts (see
+    ``product_counts``) to its (D, span length) values."""
+    out = None
+    for span, counts in product_counts(factors, shape):
+        values = part(counts)
+        if out is None:
+            out = np.empty((len(values), math.prod(f.shape[1] for f in factors)),
+                           dtype=values.dtype)
+        out[:, span] = values
+    return out
 
 
 def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -> np.ndarray:
@@ -213,8 +239,11 @@ def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -
     ``factors[0][d] x factors[1][d] x ...``, in ``itertools.product`` order
     (see ``product_counts``); ``score`` maps the (c, ncells) cell counts of
     c candidates to one value per candidate."""
-    counts = np.stack(list(product_counts(factors, shape)), axis=-1)
-    return score(counts.reshape(-1, counts.shape[-1])).reshape(counts.shape[:2])
+    def part(counts):
+        stacked = np.stack(counts, axis=-1)
+        return score(stacked.reshape(-1, len(counts))).reshape(stacked.shape[:2])
+
+    return _fill(factors, shape, part)
 
 
 def product_valid(kept: Sequence[np.ndarray]) -> np.ndarray:
@@ -243,13 +272,6 @@ def product_best(factors: Sequence[np.ndarray], scores: np.ndarray, valid=None,
     failed = winner < 0
     winner = np.maximum(winner, 0)
     return (product_members(factors, winner), scores[np.arange(len(winner)), winner], failed)
-
-
-def product_member(factors: Sequence[np.ndarray], index: int) -> tuple:
-    """Candidate ``index`` of the product of (m_j, n) factors, as a tuple
-    of symbol tuples."""
-    rows = np.unravel_index(index, tuple(len(f) for f in factors))
-    return tuple(tuple(f[r].tolist()) for f, r in zip(factors, rows))
 
 
 def cell_counts(cells: np.ndarray, ncells: int) -> np.ndarray:
@@ -294,12 +316,14 @@ def _term_sums(factors, shape, tables: np.ndarray, groups) -> np.ndarray:
     of each candidate's joint type, added in flat cell order; batch row d
     reads table groups[d] (table 0 without ``groups``)."""
     t = 0 if groups is None else np.asarray(groups)[:, None]
-    out = None
-    for cell, counts in enumerate(product_counts(factors, shape)):
-        if out is None:
-            out = np.zeros(counts.shape)
-        out += tables[t, cell, counts]
-    return out
+
+    def part(counts):
+        out = np.zeros(counts[0].shape)
+        for cell, c in enumerate(counts):
+            out += tables[t, cell, c]
+        return out
+
+    return _fill(factors, shape, part)
 
 
 def product_divergences(factors: Sequence[np.ndarray], p_ref, groups=None) -> np.ndarray:

@@ -540,6 +540,26 @@ def test_batch_cap_raises_before_building(monkeypatch):
     monkeypatch.undo()
     sw_decode_batch(code, batch, "md", cap=first * gf.coset_size(code.matrices[1]))
 
+    # Three GF(3) checks over a binary alphabet: row 0 keeps (6, 2, 2)
+    # members, row 1 keeps (4, 3, 1).  The cap bounds each row's own
+    # product (max(6 * 2, 4 * 3) * 3^2 = 108 before the last coset), not
+    # the batch's padded 6 * 3 * 3^2 = 162, so the batch raises exactly
+    # when one of its rows would alone.
+    mats = [[[2, 1, 1, 0], [0, 0, 0, 0]], [[0, 2, 1, 2], [1, 1, 2, 2]],
+            [[1, 1, 1, 2], [0, 2, 2, 0]]]
+    code = SwCode(tuple(FieldMatrix.from_dense(3, m) for m in mats),
+                  Distribution(np.full((2, 2, 2), 1 / 8)))
+    rows = [sw_encode(code, (x,) * 3) for x in ((0, 0, 0, 0), (0, 1, 1, 1))]
+    batch = [np.array([row[j] for row in rows]) for j in range(3)]
+    x_hat, _, _ = sw_decode_batch(code, batch, "md", cap=108)
+    for d, row in enumerate(rows):
+        alone, _, _ = sw_decode_batch(code, [[a] for a in row], "md", cap=108)
+        assert (alone[0] == x_hat[d]).all()
+        with pytest.raises(SwError, match="exceeds cap"):
+            sw_decode_batch(code, [[a] for a in row], "md", cap=107)
+    with pytest.raises(SwError, match="exceeds cap"):
+        sw_decode_batch(code, batch, "md", cap=107)
+
 
 def _pinned_sw_codes():
     """Seeded codes: DSBS at n = 8, GF(3) over a binary alphabet, a

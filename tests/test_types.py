@@ -24,8 +24,8 @@ from hashprop.types import (
     joint_type,
     lambda_slack,
     mutual_information,
+    product_counts,
     product_divergences,
-    product_member,
     product_members,
     slack_functions,
     type_census,
@@ -195,8 +195,29 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
         chosen = product_members(factors, picks)
         for d in range(rows):
             row = [f[d if len(f) > 1 else 0] for f in factors]
-            for i, cand in enumerate(itertools.product(*(f.tolist() for f in row))):
+            candidates = list(itertools.product(*(f.tolist() for f in row)))
+            for i, cand in enumerate(candidates):
                 expected = divergence(joint_type(cand, mu.shape).empirical(), mu)
                 assert got[d, i] == expected
-                assert product_member(row, i) == tuple(map(tuple, cand))
-            assert tuple(map(tuple, chosen[d].tolist())) == product_member(row, picks[d])
+            assert tuple(map(tuple, chosen[d].tolist())) == tuple(map(tuple, candidates[picks[d]]))
+
+
+def test_product_counts_slices_long_rows(monkeypatch):
+    """product_counts counts at most max(1, SCORE_CHUNK // D) candidates per
+    batch row at a time, also when one row's product exceeds SCORE_CHUNK,
+    and its pieces tile the product in itertools.product order."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", 8)
+    rng = np.random.default_rng(5)
+    for rows, widths in [(1, (5, 30)), (1, (3, 4, 5)), (2, (3, 3)), (1, (40,)), (3, (2, 9)), (9, (2, 2))]:
+        factors = [rng.integers(0, 2, size=(rows, m, 4)) for m in widths]
+        shape = (2,) * len(widths)
+        end = 0
+        for span, counts in product_counts(factors, shape):
+            assert span.start == end and 0 < span.stop - span.start <= max(1, 8 // rows)
+            end = span.stop
+            for d in range(rows):
+                candidates = list(itertools.product(*(f[d].tolist() for f in factors)))
+                for i, cand in enumerate(candidates[span], start=span.start):
+                    expected = np.asarray(joint_type(cand, shape).counts).reshape(-1)
+                    assert [c[d, i - span.start] for c in counts] == expected.tolist()
+        assert end == math.prod(widths)
