@@ -8,7 +8,6 @@ feasible and the reference oracle for the LP decoder.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .types import (
     cell_counts,
     cell_log_masses,
     cell_terms,
+    compositions,
     entropy,
     product_best,
     product_divergences,
@@ -34,6 +34,7 @@ from .types import (
 )
 
 DEFAULT_CAP = 1 << 20
+EXACT_CHUNK = 1 << 14  # slots or tuples handled at once by sw_error_exact
 
 
 class SwError(ValueError):
@@ -183,23 +184,46 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     return SwDecodeResult(x_hat=_as_tuples(x_hat[0]))
 
 
-def _syndrome_order(matrix: FieldMatrix, size: int, n: int):
-    """Every alphabet sequence of length n, reordered so that each coset is
-    one contiguous run.
-
-    Returns the reordered sequences, the (stable) permutation from
-    lexicographic order, the start of every run, the run lengths, and each
-    reordered sequence's offset inside its run; members of a run stay in
-    lexicographic order.
-    """
-    seqs = np.array(list(itertools.product(range(size), repeat=n)),
-                    dtype=np.int64).reshape(-1, n)
+def _coset_slots(matrix: FieldMatrix, size: int, n: int):
+    """Every alphabet sequence of length n, in lexicographic order, and a
+    (cosets, widest coset) array of their indices: one coset per row, rows in
+    syndrome order, members in lexicographic order, -1 in the padding."""
+    seqs = np.indices((size,) * n).reshape(n, size ** n).T
     weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
     idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
     perm = np.argsort(idx, kind="stable")
     _, starts, sizes = np.unique(idx[perm], return_index=True, return_counts=True)
-    offsets = np.arange(len(seqs)) - np.repeat(starts, sizes)
-    return seqs[perm], perm, starts, sizes, offsets
+    slots = np.full((len(sizes), sizes.max()), -1)
+    slots[np.repeat(np.arange(len(sizes)), sizes),
+          np.arange(len(seqs)) - np.repeat(starts, sizes)] = perm
+    return seqs, slots
+
+
+def _type_tables(term_lists, n: int, keyed: int) -> list[np.ndarray]:
+    """Per list of per-cell term arrays, a table indexed by the type key
+    sum_c count_c (n+1)^c over the cells c < ``keyed``: the sum of
+    terms[c][count_c] over those cells, added in cell order from 0.0 as a
+    per-cell loop adds them. With ``keyed`` one short of the cell count, the
+    last cell, whose count is n minus the others, is added too."""
+    counts = np.array(compositions(n, keyed + 1)).reshape(-1, keyed + 1)
+    keys = counts[:, :keyed] @ (n + 1) ** np.arange(keyed)
+    tables = []
+    for terms in term_lists:
+        sums = np.zeros(len(counts))
+        for term, count in zip(terms, counts.T if keyed == len(terms) - 1 else counts.T[:keyed]):
+            sums += term[count]
+        tables.append(np.zeros((n + 1) ** keyed))
+        tables[-1][keys] = sums
+    return tables
+
+
+def _lead_rows(onehots, picks) -> np.ndarray:
+    """(R, n x leading cells): row r is the 0/1 indicator, per position and
+    cell of the leading axes, of the sequences picks[j][r] of axis j."""
+    rows = onehots[0][picks[0]]
+    for onehot, pick in zip(onehots[1:], picks[1:]):
+        rows = (rows[..., None] * onehot[pick][:, :, None, :]).reshape(len(pick), rows.shape[1], -1)
+    return rows.reshape(len(rows), -1)
 
 
 def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
@@ -207,74 +231,139 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     """Exact decoding-error probability: the total mu-mass of the source
     tuples whose decode differs from the input, decoder failures included.
 
-    One table holds every source tuple. Each axis lists its source's
-    alphabet sequences reordered by syndrome, so every coset-product block
-    is a box of the table with its members in lexicographic order. Cell
-    counts come from float matmuls of 0/1 indicators (exact for counts
-    <= n). A tuple is scored cell by cell, as the decoders score: MD adds
-    ``cell_terms``, ML adds ``-cell_log_masses``, and its log-mass adds
-    ``cell_log_masses``. For "ml" a tuple with an atypical source scores
-    NaN, which the block minima (``fmin.reduceat`` along every axis) skip.
-    A block decodes to its tied tuple (within TIE_TOL of the minimum) of
-    smallest row-major rank, the lexicographic rule of ``first_best``; a
-    block with no admissible tuple decodes every tuple wrongly. The masses
-    of the wrong tuples are summed left to right in row-major source order,
-    as a per-tuple loop adds them. Memory is a few floats per tuple.
+    Each axis lays out its source's alphabet sequences as (cosets, widest
+    coset) slots, cosets in syndrome order and members in lexicographic
+    order, so every coset-product block is a box of slots. A tuple is scored
+    through its joint type: one float matmul of 0/1 indicators gives its key
+    sum_c count_c (n+1)^c over the cells but the last, and the key indexes
+    per-type tables summed cell by cell from 0.0, as the decoders score: MD
+    adds ``cell_terms``, ML adds ``-cell_log_masses``, and the log-mass adds
+    ``cell_log_masses``. A type table has at most min(tuples, EXACT_CHUNK)
+    entries; when keying every cell would need more, a leading run of cells
+    is keyed and each other cell adds its own lookup, in the same order.
+    Padding slots, and for "ml" atypical sources, add NaN, which the block
+    minima (``fmin``) skip. A block decodes to its tied tuple (within TIE_TOL
+    of the minimum) first in row-major order, the lexicographic rule of
+    ``first_best``; a block with no admissible tuple decodes every tuple
+    wrongly. The masses of the wrong tuples are summed left to right in
+    row-major source order, as a per-tuple loop adds them.
+
+    Blocks are decoded in chunks of whole cosets of the first and the last
+    axis, about EXACT_CHUNK slots (more only when one block with the middle
+    axes is larger), and the error is summed over chunks of at most
+    EXACT_CHUNK tuples. Beyond a few arrays of one chunk, memory holds the
+    per-axis sequences, the type tables and one index per decoded block.
     """
     _check_decoder(code, decoder)
     n, shape = code.n, code.mu.shape
     total = math.prod(size ** n for size in shape)
     if total > cap:
         raise SwError(f"{total} source tuples exceed cap {cap}")
-    seqs, perms, starts, sizes, offsets = zip(*(
-        _syndrome_order(m, size, n) for m, size in zip(code.matrices, shape)))
-    table_shape = tuple(len(s) for s in seqs)
-
+    seqs, slots = map(list, zip(*(_coset_slots(m, size, n)
+                                  for m, size in zip(code.matrices, shape))))
     if decoder == "ml":
         gamma = TypicalityParams(gamma).gamma
-        penalty = [np.where(type_divergences(cell_counts(s, size),
-                                             code.mu.marginal((j,))) < gamma, 0.0, np.nan)
-                   for j, (s, size) in enumerate(zip(seqs, shape))]
-        score = functools.reduce(np.add.outer, penalty)
+        admit = [type_divergences(cell_counts(s, size), code.mu.marginal((j,))) < gamma
+                 for j, (s, size) in enumerate(zip(seqs, shape))]
     else:
-        score = np.zeros(table_shape)
+        admit = [np.ones(len(s), dtype=bool) for s in seqs]
+    if code.k == 1:
+        # a leading axis of one symbol and one sequence: every layout has two axes
+        seqs.insert(0, np.zeros((1, n), dtype=np.int64))
+        slots.insert(0, np.zeros((1, 1), dtype=np.int64))
+        admit.insert(0, np.ones(1, dtype=bool))
+        shape = (1,) + shape
+    k = len(shape)
+    pens = [np.where((slot >= 0) & ok[slot], 0.0, np.nan) for slot, ok in zip(slots, admit)]
+    slots = [np.maximum(slot, 0) for slot in slots]
+    # float32 sums of these indicators and weights are exact: all integers < 2^24
+    onehots = [(s[:, :, None] == np.arange(size)).astype(np.float32)
+               for s, size in zip(seqs, shape)]
+
+    # cell groups: a keyed leading run of cells, then each other cell alone
+    masses = code.mu.table.reshape(-1).tolist()
+    ncells = len(masses)
     terms = cell_terms if decoder == "md" else lambda mass, n: -cell_log_masses(mass, n)
-    indicators = [[(s == a).astype(np.float64) for a in range(size)]
-                  for s, size in zip(seqs, shape)]
-    mass_log = np.zeros(table_shape)
-    for cell, mass in zip(np.ndindex(shape), code.mu.table.reshape(-1).tolist()):
-        # the first k - 1 indicators folded into rows of the leading axes
-        rows = np.ones((1, n))
-        for ind, a in zip(indicators[:-1], cell[:-1]):
-            rows = (rows[:, None] * ind[a]).reshape(-1, n)
-        count = (rows @ indicators[-1][cell[-1]].T).astype(np.intp).reshape(table_shape)
-        score += terms(mass, n)[count]
-        mass_log += cell_log_masses(mass, n)[count]
+    term_lists = ([terms(mass, n) for mass in masses],
+                  [cell_log_masses(mass, n) for mass in masses])
+    keyed = ncells - 1
+    while (n + 1) ** keyed > min(total, EXACT_CHUNK):
+        keyed -= 1
+    cells = np.arange(ncells)
+    weights = [np.where(cells < keyed, float(n + 1) ** cells, 0.0)]
+    tables = [_type_tables(term_lists, n, keyed)]
+    for cell in range(keyed, ncells) if keyed < ncells - 1 else ():
+        weights.append(cells == cell)
+        tables.append([lookups[cell] for lookups in term_lists])
+    # per group, the key weight of each (position, leading cell) in each
+    # last-axis sequence
+    cols = [np.einsum("sib,ab->ias", onehots[-1],
+                      w.reshape(-1, shape[-1]).astype(np.float32)).reshape(-1, len(seqs[-1]))
+            for w in weights]
 
-    def block_min(table):
-        for axis, axis_starts in enumerate(starts):
-            table = np.fmin.reduceat(table, axis_starts, axis=axis)
-        return table
+    def type_sums(rows, group_cols, which, arrange=lambda key: key):
+        parts = (table[which].take(arrange(rows @ col).astype(np.intp, order="C"))
+                 for col, table in zip(group_cols, tables))
+        out = next(parts)
+        for part in parts:
+            out += part
+        return out
 
-    def spread(blocks):
-        # one value per block, repeated over the block's box
-        for axis, axis_sizes in enumerate(sizes):
-            blocks = np.repeat(blocks, axis_sizes, axis=axis)
-        return blocks
+    # block minima and winners, on chunks laid out (blocks..., members...)
+    (lead_cosets, lead_width), (last_cosets, last_width) = slots[0].shape, slots[-1].shape
+    middle = [slot.shape for slot in slots[1:-1]]
+    per_pair = math.prod(slot.shape[1] for slot in slots) * math.prod(c for c, _ in middle)
+    x_step = max(1, EXACT_CHUNK // (per_pair * last_cosets))
+    y_step = min(last_cosets, max(1, EXACT_CHUNK // per_pair))
+    block_major = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
+    slot_cols = [col[:, slots[-1].reshape(-1)] for col in cols]
+    winners = []
+    for x0 in range(0, lead_cosets, x_step):
+        x1 = min(x0 + x_step, lead_cosets)
+        lead_shape = ((x1 - x0) * lead_width,) + tuple(c * w for c, w in middle)
+        picks = np.unravel_index(np.arange(math.prod(lead_shape)), lead_shape)
+        picks[0][:] += x0 * lead_width
+        rows = _lead_rows(onehots[:-1], [slot.reshape(-1)[p] for slot, p in zip(slots, picks)])
+        for y0 in range(0, last_cosets, y_step):
+            y1 = min(y0 + y_step, last_cosets)
+            boxes = [(x1 - x0, lead_width)] + middle + [(y1 - y0, last_width)]
+            bases = [x0] + [0] * (k - 2) + [y0]
+            natural = tuple(d for box in boxes for d in box)
+            score = type_sums(rows, [col[:, y0 * last_width:y1 * last_width] for col in slot_cols],
+                              0, lambda key: key.reshape(natural).transpose(block_major))
+            for j, (pen, base, (c, w)) in enumerate(zip(pens, bases, boxes)):
+                at = [1] * (2 * k)
+                at[j], at[k + j] = c, w
+                score += pen[base:base + c].reshape(at)
+            flat = score.reshape(-1, math.prod(w for _, w in boxes))
+            tied = flat <= (np.fmin.reduce(flat, axis=1) + TIE_TOL)[:, None]
+            first = tied.argmax(axis=1)
+            blocks = np.flatnonzero(tied[np.arange(len(first)), first])
+            coset = np.unravel_index(blocks, tuple(c for c, _ in boxes))
+            member = np.unravel_index(first[blocks], tuple(w for _, w in boxes))
+            winners.append(np.ravel_multi_index(
+                [slot[b + base, m] for slot, b, base, m in zip(slots, coset, bases, member)],
+                tuple(len(s) for s in seqs)))
+    winners = np.sort(np.concatenate(winners))
 
-    tied = score <= spread(block_min(score) + TIE_TOL)
-    # row-major rank of each tuple inside its block
-    rank = np.zeros((), dtype=np.intp)
-    for axis_sizes, axis_offsets in zip(sizes, offsets):
-        rank = rank[..., None] * np.repeat(axis_sizes, axis_sizes) + axis_offsets
-    winner = block_min(np.where(tied, rank, np.iinfo(np.intp).max))
-    mass_log[rank == spread(winner)] = -np.inf
-
-    # back to row-major source order for a left-to-right error sum; right
-    # tuples contribute exact zeros, which leave the running sum alone
-    for axis, perm in enumerate(perms):
-        mass_log = np.take(mass_log, np.argsort(perm), axis=axis)
-    return min(1.0, float(np.cumsum(np.exp2(mass_log))[-1]))
+    # the wrong tuples' masses, left to right in row-major source order
+    leads, lasts = math.prod(len(s) for s in seqs[:-1]), len(seqs[-1])
+    lead_step, last_step = max(1, EXACT_CHUNK // lasts), min(lasts, EXACT_CHUNK)
+    error = 0.0
+    for a0 in range(0, leads, lead_step):
+        a1 = min(a0 + lead_step, leads)
+        rows = _lead_rows(onehots[:-1], np.unravel_index(
+            np.arange(a0, a1), tuple(len(s) for s in seqs[:-1])))
+        for s0 in range(0, lasts, last_step):
+            s1 = min(s0 + last_step, lasts)
+            mass = type_sums(rows, [col[:, s0:s1] for col in cols], 1).reshape(-1)
+            np.exp2(mass, out=mass)
+            f0 = a0 * lasts + s0
+            mass[winners[np.searchsorted(winners, f0):
+                         np.searchsorted(winners, (a1 - 1) * lasts + s1)] - f0] = 0.0
+            mass[0] += error
+            error = np.cumsum(mass, out=mass)[-1]
+    return min(1.0, float(error))
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -497,15 +497,14 @@ def slack_functions(which: str, sizes, n: int, gamma: float = 0.0, gamma_cond: f
 
 # --- exhaustive checks of the finite-length typicality bounds --------------
 
-def compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:
+@lru_cache(maxsize=1024)
+def compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All length-``parts`` count vectors summing to n (the length-n types),
     in lexicographic order."""
     if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in compositions(n - head, parts - 1):
-            yield (head,) + tail
+        return ((n,),)
+    return tuple((head,) + tail for head in range(n + 1)
+                 for tail in compositions(n - head, parts - 1))
 
 
 def _log2_multinomial(t: Sequence[int]) -> float:

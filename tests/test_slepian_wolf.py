@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hashprop import gf, types
+from hashprop import gf, slepian_wolf, types
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import (
     SwCode,
@@ -148,14 +149,17 @@ def test_decode_ml_typical():
 
 def _per_tuple_error(code, decoder="md", gamma=0.0):
     """(error, failures): the exact error found by decoding every source
-    tuple with sw_decode_md or sw_decode_ml_typical, a failed decode counting
-    as wrong, and the number of tuples whose decode failed."""
-    error, failures = 0.0, 0
+    tuple with sw_decode_md or sw_decode_ml_typical (once per syndrome), a
+    failed decode counting as wrong, and the number of tuples whose decode
+    failed."""
+    error, failures, decoded = 0.0, 0, {}
     for x_K in itertools.product(*(itertools.product(range(size), repeat=code.n)
                                    for size in code.mu.shape)):
         syn = sw_encode(code, x_K)
-        res = (sw_decode_md(code, syn) if decoder == "md" else
-               sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml"))
+        if syn not in decoded:
+            decoded[syn] = (sw_decode_md(code, syn) if decoder == "md" else
+                            sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml"))
+        res = decoded[syn]
         failures += res.failure
         if res.x_hat != x_K:
             error += math.prod(code.mu[cell] for cell in zip(*x_K))
@@ -185,11 +189,14 @@ def test_error_exact_fast_path_matches_generic():
 
 def test_error_exact_fast_path_matches_generic_edge_cases():
     """Unequal coset sizes (q above the alphabet size), zero-mass cells,
-    non-square alphabets, l = 0, one source and three sources against the
-    per-tuple decoder loop."""
+    non-square alphabets, many-cell alphabets whose type keys outgrow one
+    table, l = 0, one source and three sources against the per-tuple decoder
+    loop."""
     diag = Distribution([[0.5, 0.0], [0.0, 0.5]])
     rect = Distribution([[0.2, 0.1, 0.05], [0.05, 0.1, 0.5]])
     skew = Distribution([[0.81, 0.09], [0.09, 0.01]])
+    four = np.array([[8, 1, 1, 0], [1, 6, 1, 1], [1, 1, 7, 2], [0, 1, 1, 9]]) / 41
+    three = np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24
     codes = [
         # GF(3) and GF(5) checks over binary alphabets
         SwCode((FieldMatrix.from_dense(3, [[1, 2, 0], [0, 1, 1]]),
@@ -214,6 +221,11 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
                 FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])), DSBS),
         SwCode((FieldMatrix.from_dense(3, [[1, 1, 1], [0, 1, 2]]),
                 FieldMatrix.zeros(2, 0, 3)), THREE_BY_TWO),
+        # 16 cells at n = 2 and 9 cells at n = 4: 3^15 and 5^8 type keys
+        SwCode((FieldMatrix.from_dense(5, [[1, 2]]),
+                FieldMatrix.from_dense(5, [[1, 3]])), Distribution(four)),
+        SwCode((FieldMatrix.from_dense(3, [[1, 2, 0, 1], [0, 1, 1, 2]]),
+                FieldMatrix.from_dense(3, [[1, 0, 2, 2], [1, 1, 0, 1]])), Distribution(three)),
     ]
     failures = 0
     for code in codes:
@@ -304,6 +316,22 @@ PINNED_EXACT = [
      (2, [[1, 0, 1, 0, 1, 0], [1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0],
           [0, 1, 0, 0, 0, 1]]),
      "0x1.d0f441248d8e2p-1"),
+    # 2^20 tuples at the default cap, over many decoding chunks
+    (DSBS, (2, [[0, 0, 1, 0, 0, 0, 1, 0, 0, 1], [1, 0, 0, 0, 0, 1, 0, 0, 1, 0],
+                [0, 1, 1, 1, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1, 0, 0, 0, 1, 1], [1, 0, 0, 1, 0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 1, 1, 0, 1, 0, 0]]),
+     (2, [[0, 0, 1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0, 1, 0, 0],
+          [0, 1, 0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 1, 1, 1, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1, 0, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]),
+     "0x1.63080a6929b02p-1"),
+    # GF(3) checks over a binary alphabet at n = 9: padded cosets in many chunks
+    (DSBS, (3, [[2, 0, 2, 2, 2, 2, 1, 1, 0], [1, 1, 2, 2, 1, 1, 1, 1, 2],
+                [0, 0, 1, 2, 1, 0, 0, 0, 0]]),
+     (3, [[2, 1, 0, 1, 1, 1, 1, 1, 0], [0, 2, 2, 1, 1, 1, 0, 1, 1],
+          [1, 2, 1, 2, 1, 0, 2, 2, 1], [2, 1, 2, 0, 0, 2, 2, 1, 2]]),
+     "0x1.ddfe801e88622p-2"),
 ]
 
 
@@ -315,10 +343,51 @@ def _matrix(spec):
 
 @pytest.mark.parametrize("mu,ma,mb,expected", PINNED_EXACT, ids=[
     "dsbs-n4-l2", "dsbs-n4-l3", "dsbs-n6-l3", "dsbs-n6-l4", "dsbs-n8-l4",
-    "dsbs-n8-l6", "q3-binary", "zero-mass", "3x2", "l0"])
+    "dsbs-n8-l6", "q3-binary", "zero-mass", "3x2", "l0", "dsbs-n10-l7", "q3-binary-n9"])
 def test_error_exact_is_bit_exact(mu, ma, mb, expected):
     code = SwCode((_matrix(ma), _matrix(mb)), mu)
     assert sw_error_exact(code).hex() == expected
+
+
+def test_error_exact_n12_memory():
+    """Exact n = 12 (2^24 tuples) keeps its pinned value in a few chunks'
+    memory: its peak traced allocation stays under 32 MB (a whole-table
+    evaluation peaks near 800 MB)."""
+    ma = ["010100000011", "000000010010", "110111000001", "001000000000", "000000100000",
+          "000001100100", "100010010000", "001000001100", "000000001000"]
+    mb = ["011100000011", "000000001100", "100100011000", "001000000000", "000011100001",
+          "000001100010", "010000000000", "000000000100", "100010010000"]
+    code = SwCode(tuple(FieldMatrix.from_dense(2, [[int(c) for c in row] for row in rows])
+                        for rows in (ma, mb)), DSBS)
+    tracemalloc.start()
+    try:
+        value = sw_error_exact(code, cap=1 << 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.hex() == "0x1.673121f6f7111p-1"
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 100])
+def test_error_exact_chunks_do_not_change_values(monkeypatch, chunk):
+    """Chunk sizes that split the cosets of the last axis, the rows of the
+    error sum and the type keys give the same values bit for bit: at 2, one
+    block or two tuples per chunk and every cell looked up alone."""
+    three = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
+                    FieldMatrix.from_dense(3, [[1, 0, 2]]),
+                    FieldMatrix.zeros(2, 0, 3)),
+                   Distribution(np.array([0.3, 0.1, 0.05, 0.0, 0.05, 0.1, 0.1, 0.3]).reshape(2, 2, 2)))
+    one = SwCode((FieldMatrix.from_dense(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
+                 Distribution([0.6, 0.3, 0.1]))
+    codes = [SwCode((_matrix(ma), _matrix(mb)), mu) for mu, ma, mb, _ in PINNED_EXACT]
+    # every decoder at n = 4; at n = 6, GF(3) padding, a zero-mass cell and l = 0
+    cases = [(code, decoder, gamma) for code in codes[:2] for decoder, gamma in DECODERS]
+    cases += [(codes[6], "ml", 0.3), (codes[6], "md", 0.0), (codes[7], "md", 0.0),
+              (codes[9], "md", 0.0), (one, "md", 0.0), (three, "md", 0.0)]
+    expected = [sw_error_exact(*case).hex() for case in cases]
+    monkeypatch.setattr(slepian_wolf, "EXACT_CHUNK", chunk)
+    assert [sw_error_exact(*case).hex() for case in cases] == expected
 
 
 def _oracle_sides(dense_mats, qs, mu: Distribution, syndromes):
