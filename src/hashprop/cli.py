@@ -114,8 +114,6 @@ def cmd_sw_sim(args) -> None:
     if args.gamma < 0 or (args.decoder == "ml" and args.gamma == 0):
         raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
                          "typical means divergence < gamma")
-    if args.decoder != "md" and code.k != 2:
-        raise ParseError(f"--decoder {args.decoder} needs two sources, got {code.k}")
     if args.csv and code.k != 2:
         raise ParseError(f"--csv writes R_X,R_Y and needs two sources, got {code.k}")
     result = {"command": "sw-sim", "decoder": args.decoder, "n": code.n,

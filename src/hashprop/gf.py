@@ -298,15 +298,6 @@ def coset_factor_batch(matrices: Sequence[FieldMatrix], syndromes, cap: int,
     return factors, kept
 
 
-def coset_factors(matrices: Sequence[FieldMatrix], syndromes, cap: int,
-                  error: type[ValueError] = FieldError,
-                  sizes: Sequence[int] | None = None) -> list[np.ndarray] | None:
-    """The one-row case of ``coset_factor_batch``: the kept members of each
-    coset as an (m_j, n) array, or None as soon as a coset is empty."""
-    found = coset_factor_batch(matrices, [[tuple(a)] for a in syndromes], cap, error, sizes)
-    return None if found is None else [f[0] for f in found[0]]
-
-
 def solve_affine(matrix: FieldMatrix, syndrome: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """The rows of ``coset_array``, as tuples, in lexicographic order."""
     return iter(map(tuple, coset_array(matrix, syndrome).tolist()))

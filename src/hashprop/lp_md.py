@@ -27,14 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldMatrix, coset_factors
+from .gf import FieldMatrix, coset_factor_batch
 from .types import (
     TIE_TOL,
     Distribution,
     compositions,
     divergence,
+    key_weights,
+    product_keys,
     product_members,
-    product_scores,
+    type_key_groups,
 )
 
 REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
@@ -382,18 +384,22 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
 
 
 def _type_hits(matrices, syndromes, types, cap: int):
-    """The coset product's factors and, per candidate in product order,
-    whether its joint type is in ``types``; None if the product is empty."""
-    factors = coset_factors(matrices, syndromes, cap, LpError)
-    if factors is None:
+    """The coset product's one-row factors and, per candidate in product
+    order, whether its joint type is in ``types`` (its keys in every lookup
+    group equal one type's); None if the product is empty."""
+    found = coset_factor_batch(matrices, [[tuple(a)] for a in syndromes], cap, LpError)
+    if found is None:
         return None
-    ncells = 1 << len(matrices)
+    factors = found[0]
+    ncells, n = 1 << len(matrices), factors[0].shape[2]
     wanted = np.array(sorted(types), dtype=np.int64).reshape(-1, ncells)
-
-    def hit(counts):
-        return (counts[:, None, :] == wanted[None]).all(axis=2).any(axis=1)
-
-    return factors, product_scores([f[None] for f in factors], (2,) * len(matrices), hit)[0]
+    groups = type_key_groups(ncells, n)
+    targets = [wanted @ key_weights(cells, ncells, n) for cells in groups]
+    hits = np.empty(math.prod(f.shape[1] for f in factors), dtype=bool)
+    for span, keys in product_keys(factors, (2,) * len(matrices), groups):
+        hits[span] = np.logical_and.reduce(
+            [key[0, :, None] == target for key, target in zip(keys, targets)]).any(axis=1)
+    return factors, hits
 
 
 def _type_occurs(matrices, syndromes, t, cap: int) -> bool:
@@ -406,7 +412,7 @@ def _first_member_with_type(matrices, syndromes, winners: set, cap: int):
     if found is None or not found[1].any():
         return None
     factors, hits = found
-    first = product_members([f[None] for f in factors], [np.flatnonzero(hits)[0]])[0]
+    first = product_members(factors, [np.flatnonzero(hits)[0]])[0]
     return tuple(map(tuple, first.tolist()))
 
 

@@ -14,27 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import types
 from .gf import FieldMatrix, coset_factor_batch, coset_size
 from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     TIE_TOL,
     Distribution,
     TypicalityParams,
-    cell_counts,
     cell_log_masses,
     cell_terms,
-    compositions,
     entropy,
+    key_columns,
+    lead_rows,
     product_best,
     product_divergences,
     product_log_masses,
+    product_terms,
     product_valid,
     row_groups,
-    type_divergences,
+    type_key_groups,
+    type_tables,
 )
 
 DEFAULT_CAP = 1 << 20
-EXACT_CHUNK = 1 << 14  # slots or tuples handled at once by sw_error_exact
 
 
 class SwError(ValueError):
@@ -100,8 +102,6 @@ def sw_encode(code: SwCode, x_K) -> tuple[tuple[int, ...], ...]:
 def _check_decoder(code: SwCode, decoder: str) -> None:
     if decoder not in ("md", "ml", "ml_unconstrained"):
         raise SwError(f"unknown decoder {decoder!r}")
-    if decoder != "md" and code.k != 2:
-        raise SwError("the ML decoder is defined for two sources")
 
 
 def sw_decode_batch(code: SwCode, syndromes, decoder: str = "md", gamma: float = 0.0,
@@ -140,10 +140,8 @@ def sw_decode_batch(code: SwCode, syndromes, decoder: str = "md", gamma: float =
         else:
             scores = product_log_masses(factors, code.mu.table)
         if decoder == "ml":
-            kept = [keep & (type_divergences(cell_counts(f.reshape(-1, code.n), size),
-                                             code.mu.marginal((axis,))) < gamma
-                            ).reshape(keep.shape)
-                    for axis, (f, keep, size) in enumerate(zip(factors, kept, code.mu.shape))]
+            kept = [keep & (product_divergences([f], code.mu.marginal((axis,))) < gamma)
+                    for axis, (f, keep) in enumerate(zip(factors, kept))]
         best, score, failed = product_best(factors, scores, product_valid(kept),
                                            maximize=decoder != "md")
         x_hat[sl] = np.where(failed[:, None, None], -1, best)
@@ -199,33 +197,6 @@ def _coset_slots(matrix: FieldMatrix, size: int, n: int):
     return seqs, slots
 
 
-def _type_tables(term_lists, n: int, keyed: int) -> list[np.ndarray]:
-    """Per list of per-cell term arrays, a table indexed by the type key
-    sum_c count_c (n+1)^c over the cells c < ``keyed``: the sum of
-    terms[c][count_c] over those cells, added in cell order from 0.0 as a
-    per-cell loop adds them. With ``keyed`` one short of the cell count, the
-    last cell, whose count is n minus the others, is added too."""
-    counts = np.array(compositions(n, keyed + 1)).reshape(-1, keyed + 1)
-    keys = counts[:, :keyed] @ (n + 1) ** np.arange(keyed)
-    tables = []
-    for terms in term_lists:
-        sums = np.zeros(len(counts))
-        for term, count in zip(terms, counts.T if keyed == len(terms) - 1 else counts.T[:keyed]):
-            sums += term[count]
-        tables.append(np.zeros((n + 1) ** keyed))
-        tables[-1][keys] = sums
-    return tables
-
-
-def _lead_rows(onehots, picks) -> np.ndarray:
-    """(R, n x leading cells): row r is the 0/1 indicator, per position and
-    cell of the leading axes, of the sequences picks[j][r] of axis j."""
-    rows = onehots[0][picks[0]]
-    for onehot, pick in zip(onehots[1:], picks[1:]):
-        rows = (rows[..., None] * onehot[pick][:, :, None, :]).reshape(len(pick), rows.shape[1], -1)
-    return rows.reshape(len(rows), -1)
-
-
 def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
                    cap: int = DEFAULT_CAP) -> float:
     """Exact decoding-error probability: the total mu-mass of the source
@@ -234,37 +205,39 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     Each axis lays out its source's alphabet sequences as (cosets, widest
     coset) slots, cosets in syndrome order and members in lexicographic
     order, so every coset-product block is a box of slots. A tuple is scored
-    through its joint type: one float matmul of 0/1 indicators gives its key
-    sum_c count_c (n+1)^c over the cells but the last, and the key indexes
-    per-type tables summed cell by cell from 0.0, as the decoders score: MD
-    adds ``cell_terms``, ML adds ``-cell_log_masses``, and the log-mass adds
-    ``cell_log_masses``. A type table has at most min(tuples, EXACT_CHUNK)
-    entries; when keying every cell would need more, a leading run of cells
-    is keyed and each other cell adds its own lookup, in the same order.
-    Padding slots, and for "ml" atypical sources, add NaN, which the block
-    minima (``fmin``) skip. A block decodes to its tied tuple (within TIE_TOL
-    of the minimum) first in row-major order, the lexicographic rule of
-    ``first_best``; a block with no admissible tuple decodes every tuple
-    wrongly. The masses of the wrong tuples are summed left to right in
-    row-major source order, as a per-tuple loop adds them.
+    through its joint type by the key scorer of ``hashprop.types``: per
+    lookup group, one float matmul gives its key, which indexes a table
+    summed cell by cell from 0.0, as the decoders score. MD adds
+    ``cell_terms``, ML adds ``-cell_log_masses``, and the log-mass adds
+    ``cell_log_masses``. A keyed run's table has at most min(tuples,
+    SCORE_CHUNK) entries. Padding slots, and for "ml" atypical sources, add
+    NaN, which the block minima (``fmin``) skip. A block decodes to its tied
+    tuple (within TIE_TOL of the minimum) first in row-major order, the
+    lexicographic rule of ``first_best``; a block with no admissible tuple
+    decodes every tuple wrongly.
 
     Blocks are decoded in chunks of whole cosets of the first and the last
-    axis, about EXACT_CHUNK slots (more only when one block with the middle
-    axes is larger), and the error is summed over chunks of at most
-    EXACT_CHUNK tuples. Beyond a few arrays of one chunk, memory holds the
-    per-axis sequences, the type tables and one index per decoded block.
+    axis, about SCORE_CHUNK slots (more only when one block with the middle
+    axes is larger), against key columns of the last axis built once.
+    Row-major source order is the ``itertools.product`` order of
+    ``product_terms``, which streams the log-masses in pieces of at most
+    SCORE_CHUNK tuples; the wrong tuples' masses are summed left to right in
+    that order, as a per-tuple loop adds them. Beyond a few arrays of one
+    chunk, memory holds the per-axis sequences, the key columns of the last
+    axis, the type tables and one index per decoded block.
     """
     _check_decoder(code, decoder)
     n, shape = code.n, code.mu.shape
     total = math.prod(size ** n for size in shape)
     if total > cap:
         raise SwError(f"{total} source tuples exceed cap {cap}")
+    chunk = types.SCORE_CHUNK
     seqs, slots = map(list, zip(*(_coset_slots(m, size, n)
                                   for m, size in zip(code.matrices, shape))))
     if decoder == "ml":
         gamma = TypicalityParams(gamma).gamma
-        admit = [type_divergences(cell_counts(s, size), code.mu.marginal((j,))) < gamma
-                 for j, (s, size) in enumerate(zip(seqs, shape))]
+        admit = [product_divergences([s[None]], code.mu.marginal((j,)))[0] < gamma
+                 for j, s in enumerate(seqs)]
     else:
         admit = [np.ones(len(s), dtype=bool) for s in seqs]
     if code.k == 1:
@@ -276,61 +249,41 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     k = len(shape)
     pens = [np.where((slot >= 0) & ok[slot], 0.0, np.nan) for slot, ok in zip(slots, admit)]
     slots = [np.maximum(slot, 0) for slot in slots]
-    # float32 sums of these indicators and weights are exact: all integers < 2^24
-    onehots = [(s[:, :, None] == np.arange(size)).astype(np.float32)
-               for s, size in zip(seqs, shape)]
 
-    # cell groups: a keyed leading run of cells, then each other cell alone
     masses = code.mu.table.reshape(-1).tolist()
-    ncells = len(masses)
+    groups = type_key_groups(len(masses), n, min(total, chunk))
     terms = cell_terms if decoder == "md" else lambda mass, n: -cell_log_masses(mass, n)
-    term_lists = ([terms(mass, n) for mass in masses],
-                  [cell_log_masses(mass, n) for mass in masses])
-    keyed = ncells - 1
-    while (n + 1) ** keyed > min(total, EXACT_CHUNK):
-        keyed -= 1
-    cells = np.arange(ncells)
-    weights = [np.where(cells < keyed, float(n + 1) ** cells, 0.0)]
-    tables = [_type_tables(term_lists, n, keyed)]
-    for cell in range(keyed, ncells) if keyed < ncells - 1 else ():
-        weights.append(cells == cell)
-        tables.append([lookups[cell] for lookups in term_lists])
-    # per group, the key weight of each (position, leading cell) in each
-    # last-axis sequence
-    cols = [np.einsum("sib,ab->ias", onehots[-1],
-                      w.reshape(-1, shape[-1]).astype(np.float32)).reshape(-1, len(seqs[-1]))
-            for w in weights]
-
-    def type_sums(rows, group_cols, which, arrange=lambda key: key):
-        parts = (table[which].take(arrange(rows @ col).astype(np.intp, order="C"))
-                 for col, table in zip(group_cols, tables))
-        out = next(parts)
-        for part in parts:
-            out += part
-        return out
+    scores = type_tables([terms(mass, n) for mass in masses], n, groups)
+    log_masses = type_tables([cell_log_masses(mass, n) for mass in masses], n, groups)
+    slot_cols = [col[0][:, slots[-1].reshape(-1)]
+                 for col in key_columns(seqs[-1][None], shape, groups)]
 
     # block minima and winners, on chunks laid out (blocks..., members...)
     (lead_cosets, lead_width), (last_cosets, last_width) = slots[0].shape, slots[-1].shape
     middle = [slot.shape for slot in slots[1:-1]]
     per_pair = math.prod(slot.shape[1] for slot in slots) * math.prod(c for c, _ in middle)
-    x_step = max(1, EXACT_CHUNK // (per_pair * last_cosets))
-    y_step = min(last_cosets, max(1, EXACT_CHUNK // per_pair))
+    x_step = max(1, chunk // (per_pair * last_cosets))
+    y_step = min(last_cosets, max(1, chunk // per_pair))
     block_major = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
-    slot_cols = [col[:, slots[-1].reshape(-1)] for col in cols]
     winners = []
     for x0 in range(0, lead_cosets, x_step):
         x1 = min(x0 + x_step, lead_cosets)
         lead_shape = ((x1 - x0) * lead_width,) + tuple(c * w for c, w in middle)
         picks = np.unravel_index(np.arange(math.prod(lead_shape)), lead_shape)
         picks[0][:] += x0 * lead_width
-        rows = _lead_rows(onehots[:-1], [slot.reshape(-1)[p] for slot, p in zip(slots, picks)])
+        rows = lead_rows([seq[slot.reshape(-1)[p]][None] for seq, slot, p in zip(seqs, slots, picks)],
+                         shape[:-1], n)[0]
         for y0 in range(0, last_cosets, y_step):
             y1 = min(y0 + y_step, last_cosets)
             boxes = [(x1 - x0, lead_width)] + middle + [(y1 - y0, last_width)]
             bases = [x0] + [0] * (k - 2) + [y0]
             natural = tuple(d for box in boxes for d in box)
-            score = type_sums(rows, [col[:, y0 * last_width:y1 * last_width] for col in slot_cols],
-                              0, lambda key: key.reshape(natural).transpose(block_major))
+            parts = (table.take((rows @ col[:, y0 * last_width:y1 * last_width]).reshape(natural)
+                                .transpose(block_major).astype(np.intp, order="C"))
+                     for col, (_, table) in zip(slot_cols, scores))
+            score = next(parts)
+            for part in parts:
+                score += part
             for j, (pen, base, (c, w)) in enumerate(zip(pens, bases, boxes)):
                 at = [1] * (2 * k)
                 at[j], at[k + j] = c, w
@@ -347,22 +300,14 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     winners = np.sort(np.concatenate(winners))
 
     # the wrong tuples' masses, left to right in row-major source order
-    leads, lasts = math.prod(len(s) for s in seqs[:-1]), len(seqs[-1])
-    lead_step, last_step = max(1, EXACT_CHUNK // lasts), min(lasts, EXACT_CHUNK)
     error = 0.0
-    for a0 in range(0, leads, lead_step):
-        a1 = min(a0 + lead_step, leads)
-        rows = _lead_rows(onehots[:-1], np.unravel_index(
-            np.arange(a0, a1), tuple(len(s) for s in seqs[:-1])))
-        for s0 in range(0, lasts, last_step):
-            s1 = min(s0 + last_step, lasts)
-            mass = type_sums(rows, [col[:, s0:s1] for col in cols], 1).reshape(-1)
-            np.exp2(mass, out=mass)
-            f0 = a0 * lasts + s0
-            mass[winners[np.searchsorted(winners, f0):
-                         np.searchsorted(winners, (a1 - 1) * lasts + s1)] - f0] = 0.0
-            mass[0] += error
-            error = np.cumsum(mass, out=mass)[-1]
+    for span, mass in product_terms([s[None] for s in seqs], shape, log_masses):
+        mass = mass.reshape(-1)
+        np.exp2(mass, out=mass)
+        mass[winners[np.searchsorted(winners, span.start):
+                     np.searchsorted(winners, span.stop)] - span.start] = 0.0
+        mass[0] += error
+        error = np.cumsum(mass, out=mass)[-1]
     return min(1.0, float(error))
 
 

@@ -138,21 +138,24 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
     return JointType(n=n, counts=_as_nested(counts))
 
 
-# --- count-lookup scoring of candidate products -----------------------------
+# --- joint-type key scoring of candidate products ---------------------------
 #
 # A minimum-divergence or maximum-likelihood search scores each candidate of
 # a product of row sets (coset members) through its joint type.  A batch of
 # D searches is scored at once; callers slice a batch (``row_groups``) and
-# ``product_counts`` slices a product's candidates, so that at most
-# SCORE_CHUNK candidates are counted at a time.  Indicator matmuls give the
-# count of each cell in every candidate, and a score is a sum of per-cell
-# lookups term[count], added in flat cell order.
+# ``product_keys`` slices a product's candidates, so that at most
+# SCORE_CHUNK candidates are keyed at a time.  The cells of a joint type
+# fall into lookup groups (``type_key_groups``).  In each group, one float32
+# matmul of 0/1 indicators gives every candidate's key, and the key indexes
+# a table of the group's summed per-cell terms (``type_tables``).  Each
+# table entry adds its cells' terms in flat cell order from 0.0, and the
+# groups follow that order, so a score is added as a per-cell loop adds it.
 # The divergence tables hold the Python floats that ``divergence`` computes,
 # so every divergence equals ``divergence(joint_type(...).empirical(),
 # p_ref)`` bit for bit, whatever the batch or slice; candidates of the same
 # joint type get bit-equal scores, and ``first_best`` decides.
 
-SCORE_CHUNK = 1 << 14  # candidates counted at once
+SCORE_CHUNK = 1 << 14  # candidates keyed at once; entries of a keyed run's table
 # mathematically tied scores of different joint types can differ in their
 # last ulps, as their cells are added in a different order; scores within
 # TIE_TOL of the optimum tie, so the lexicographic rule is what decides
@@ -186,64 +189,126 @@ def row_groups(rows: int, per_row: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
-def product_counts(factors: Sequence[np.ndarray], shape: Sequence[int]):
-    """The joint-type counts of every candidate of every batch row's product,
-    candidates in ``itertools.product`` order, as ``(span, counts)`` pieces:
-    ``span`` slices the flat candidate index and ``counts`` holds, per cell
-    of ``shape`` in flat order, a (D, span length) int array.
+def type_key_groups(ncells: int, n: int, limit: int | None = None) -> list[tuple[int, ...]]:
+    """The lookup groups of a length-n joint type over ``ncells`` cells: the
+    longest leading run of cells whose key table has at most ``limit``
+    (default SCORE_CHUNK) entries, then each other cell alone.  A group's
+    key is sum_i count_i (n+1)^i over its cells, but for a group of every
+    cell the last is left out: its count is n minus the others."""
+    limit = SCORE_CHUNK if limit is None else limit
+    keyed = ncells - 1
+    while keyed and (n + 1) ** keyed > limit:
+        keyed -= 1
+    if keyed == ncells - 1:
+        return [tuple(range(ncells))]
+    run = [tuple(range(keyed))] if keyed else []
+    return run + [(cell,) for cell in range(keyed, ncells)]
+
+
+def key_weights(cells: Sequence[int], ncells: int, n: int) -> np.ndarray:
+    """(ncells,) int64: the weight of each cell's count in the key of the
+    lookup group ``cells``, (n+1)^i for its i-th keyed cell and 0 off it."""
+    keyed = list(cells[:-1] if len(cells) == ncells else cells)
+    weights = np.zeros(ncells, dtype=np.int64)
+    weights[keyed] = (n + 1) ** np.arange(len(keyed))
+    return weights
+
+
+@lru_cache(maxsize=1024)
+def _count_vectors(n: int, parts: int) -> np.ndarray:
+    """``compositions(n, parts)`` as a (types, parts) array."""
+    out = np.array(compositions(n, parts)).reshape(-1, parts)
+    out.setflags(write=False)
+    return out
+
+
+def type_tables(terms: Sequence[np.ndarray], n: int, groups) -> list[tuple[tuple, np.ndarray]]:
+    """Per lookup group, ``(cells, table)``: the table maps the key of every
+    count vector a length-n joint type can give to the sum of
+    terms[c][count_c] over the group's cells c, added in cell order from
+    0.0.  ``terms`` holds one array of n + 1 terms per cell."""
+    out = []
+    for cells in groups:
+        keyed = len(cells) - (len(cells) == len(terms))
+        counts = _count_vectors(n, keyed + 1)
+        sums = np.zeros(len(counts))
+        for cell, count in zip(cells, counts.T):
+            sums += terms[cell][count]
+        table = np.zeros((n + 1) ** keyed)
+        table[counts[:, :keyed] @ (n + 1) ** np.arange(keyed)] = sums
+        table.setflags(write=False)
+        out.append((cells, table))
+    return out
+
+
+def lead_rows(heads: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> np.ndarray:
+    """(D, R, n x leading cells) float32: row r of batch row d is the 0/1
+    indicator, per position and flat cell of the leading axes, of the
+    sequences heads[j][d, r], axis j having sizes[j] symbols (a head with
+    one batch row serves every row).  Without heads, one all-ones row."""
+    if not heads:
+        return np.ones((1, 1, n), dtype=np.float32)
+    rows = (heads[0][..., None] == np.arange(sizes[0])).astype(np.float32)
+    for head, size in zip(heads[1:], sizes[1:]):
+        rows = rows[..., None] * (head[..., None] == np.arange(size))[..., None, :]
+        rows = rows.reshape(rows.shape[:3] + (-1,))
+    return rows.reshape(rows.shape[:2] + (-1,))
+
+
+def key_columns(last: np.ndarray, shape: Sequence[int], groups) -> list[np.ndarray]:
+    """Per lookup group, a (D, n x leading cells, m) float32 array: the key
+    weight that each position and flat leading cell of a ``lead_rows`` row
+    adds, for each member of ``last``, a (D, m, n) array of symbols on the
+    last axis of ``shape``.  Their float32 products sum exactly: every key
+    is an integer below 2^24."""
+    n, ncells = last.shape[2], math.prod(shape)
+    return [np.take(key_weights(cells, ncells, n).reshape(-1, shape[-1]).astype(np.float32),
+                    last.transpose(0, 2, 1), axis=1).transpose(1, 2, 0, 3)
+            .reshape(len(last), -1, last.shape[1]) for cells in groups]
+
+
+def product_keys(factors: Sequence[np.ndarray], shape: Sequence[int], groups):
+    """The lookup-group keys of every candidate of every batch row's
+    product, candidates in ``itertools.product`` order, as ``(span, keys)``
+    pieces: ``span`` slices the flat candidate index and ``keys`` holds, per
+    group of ``groups``, a (D, span length) int array.
 
     Factor j is a (D or 1, m_j, n) array of symbols on axis j of ``shape``;
     a factor with one row serves every batch row.  A piece covers at most
     max(1, SCORE_CHUNK // D) candidates per row: whole runs of the last
-    factor when they fit, else slices of it.  Counts come from integer
-    matmuls of 0/1 indicators: those of the first k - 1 factors, multiplied
-    into lead rows, meet those of the last factor.
+    factor when they fit, else slices of it.  A group's keys are one matmul
+    of the leading factors' ``lead_rows`` with the last factor's
+    ``key_columns``, which are built once.
     """
-    rows = max(len(f) for f in factors)
+    rows, n = max(len(f) for f in factors), factors[0].shape[2]
     sizes = [f.shape[1] for f in factors]
     leads, last = math.prod(sizes[:-1]), sizes[-1]
     step = max(1, SCORE_CHUNK // rows)
     lead_step, last_step = (max(1, step // last), last) if last <= step else (1, step)
+    cols = key_columns(factors[-1], shape, groups)
     for a0 in range(0, leads, lead_step):
         a1 = min(a0 + lead_step, leads)
         picks = np.unravel_index(np.arange(a0, a1), sizes[:-1]) if len(sizes) > 1 else ()
-        heads = [f[:, r] for f, r in zip(factors, picks)]
+        lead = lead_rows([f[:, r] for f, r in zip(factors, picks)], shape[:-1], n)
         for s0 in range(0, last, last_step):
             s1 = min(s0 + last_step, last)
-            tails = [(factors[-1][:, s0:s1] == b).astype(np.intp).transpose(0, 2, 1)
-                     for b in range(shape[-1])]
-            counts = []
-            for prefix in np.ndindex(*shape[:-1]):
-                lead = np.ones((1, a1 - a0, factors[0].shape[2]), dtype=np.intp)
-                for head, a in zip(heads, prefix):
-                    lead = lead * (head == a)
-                counts += [(lead @ tail).reshape(rows, -1) for tail in tails]
-            yield slice(a0 * last + s0, (a1 - 1) * last + s1), counts
+            yield (slice(a0 * last + s0, (a1 - 1) * last + s1),
+                   [(lead @ col[:, :, s0:s1]).astype(np.intp).reshape(rows, -1) for col in cols])
 
 
-def _fill(factors, shape, part) -> np.ndarray:
-    """(D, M): ``part`` maps each piece's per-cell counts (see
-    ``product_counts``) to its (D, span length) values."""
-    out = None
-    for span, counts in product_counts(factors, shape):
-        values = part(counts)
-        if out is None:
-            out = np.empty((len(values), math.prod(f.shape[1] for f in factors)),
-                           dtype=values.dtype)
-        out[:, span] = values
-    return out
-
-
-def product_scores(factors: Sequence[np.ndarray], shape: Sequence[int], score) -> np.ndarray:
-    """A (D, M) array: row d holds one value per candidate of
-    ``factors[0][d] x factors[1][d] x ...``, in ``itertools.product`` order
-    (see ``product_counts``); ``score`` maps the (c, ncells) cell counts of
-    c candidates to one value per candidate."""
-    def part(counts):
-        stacked = np.stack(counts, axis=-1)
-        return score(stacked.reshape(-1, len(counts))).reshape(stacked.shape[:2])
-
-    return _fill(factors, shape, part)
+def product_terms(factors: Sequence[np.ndarray], shape: Sequence[int], tables, groups=None):
+    """``product_keys`` pieces ``(span, values)`` whose (D, span length)
+    values sum one lookup per ``(cells, table)`` of ``tables`` (see
+    ``type_tables``).  With ``groups`` ((D,) ints), each table is stacked
+    (G, entries) and batch row d reads its row groups[d]."""
+    ref = None if groups is None else np.asarray(groups)[:, None]
+    for span, keys in product_keys(factors, shape, [cells for cells, _ in tables]):
+        parts = (table.take(key) if ref is None else table[ref, key]
+                 for key, (_, table) in zip(keys, tables))
+        out = next(parts)
+        for part in parts:
+            out += part
+        yield span, out
 
 
 def product_valid(kept: Sequence[np.ndarray]) -> np.ndarray:
@@ -294,49 +359,6 @@ def cell_terms(mass: float, n: int) -> np.ndarray:
     return out
 
 
-def type_divergences(counts: np.ndarray, p_ref: Distribution) -> np.ndarray:
-    """divergence(row / n, p_ref) for every row of a nonempty counts array."""
-    n = int(counts[0].sum())
-    d = np.zeros(len(counts))
-    for cell, mass in enumerate(p_ref.table.reshape(-1).tolist()):
-        d += cell_terms(mass, n)[counts[:, cell]]
-    return d
-
-
-@lru_cache(maxsize=4096)
-def _term_table(terms, masses: tuple, n: int) -> np.ndarray:
-    """(ncells, n + 1): ``terms(mass, n)`` per cell mass."""
-    out = np.array([terms(mass, n) for mass in masses])
-    out.setflags(write=False)
-    return out
-
-
-def _term_sums(factors, shape, tables: np.ndarray, groups) -> np.ndarray:
-    """(D, M) sums of per-cell lookups tables[t, cell, count] over the cells
-    of each candidate's joint type, added in flat cell order; batch row d
-    reads table groups[d] (table 0 without ``groups``)."""
-    t = 0 if groups is None else np.asarray(groups)[:, None]
-
-    def part(counts):
-        out = np.zeros(counts[0].shape)
-        for cell, c in enumerate(counts):
-            out += tables[t, cell, c]
-        return out
-
-    return _fill(factors, shape, part)
-
-
-def product_divergences(factors: Sequence[np.ndarray], p_ref, groups=None) -> np.ndarray:
-    """(D, M) joint-type divergences of every candidate of every batch row's
-    product.  ``p_ref`` is one Distribution, or with ``groups`` ((D,) ints)
-    a sequence of them: row d is scored against p_ref[groups[d]]."""
-    refs = [p_ref] if groups is None else p_ref
-    n = factors[0].shape[2]
-    tables = np.stack([_term_table(cell_terms, tuple(ref.table.reshape(-1).tolist()), n)
-                       for ref in refs])
-    return _term_sums(factors, refs[0].shape, tables, groups)
-
-
 @lru_cache(maxsize=4096)
 def cell_log_masses(mass: float, n: int) -> np.ndarray:
     """term[c] = c log2(mass) for c = 0..n: 0 at c = 0, -inf for c > 0 when
@@ -347,12 +369,39 @@ def cell_log_masses(mass: float, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _law_tables(terms, masses: tuple, n: int, limit: int) -> list:
+    """``type_tables`` of ``terms(mass, n)`` per cell of a flat law."""
+    return type_tables([terms(mass, n) for mass in masses], n,
+                       type_key_groups(len(masses), n, limit))
+
+
+def _product_array(factors, shape, terms, laws, groups) -> np.ndarray:
+    """(D, M) sums of the per-cell ``terms`` of every candidate's joint type
+    under laws[groups[d]] (laws[0] without ``groups``)."""
+    n = factors[0].shape[2]
+    per_law = [_law_tables(terms, tuple(law.reshape(-1).tolist()), n, SCORE_CHUNK)
+               for law in laws]
+    tables = per_law[0] if groups is None else [
+        (group[0][0], np.stack([table for _, table in group])) for group in zip(*per_law)]
+    out = np.empty((max(len(f) for f in factors), math.prod(f.shape[1] for f in factors)))
+    for span, values in product_terms(factors, shape, tables, groups):
+        out[:, span] = values
+    return out
+
+
+def product_divergences(factors: Sequence[np.ndarray], p_ref, groups=None) -> np.ndarray:
+    """(D, M) joint-type divergences of every candidate of every batch row's
+    product.  ``p_ref`` is one Distribution, or with ``groups`` ((D,) ints)
+    a sequence of them: row d is scored against p_ref[groups[d]]."""
+    refs = [p_ref] if groups is None else p_ref
+    return _product_array(factors, refs[0].shape, cell_terms, [r.table for r in refs], groups)
+
+
 def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
     """(D, M) joint-type log2-masses under the memoryless law ``table`` of
     every candidate of every batch row's product."""
-    n = factors[0].shape[2]
-    tables = _term_table(cell_log_masses, tuple(table.reshape(-1).tolist()), n)[None]
-    return _term_sums(factors, table.shape, tables, None)
+    return _product_array(factors, table.shape, cell_log_masses, [table], None)
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hashprop.cli import build_parser, main
-from hashprop.formats import emit_matrix, parse_matrix
+from hashprop.formats import emit_matrix, load_distribution, load_matrix, parse_matrix
 from hashprop.gf import FieldMatrix
+from hashprop.slepian_wolf import SwCode
+from test_slepian_wolf import _per_tuple_error
 
 
 def run_cli(capsys, *argv):
@@ -194,17 +196,24 @@ def _write_dist(tmp_path, sizes):
     return str(path)
 
 
-def test_sw_sim_ml_needs_two_sources_exit_2(tmp_path, capsys):
-    """The ML decoders are two-source; with three sources that is an input
-    error, caught before any decode."""
+def test_sw_sim_ml_three_sources(tmp_path, capsys):
+    """ML decodes any number of sources. With three, where gamma = 0.1 leaves
+    some cosets without an admissible tuple, exact mode equals the per-tuple
+    decoder loop, and the MC interval holds that value."""
     dist = _write_dist(tmp_path, [2, 2, 2])
-    a = write_matrix(tmp_path, "a.txt", [[1, 1, 0]])
-    argv = ["sw-sim", "--dist", dist] + ["--matrix", f"x={a}"] * 3
-    for decoder in ("ml", "ml_unconstrained"):
-        code, out, err = run_cli(capsys, *argv, "--decoder", decoder, "--gamma", "0.5")
-        assert code == 2 and "two sources" in err and not out
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and 0.0 <= json.loads(out)["error"] <= 1.0
+    mats = [write_matrix(tmp_path, f"{name}.txt", dense) for name, dense in
+            (("a", [[1, 1, 0]]), ("b", [[0, 1, 1]]), ("c", [[1, 0, 1], [0, 1, 0]]))]
+    argv = ["sw-sim", "--dist", dist, "--decoder", "ml", "--gamma", "0.1"]
+    for name, path in zip("xyz", mats):
+        argv += ["--matrix", f"{name}={path}"]
+    code = SwCode(tuple(load_matrix(path) for path in mats), load_distribution(dist))
+    expected, failures = _per_tuple_error(code, "ml", 0.1)
+    assert failures > 0
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0 and json.loads(out)["error"] == pytest.approx(expected, abs=1e-12)
+    status, out, _ = run_cli(capsys, *argv, "--mode", "mc", "--trials", "4000", "--seed", "5")
+    lo, hi = json.loads(out)["ci"]
+    assert status == 0 and lo <= expected <= hi
 
 
 def test_sw_sim_csv_needs_two_sources_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hashprop import types
 from hashprop.gf import FieldMatrix
 from hashprop.lp_md import (
     REL_EQ,
@@ -14,6 +15,7 @@ from hashprop.lp_md import (
     LinearProgram,
     LpError,
     LpSolution,
+    _first_member_with_type,
     build_parity_constraints,
     build_type_constraints,
     md_via_lp,
@@ -301,6 +303,35 @@ def test_md_via_lp_cap_counts_members_built():
         md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=15)
     res = md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=16)
     assert res.x_hat == sw_decode_md(SwCode((row, row), mu), ((0,), (0,))).x_hat
+
+
+@pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 7])
+def test_first_member_with_type_three_sources(monkeypatch, chunk):
+    """With three binary sources at n = 4, whose 8-cell type keys fall into
+    several lookup groups, the first candidate of the coset product with a
+    wanted joint type is the one a brute-force search finds first, also in
+    pieces of 7 candidates; a type no candidate has finds nothing."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    n, shape = 4, (2, 2, 2)
+
+    def flat_type(cand):
+        return tuple(np.asarray(joint_type(cand, shape).counts).reshape(-1).tolist())
+
+    for _ in range(4):
+        dense = [rng.integers(0, 2, size=(2, n)) for _ in range(3)]
+        syns = [tuple((d @ rng.integers(0, 2, size=n) % 2).tolist()) for d in dense]
+        sides = [[w for w in itertools.product((0, 1), repeat=n)
+                  if tuple((d @ np.array(w) % 2).tolist()) == a] for d, a in zip(dense, syns)]
+        candidates = list(itertools.product(*sides))
+        seen = {flat_type(c) for c in candidates}
+        wanted = {flat_type(candidates[i]) for i in rng.integers(0, len(candidates), size=2)}
+        mats = [FieldMatrix.from_dense(2, d) for d in dense]
+        expected = next(c for c in candidates if flat_type(c) in wanted)
+        assert _first_member_with_type(mats, syns, wanted, 1 << 20) == expected
+        absent = next(t for t in itertools.product(range(n + 1), repeat=8)
+                      if sum(t) == n and t not in seen)
+        assert _first_member_with_type(mats, syns, {absent}, 1 << 20) is None
 
 
 def test_polytope_vertex_audit_all_patterns():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hashprop import gf, slepian_wolf, types
+from hashprop import gf, types
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import (
     SwCode,
@@ -234,18 +234,29 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
             assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
             failures += failed
     assert failures > 0
-    # one source, and three sources with a zero-mass cell; ML is two-source
+    # one source, and three sources: with a zero-mass cell, and binary at
+    # n = 2 and 3, where ML admits a tuple when every source is typical
     one = SwCode((FieldMatrix.from_dense(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
                  Distribution([0.6, 0.3, 0.1]))
     law = np.array([0.3, 0.1, 0.05, 0.0, 0.05, 0.1, 0.1, 0.3]).reshape(2, 2, 2)
     three = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
                     FieldMatrix.from_dense(3, [[1, 0, 2]]),
                     FieldMatrix.zeros(2, 0, 3)), Distribution(law))
-    for code in (one, three):
-        assert sw_error_exact(code) == pytest.approx(_per_tuple_error(code)[0], abs=1e-12)
-        for decoder, gamma in DECODERS[1:]:
-            with pytest.raises(SwError, match="two sources"):
-                sw_error_exact(code, decoder, gamma)
+    cube = Distribution(np.array([9, 2, 1, 2, 2, 1, 2, 9]).reshape(2, 2, 2) / 28)
+    three_n2 = SwCode((FieldMatrix.from_dense(2, [[1, 1]]), FieldMatrix.from_dense(2, [[1, 0]]),
+                       FieldMatrix.zeros(2, 0, 2)), cube)
+    three_n3 = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]]),
+                       FieldMatrix.from_dense(2, [[1, 0, 1]]),
+                       FieldMatrix.from_dense(2, [[0, 1, 1]])), cube)
+    cases = [(code, decoder, gamma) for code in (one, three) for decoder, gamma in DECODERS]
+    cases += [(code, decoder, gamma) for code in (three_n2, three_n3)
+              for decoder, gamma in (("ml", 0.3), ("ml_unconstrained", 0.0))]
+    failures = 0
+    for code, decoder, gamma in cases:
+        expected, failed = _per_tuple_error(code, decoder, gamma)
+        assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
+        failures += failed
+    assert failures > 0
 
 
 def test_field_larger_than_alphabet_decodes_over_alphabet():
@@ -386,7 +397,7 @@ def test_error_exact_chunks_do_not_change_values(monkeypatch, chunk):
     cases += [(codes[6], "ml", 0.3), (codes[6], "md", 0.0), (codes[7], "md", 0.0),
               (codes[9], "md", 0.0), (one, "md", 0.0), (three, "md", 0.0)]
     expected = [sw_error_exact(*case).hex() for case in cases]
-    monkeypatch.setattr(slepian_wolf, "EXACT_CHUNK", chunk)
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
     assert [sw_error_exact(*case).hex() for case in cases] == expected
 
 

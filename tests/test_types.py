@@ -22,13 +22,16 @@ from hashprop.types import (
     is_joint_typical,
     is_typical,
     joint_type,
+    key_weights,
     lambda_slack,
     mutual_information,
-    product_counts,
     product_divergences,
+    product_keys,
+    product_log_masses,
     product_members,
     slack_functions,
     type_census,
+    type_key_groups,
     verify_typicality_bounds,
     zeta_slack,
 )
@@ -175,49 +178,80 @@ def test_verify_typicality_bounds_guards():
         verify_typicality_bounds("trans", mu, gamma=0.5, n=4)
 
 
+def _log2_mass(counts, mu: Distribution) -> float:
+    """sum_c count_c log2(mu_c) over the cells in flat order, from 0.0."""
+    total = 0.0
+    for c, m in zip(counts, mu.table.reshape(-1).tolist()):
+        if c:
+            total += c * math.log2(m) if m > 0 else -math.inf
+    return total
+
+
 def test_product_divergences_bit_exact_across_chunks(monkeypatch):
-    """The count-lookup scorer equals divergence(joint_type(..).empirical())
-    bit for bit, in itertools.product order per batch row, also across chunk
-    boundaries and batch rows; a one-row factor serves every batch row."""
-    monkeypatch.setattr(types, "SCORE_CHUNK", 7)
+    """The key scorer equals divergence(joint_type(..).empirical()) and a
+    math.log2 sum of the log-mass bit for bit, in itertools.product order
+    per batch row, also across chunk boundaries and batch rows; a one-row
+    factor serves every batch row.  The 2x2x2 law at n = 12 runs at the
+    default chunk, where keying all its cells would need 13^7 entries, so
+    its cells fall into several lookup groups."""
     rng = np.random.default_rng(12)
     laws = [Distribution([[0.475, 0.025], [0.025, 0.475]]),
             Distribution([[0.6, 0.0], [0.1, 0.3]]),
             Distribution([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]]),
             Distribution(np.full((2, 2, 2), 1 / 8))]
-    for mu in laws:
-        n = int(rng.integers(2, 6))
+    cube = Distribution(np.array([6, 1, 2, 3, 0, 4, 5, 15]).reshape(2, 2, 2) / 36)
+    assert len(type_key_groups(8, 12)) > 1
+    for mu, n, chunk in [(law, None, 7) for law in laws] + [(cube, 12, types.SCORE_CHUNK)]:
+        monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+        n = int(rng.integers(2, 6)) if n is None else n
         rows = int(rng.integers(1, 4))
         factors = [rng.integers(0, size, size=(rows if j else 1, int(rng.integers(1, 6)), n))
                    for j, size in enumerate(mu.shape)]
         got = product_divergences(factors, mu)
+        log_masses = product_log_masses(factors, mu.table)
         picks = rng.integers(0, got.shape[1], size=rows)
         chosen = product_members(factors, picks)
         for d in range(rows):
             row = [f[d if len(f) > 1 else 0] for f in factors]
             candidates = list(itertools.product(*(f.tolist() for f in row)))
             for i, cand in enumerate(candidates):
-                expected = divergence(joint_type(cand, mu.shape).empirical(), mu)
-                assert got[d, i] == expected
+                t = joint_type(cand, mu.shape)
+                assert got[d, i] == divergence(t.empirical(), mu)
+                assert log_masses[d, i] == _log2_mass(t.table().reshape(-1).tolist(), mu)
             assert tuple(map(tuple, chosen[d].tolist())) == tuple(map(tuple, candidates[picks[d]]))
 
 
-def test_product_counts_slices_long_rows(monkeypatch):
-    """product_counts counts at most max(1, SCORE_CHUNK // D) candidates per
-    batch row at a time, also when one row's product exceeds SCORE_CHUNK,
-    and its pieces tile the product in itertools.product order."""
+def test_product_keys_slices_long_rows(monkeypatch):
+    """product_keys keys at most max(1, SCORE_CHUNK // D) candidates per
+    batch row at a time, also when one row's product exceeds SCORE_CHUNK;
+    its pieces tile the product in itertools.product order, and each group
+    key is the candidate's joint-type counts times the group's weights.
+    Each case keys all cells in one group, but the last, which splits its
+    8 cells into a keyed run and single cells."""
     monkeypatch.setattr(types, "SCORE_CHUNK", 8)
     rng = np.random.default_rng(5)
-    for rows, widths in [(1, (5, 30)), (1, (3, 4, 5)), (2, (3, 3)), (1, (40,)), (3, (2, 9)), (9, (2, 2))]:
+    cases = [(rows, widths, 5 ** 7) for rows, widths in
+             [(1, (5, 30)), (1, (3, 4, 5)), (2, (3, 3)), (1, (40,)), (3, (2, 9)), (9, (2, 2))]]
+    for rows, widths, limit in cases + [(2, (3, 4, 5), 25)]:
         factors = [rng.integers(0, 2, size=(rows, m, 4)) for m in widths]
-        shape = (2,) * len(widths)
+        shape, ncells = (2,) * len(widths), 2 ** len(widths)
+        groups = type_key_groups(ncells, 4, limit)
+        assert (len(groups) > 1) == (limit == 25)
+        # weights 5^i on a group's cells, but none on the last cell of a
+        # group of every cell, whose count the others fix
+        weights = []
+        for cells in groups:
+            keyed = cells[:-1] if len(cells) == ncells else cells
+            weights.append([5 ** keyed.index(c) if c in keyed else 0 for c in range(ncells)])
+        assert weights == [key_weights(cells, ncells, 4).tolist() for cells in groups]
         end = 0
-        for span, counts in product_counts(factors, shape):
+        for span, keys in product_keys(factors, shape, groups):
             assert span.start == end and 0 < span.stop - span.start <= max(1, 8 // rows)
+            assert [key.shape for key in keys] == [(rows, span.stop - span.start)] * len(groups)
             end = span.stop
             for d in range(rows):
                 candidates = list(itertools.product(*(f[d].tolist() for f in factors)))
                 for i, cand in enumerate(candidates[span], start=span.start):
-                    expected = np.asarray(joint_type(cand, shape).counts).reshape(-1)
-                    assert [c[d, i - span.start] for c in counts] == expected.tolist()
+                    counts = np.asarray(joint_type(cand, shape).counts).reshape(-1)
+                    assert [key[d, i - span.start] for key in keys] == [counts @ w for w in weights]
         assert end == math.prod(widths)
