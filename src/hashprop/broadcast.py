@@ -24,7 +24,6 @@ from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     CondDistribution,
     Distribution,
-    cell_counts,
     entropy,
     first_best,
     product_best,
@@ -287,7 +286,7 @@ def bc_select_batch(code: BcCode, p: BcProblem, messages,
         if found is None:
             continue
         factors, kept = found
-        best, d, failed = product_best(factors, product_divergences(factors, p.mu_u),
+        best, d, failed = product_best(factors, product_divergences(factors, p.mu_u.table),
                                        product_valid(kept))
         u[sl] = np.where(failed[:, None, None], -1, best)
         failure[sl] = failed
@@ -328,8 +327,9 @@ def bc_decode_batch(code: BcCode, p: BcProblem, j: int, ys,
     """``bc_decode`` for D outputs of receiver j at once: ``ys`` is (D, n),
     and row d of the (D, rows of A'_j) result is the estimate for ys[d].
 
-    The shared coset is built once. For md, the rows are grouped by the
-    type of y, and each group is scored against its own mu_{U_j|Y_j} nu_y.
+    The shared coset is built once. md scores every row against the one
+    table mu_{U_j|Y_j}: D(nu_{u|y} || mu_{U_j|Y_j} | nu_y) is that score
+    plus H(nu_y), which is the same for every candidate of a row.
     """
     p.check_code(code)
     if variant not in ("ml", "md"):
@@ -341,18 +341,11 @@ def bc_decode_batch(code: BcCode, p: BcProblem, j: int, ys,
     members = found[0][0]
     cond = p.receiver_conditionals[j]
     ys = np.asarray(ys, dtype=np.int64)
-    n = ys.shape[1]
     winners = np.empty(len(ys), dtype=np.intp)
     for sl in row_groups(len(ys), members.shape[1]):
         candidates = [members, ys[sl, None, :]]
-        if variant == "ml":
-            winners[sl] = first_best(product_log_masses(candidates, cond), maximize=True)
-            continue
-        # D(nu_{u|y} || mu_{U_j|Y_j} | nu_y) = D(nu_{uy} || mu_{U_j|Y_j} nu_y)
-        counts = cell_counts(ys[sl], cond.shape[1])
-        first, groups = distinct_rows(counts, [n + 1] * cond.shape[1])
-        refs = [Distribution(cond * (c / n)) for c in counts[first]]
-        winners[sl] = first_best(product_divergences(candidates, refs, groups))
+        winners[sl] = first_best(product_divergences(candidates, cond) if variant == "md"
+                                 else -product_log_masses(candidates, cond))
     return members[0, winners] @ ap_m.to_dense().T % ap_m.q
 
 

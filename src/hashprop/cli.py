@@ -45,8 +45,7 @@ def _build_ensemble(args) -> tuple[ens_mod.Ensemble, ens_mod.TypeFilter]:
         flags = {"family": args.family, "q": args.q, "l": args.l, "n": args.n,
                  "tau": args.tau, "w_min": args.w_min}
         obj = {key: value for key, value in flags.items() if value is not None}
-    ens, filt, _ = formats.ensemble_from_obj(obj)
-    return ens, filt
+    return formats.ensemble_from_obj(obj)
 
 
 def cmd_gen_matrix(args) -> None:

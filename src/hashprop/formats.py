@@ -119,22 +119,19 @@ def _load_json(path: str):
 
 
 # --- ensemble descriptor ----------------------------------------------------
-# {"family": "sparse"|"uniform", "q", "l", "n", "tau", "seed", "w_min"}
+# {"family": "sparse"|"uniform", "q", "l", "n", "tau", "w_min"}
 
 
-def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter, int | None]:
+def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter]:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError("ensemble descriptor needs a 'family' field")
     family = obj["family"]
     try:
         q, l, n = int(obj["q"]), int(obj["l"]), int(obj["n"])
+        filt = (TypeFilter(int(obj["w_min"])) if obj.get("w_min") is not None
+                else TypeFilter.default(n))
     except (KeyError, ValueError, TypeError):
-        raise ParseError("ensemble descriptor needs integer q, l, n")
-    seed = int(obj["seed"]) if obj.get("seed") is not None else None
-    filt = (
-        TypeFilter(int(obj["w_min"])) if obj.get("w_min") is not None
-        else TypeFilter.default(n)
-    )
+        raise ParseError("ensemble descriptor needs integer q, l, n (and w_min if given)")
     try:
         if family == "uniform":
             ens = Ensemble.uniform_all(q, l, n)
@@ -144,9 +141,9 @@ def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter, int | None]:
             ens = Ensemble.sparse(q, l, n, int(obj["tau"]))
         else:
             raise ParseError(f"unknown ensemble family {family!r}")
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(str(exc))
-    return ens, filt, seed
+    return ens, filt
 
 
 # --- broadcast problem / code JSON ------------------------------------------

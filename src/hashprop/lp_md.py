@@ -349,7 +349,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
 
     log = []
-    feasible: list[tuple[float, tuple, bool]] = []  # (divergence, type, certified)
+    feasible: list[tuple[float, tuple]] = []  # (divergence, type)
     all_integral = True
     for t in types:
         tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
@@ -362,22 +362,20 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
             entry["integral"] = sol.integral
             entry["point"] = tuple(float(v) for v in sol.values)
             if sol.integral:
-                feasible.append((d, t, True))
+                feasible.append((d, t))
             else:
                 all_integral = False
                 if fallback == "exhaustive" and _type_occurs(
                     matrices, syndromes, t, fallback_cap
                 ):
-                    feasible.append((d, t, False))
+                    feasible.append((d, t))
         log.append(entry)
 
-    finite = [(d, t) for d, t, _ in feasible if not math.isinf(d)]
-    pool = finite if finite else [(d, t) for d, t, _ in feasible]
-    if not pool:
+    if not feasible:
         return LpDecodeResult(x_hat=None, divergence=math.inf, all_integral=all_integral,
                               error=True, type_log=tuple(log))
-    best_d = min(d for d, _ in pool)
-    winners = {t for d, t in pool if d <= best_d + TIE_TOL}
+    best_d = min(d for d, _ in feasible)
+    winners = {t for d, t in feasible if d <= best_d + TIE_TOL}
     x_hat = _first_member_with_type(matrices, syndromes, winners, fallback_cap)
     return LpDecodeResult(x_hat=x_hat, divergence=best_d, all_integral=all_integral,
                           error=False, type_log=tuple(log))

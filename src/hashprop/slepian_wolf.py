@@ -18,12 +18,12 @@ from . import types
 from .gf import FieldMatrix, coset_factor_batch, coset_size
 from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
-    TIE_TOL,
     Distribution,
     TypicalityParams,
     cell_log_masses,
     cell_terms,
     entropy,
+    first_best,
     key_columns,
     lead_rows,
     product_best,
@@ -136,17 +136,16 @@ def sw_decode_batch(code: SwCode, syndromes, decoder: str = "md", gamma: float =
                           "inside the source alphabet")
         factors, kept = found
         if decoder == "md":
-            scores = product_divergences(factors, code.mu)
+            costs = product_divergences(factors, code.mu.table)
         else:
-            scores = product_log_masses(factors, code.mu.table)
+            costs = -product_log_masses(factors, code.mu.table)
         if decoder == "ml":
-            kept = [keep & (product_divergences([f], code.mu.marginal((axis,))) < gamma)
+            kept = [keep & (product_divergences([f], code.mu.marginal((axis,)).table) < gamma)
                     for axis, (f, keep) in enumerate(zip(factors, kept))]
-        best, score, failed = product_best(factors, scores, product_valid(kept),
-                                           maximize=decoder != "md")
+        best, cost, failed = product_best(factors, costs, product_valid(kept))
         x_hat[sl] = np.where(failed[:, None, None], -1, best)
         failure[sl] = failed
-        all_infinite[sl] = (decoder == "md") & np.isinf(score)
+        all_infinite[sl] = (decoder == "md") & np.isinf(cost)
     return x_hat, failure, all_infinite
 
 
@@ -185,7 +184,12 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
 def _coset_slots(matrix: FieldMatrix, size: int, n: int):
     """Every alphabet sequence of length n, in lexicographic order, and a
     (cosets, widest coset) array of their indices: one coset per row, rows in
-    syndrome order, members in lexicographic order, -1 in the padding."""
+    syndrome order, members in lexicographic order, -1 in the padding.
+
+    This stays beside ``gf.coset_batch``: it enumerates only the size^n
+    alphabet sequences, while ``coset_factor_batch(..., sizes)`` builds
+    q^(n - rank) members per syndrome, about q^n in all (about 9.8M members
+    against 1024 for a GF(5) check on a binary source at n = 10)."""
     seqs = np.indices((size,) * n).reshape(n, size ** n).T
     weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
     idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
@@ -211,10 +215,9 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     ``cell_terms``, ML adds ``-cell_log_masses``, and the log-mass adds
     ``cell_log_masses``. A keyed run's table has at most min(tuples,
     SCORE_CHUNK) entries. Padding slots, and for "ml" atypical sources, add
-    NaN, which the block minima (``fmin``) skip. A block decodes to its tied
-    tuple (within TIE_TOL of the minimum) first in row-major order, the
-    lexicographic rule of ``first_best``; a block with no admissible tuple
-    decodes every tuple wrongly.
+    NaN, which marks a non-candidate. A block decodes to its ``first_best``
+    tuple, the first tied minimum in row-major order; a block with no
+    admissible tuple decodes every tuple wrongly.
 
     Blocks are decoded in chunks of whole cosets of the first and the last
     axis, about SCORE_CHUNK slots (more only when one block with the middle
@@ -236,7 +239,7 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
                                   for m, size in zip(code.matrices, shape))))
     if decoder == "ml":
         gamma = TypicalityParams(gamma).gamma
-        admit = [product_divergences([s[None]], code.mu.marginal((j,)))[0] < gamma
+        admit = [product_divergences([s[None]], code.mu.marginal((j,)).table)[0] < gamma
                  for j, s in enumerate(seqs)]
     else:
         admit = [np.ones(len(s), dtype=bool) for s in seqs]
@@ -288,10 +291,8 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
                 at = [1] * (2 * k)
                 at[j], at[k + j] = c, w
                 score += pen[base:base + c].reshape(at)
-            flat = score.reshape(-1, math.prod(w for _, w in boxes))
-            tied = flat <= (np.fmin.reduce(flat, axis=1) + TIE_TOL)[:, None]
-            first = tied.argmax(axis=1)
-            blocks = np.flatnonzero(tied[np.arange(len(first)), first])
+            first = first_best(score.reshape(-1, math.prod(w for _, w in boxes)))
+            blocks = np.flatnonzero(first >= 0)
             coset = np.unravel_index(blocks, tuple(c for c, _ in boxes))
             member = np.unravel_index(first[blocks], tuple(w for _, w in boxes))
             winners.append(np.ravel_multi_index(

@@ -162,24 +162,18 @@ SCORE_CHUNK = 1 << 14  # candidates keyed at once; entries of a keyed run's tabl
 TIE_TOL = 1e-12
 
 
-def first_best(scores: np.ndarray, maximize: bool = False, valid=None) -> np.ndarray:
-    """Per row of ``scores`` (last axis: candidates), the index of the first
-    valid score within TIE_TOL of the valid minimum (or maximum); -1 for a
-    row without a valid candidate.
+def first_best(costs: np.ndarray) -> np.ndarray:
+    """Per row of ``costs`` (last axis: candidates), the index of the first
+    cost within TIE_TOL of the row's minimum; NaN marks a non-candidate, and
+    a row without a candidate gives -1.
 
-    Candidates scored in ``itertools.product`` order of lex-sorted factors
+    Candidates costed in ``itertools.product`` order of lex-sorted factors
     make this the lexicographically first optimal candidate; when every
-    valid score is infinite, it is the first valid index.
+    candidate's cost is infinite, it is the first candidate.
     """
-    if valid is None:
-        valid = np.ones(scores.shape, dtype=bool)
-    fill = -np.inf if maximize else np.inf
-    kept = np.where(valid, scores, fill)
-    if maximize:
-        hit = valid & (scores >= kept.max(axis=-1, keepdims=True) - TIE_TOL)
-    else:
-        hit = valid & (scores <= kept.min(axis=-1, keepdims=True) + TIE_TOL)
-    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+    best = np.fmin.reduce(costs, axis=-1, keepdims=True)  # NaN only for a row of NaN
+    first = (costs <= best + TIE_TOL).argmax(axis=-1)
+    return np.where(np.isnan(best[..., 0]), -1, first)
 
 
 def row_groups(rows: int, per_row: int) -> list[slice]:
@@ -296,15 +290,12 @@ def product_keys(factors: Sequence[np.ndarray], shape: Sequence[int], groups):
                    [(lead @ col[:, :, s0:s1]).astype(np.intp).reshape(rows, -1) for col in cols])
 
 
-def product_terms(factors: Sequence[np.ndarray], shape: Sequence[int], tables, groups=None):
+def product_terms(factors: Sequence[np.ndarray], shape: Sequence[int], tables):
     """``product_keys`` pieces ``(span, values)`` whose (D, span length)
     values sum one lookup per ``(cells, table)`` of ``tables`` (see
-    ``type_tables``).  With ``groups`` ((D,) ints), each table is stacked
-    (G, entries) and batch row d reads its row groups[d]."""
-    ref = None if groups is None else np.asarray(groups)[:, None]
+    ``type_tables``)."""
     for span, keys in product_keys(factors, shape, [cells for cells, _ in tables]):
-        parts = (table.take(key) if ref is None else table[ref, key]
-                 for key, (_, table) in zip(keys, tables))
+        parts = (table.take(key) for key, (_, table) in zip(keys, tables))
         out = next(parts)
         for part in parts:
             out += part
@@ -328,22 +319,17 @@ def product_members(factors: Sequence[np.ndarray], index) -> np.ndarray:
     return np.stack([f[rows if len(f) > 1 else 0, r] for f, r in zip(factors, picks)], axis=1)
 
 
-def product_best(factors: Sequence[np.ndarray], scores: np.ndarray, valid=None,
-                 maximize: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per batch row, the ``first_best`` candidate of the product:
-    ``(members, score, failed)``, with members (D, k, n); a row without a
-    valid candidate is ``failed``, and its members and score mean nothing."""
-    winner = first_best(scores, maximize, valid)
+def product_best(factors: Sequence[np.ndarray], costs: np.ndarray,
+                 valid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per batch row, the ``first_best`` of the product's ``valid``
+    candidates: ``(members, cost, failed)``, with members (D, k, n); a row
+    without a valid candidate is ``failed``, and its members and cost mean
+    nothing."""
+    costs = np.where(valid, costs, np.nan)
+    winner = first_best(costs)
     failed = winner < 0
     winner = np.maximum(winner, 0)
-    return (product_members(factors, winner), scores[np.arange(len(winner)), winner], failed)
-
-
-def cell_counts(cells: np.ndarray, ncells: int) -> np.ndarray:
-    """(rows, n) flat cell indices -> (rows, ncells) joint-type counts."""
-    rows = len(cells)
-    shifted = cells + (np.arange(rows) * ncells)[:, None]
-    return np.bincount(shifted.ravel(), minlength=rows * ncells).reshape(rows, ncells)
+    return (product_members(factors, winner), costs[np.arange(len(winner)), winner], failed)
 
 
 @lru_cache(maxsize=4096)
@@ -376,32 +362,27 @@ def _law_tables(terms, masses: tuple, n: int, limit: int) -> list:
                        type_key_groups(len(masses), n, limit))
 
 
-def _product_array(factors, shape, terms, laws, groups) -> np.ndarray:
+def _product_array(factors, terms, table: np.ndarray) -> np.ndarray:
     """(D, M) sums of the per-cell ``terms`` of every candidate's joint type
-    under laws[groups[d]] (laws[0] without ``groups``)."""
-    n = factors[0].shape[2]
-    per_law = [_law_tables(terms, tuple(law.reshape(-1).tolist()), n, SCORE_CHUNK)
-               for law in laws]
-    tables = per_law[0] if groups is None else [
-        (group[0][0], np.stack([table for _, table in group])) for group in zip(*per_law)]
+    under the cell masses ``table``."""
+    tables = _law_tables(terms, tuple(table.reshape(-1).tolist()), factors[0].shape[2],
+                         SCORE_CHUNK)
     out = np.empty((max(len(f) for f in factors), math.prod(f.shape[1] for f in factors)))
-    for span, values in product_terms(factors, shape, tables, groups):
+    for span, values in product_terms(factors, table.shape, tables):
         out[:, span] = values
     return out
 
 
-def product_divergences(factors: Sequence[np.ndarray], p_ref, groups=None) -> np.ndarray:
-    """(D, M) joint-type divergences of every candidate of every batch row's
-    product.  ``p_ref`` is one Distribution, or with ``groups`` ((D,) ints)
-    a sequence of them: row d is scored against p_ref[groups[d]]."""
-    refs = [p_ref] if groups is None else p_ref
-    return _product_array(factors, refs[0].shape, cell_terms, [r.table for r in refs], groups)
+def product_divergences(factors: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
+    """(D, M) joint-type divergences from the cell masses ``table`` of every
+    candidate of every batch row's product."""
+    return _product_array(factors, cell_terms, table)
 
 
 def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.ndarray:
     """(D, M) joint-type log2-masses under the memoryless law ``table`` of
     every candidate of every batch row's product."""
-    return _product_array(factors, table.shape, cell_log_masses, [table], None)
+    return _product_array(factors, cell_log_masses, table)
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:

@@ -502,7 +502,18 @@ def test_batch_select_and_decode_match_oracle(monkeypatch, chunk):
                         int(v) for v in ap_m.to_dense() @ np.array(ref) % 2)
                     decodes += 1
                     seen[variant] += infinite
-    assert decodes == 2 * 2 * 4 * (2 ** 3 + 2 ** 4 + 2 ** 5)
+    # md over every output of a noisy split code at n = 8: one row group
+    # holds outputs of many types, each scored against one table
+    p, code = noisy_split_channel(), _noisy_split_code(8)
+    ys = np.array(list(itertools.product((0, 1), repeat=8)))
+    for j, (a_m, ap_m) in enumerate(code.pairs):
+        members = _solutions(8, a_m.to_dense(), code.syndromes[j])
+        cond = _oracle_conditional(p, j)
+        for y, message in zip(ys.tolist(), bc_decode_batch(code, p, j, ys, "md").tolist()):
+            ref, _ = _oracle_decode(members, cond, tuple(y), "md")
+            assert tuple(message) == tuple(int(v) for v in ap_m.to_dense() @ np.array(ref) % 2)
+            decodes += 1
+    assert decodes == 2 * 2 * 4 * (2 ** 3 + 2 ** 4 + 2 ** 5) + 2 * 2 ** 8
     # empty intersections and the all-infinite first-member rules were exercised
     assert min(seen.values()) > 0, seen
 

@@ -101,6 +101,14 @@ def test_spectrum_from_descriptor(tmp_path, capsys):
                                  "value": {"num": 1, "den": 1, "value": 1.0}}]
 
 
+def test_descriptor_bad_w_min_exit_2(tmp_path, capsys):
+    """A w_min that is not an integer is an input error, as a bad q, l or n."""
+    desc = tmp_path / "ens.json"
+    desc.write_text(json.dumps({"family": "uniform", "q": 2, "l": 1, "n": 2, "w_min": "x"}))
+    code, out, err = run_cli(capsys, "hash-audit", "--desc", str(desc))
+    assert code == 2 and "descriptor" in err and not out
+
+
 @pytest.mark.parametrize("flags", [
     ["--family", "uniform", "--q", "2", "--l", "-1", "--n", "2"],
     ["--family", "uniform", "--q", "2", "--l", "1", "--n", "0"],

@@ -74,15 +74,15 @@ def test_distribution_json_errors():
 
 
 def test_ensemble_descriptor():
-    ens, filt, seed = ensemble_from_obj(
-        {"family": "sparse", "q": 2, "l": 3, "n": 4, "tau": 2, "seed": 7}
-    )
-    assert ens.family == "sparse" and ens.tau == 2 and seed == 7
+    ens, filt = ensemble_from_obj({"family": "sparse", "q": 2, "l": 3, "n": 4, "tau": 2})
+    assert ens.family == "sparse" and ens.tau == 2
     assert filt.w_min == 1
-    ens, filt, seed = ensemble_from_obj(
-        {"family": "uniform", "q": 2, "l": 1, "n": 2, "w_min": 2}
-    )
-    assert filt.w_min == 2 and seed is None
+    ens, filt = ensemble_from_obj({"family": "uniform", "q": 2, "l": 1, "n": 2, "w_min": 2})
+    assert filt.w_min == 2
+    with pytest.raises(ParseError):
+        ensemble_from_obj({"family": "uniform", "q": 2, "l": 1, "n": 2, "w_min": "x"})
+    with pytest.raises(ParseError):
+        ensemble_from_obj({"family": "sparse", "q": 2, "l": 1, "n": 2, "tau": [2]})
     with pytest.raises(ParseError):
         ensemble_from_obj({"family": "sparse", "q": 2, "l": 1, "n": 2})
     with pytest.raises(ParseError):

@@ -18,6 +18,7 @@ from hashprop.types import (
     empirical,
     entropy,
     eta_slack,
+    first_best,
     is_cond_typical,
     is_joint_typical,
     is_typical,
@@ -207,7 +208,7 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
         rows = int(rng.integers(1, 4))
         factors = [rng.integers(0, size, size=(rows if j else 1, int(rng.integers(1, 6)), n))
                    for j, size in enumerate(mu.shape)]
-        got = product_divergences(factors, mu)
+        got = product_divergences(factors, mu.table)
         log_masses = product_log_masses(factors, mu.table)
         picks = rng.integers(0, got.shape[1], size=rows)
         chosen = product_members(factors, picks)
@@ -219,6 +220,21 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
                 assert got[d, i] == divergence(t.empirical(), mu)
                 assert log_masses[d, i] == _log2_mass(t.table().reshape(-1).tolist(), mu)
             assert tuple(map(tuple, chosen[d].tolist())) == tuple(map(tuple, candidates[picks[d]]))
+
+
+def test_first_best_rule():
+    """first_best minimizes per row: NaN entries are not candidates, a row of
+    NaN gives -1, a row of inf gives its first non-NaN index, and costs
+    within TIE_TOL of the minimum tie, the earliest winning; a cost
+    2 TIE_TOL above the minimum does not tie."""
+    tol, nan, inf = types.TIE_TOL, math.nan, math.inf
+    costs = np.array([[nan, 3.0, 1.0, nan, 1.0],
+                      [nan, nan, nan, nan, nan],
+                      [nan, inf, inf, nan, inf],
+                      [2.0, 1.0 + tol / 2, 1.0, 1.0 + tol, 1.5],
+                      [1.0 + 2 * tol, nan, 1.0, 1.0, 2.0]])
+    assert first_best(costs).tolist() == [2, -1, 1, 1, 2]
+    assert first_best(costs[3]) == 1  # one row, no batch axis
 
 
 def test_product_keys_slices_long_rows(monkeypatch):
