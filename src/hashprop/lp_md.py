@@ -1,6 +1,6 @@
 """Linear-programming realization of minimum-divergence decoding over binary
 coset products: per-type constraint systems, parity-check (coset membership)
-inequalities, a small dense simplex solver, and the single-position polytope
+inequalities, a small simplex solver, and the single-position polytope
 audit.
 
 The per-position system couples an indicator s_i(b^k) with the k sequence
@@ -16,7 +16,12 @@ The type LPs of one decode differ only in the count right-hand sides, so a
 decode builds one slack-only tableau, and a dual simplex brings each type to
 a feasible basis: the first from the all-slack basis, every later one from
 the previous type's final basis.  A solve with an objective follows the dual
-simplex with the primal one.  Both share one pivot routine and Bland's rule.
+simplex with the primal one.  Both share one pivot routine and Bland's rule
+by variable index.  The tableau is kept in compact (dictionary) form: it
+stores only the nonbasic columns and b, since a basic column is a unit
+vector, and its pivots make the float operations of the full tableau
+[rows | I] on the entries it stores, so pivots and points are the full
+tableau's bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +38,10 @@ from .types import (
     TIE_TOL,
     Distribution,
     compositions,
-    divergence,
     key_weights,
     product_keys,
     product_members,
+    type_divergences,
     type_key_groups,
 )
 
@@ -98,18 +104,26 @@ def _rows_hold(rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray, x: np.ndarra
 
 
 class _Tableau:
-    """A dense simplex tableau [rows | slacks] over x >= 0 with its basis,
-    pivoted in place by ``pivot`` in every solve.
+    """A compact simplex tableau over x >= 0, in dictionary form: only the
+    nonbasic columns are stored, as T = [nonbasic columns | b] of shape
+    m x (n + 1), pivoted in place by ``pivot`` in every solve.
 
     Every row is kept as a <= row: the <= rows come first as written, then
     the >= rows negated, each block in the original order, and an = row
     appears in both blocks.  Rows that x >= 0 already implies (one nonzero
     coefficient, positive, in a >= row with rhs <= 0) are left out.  Each
-    row gets a +1 slack, and the all-slack basis is the start.  The layout
-    fixes Bland's order, and with it the pivots taken and the vertices
-    reached by the zero-objective type LPs.  Slack column i keeps holding
-    column i of B^-1 under any pivots, so ``set_rhs`` moves the basic
-    solution to new right-hand sides without a rebuild.
+    row i gets a +1 slack, variable n + i, and the all-slack basis is the
+    start.  In the full tableau [rows | I] a basic variable's column is the
+    unit vector e_r of its row r, so it is not stored: ``basis[r]`` is row
+    r's basic variable, ``nonbasic[j]`` the variable of column j, and
+    ``where[v]`` is v's column, or ~r when v is basic in row r.  Bland's
+    rule orders candidates by variable index, and ``pivot`` performs the
+    full tableau's float operations on the entries it stores, so the layout
+    fixes the pivots taken and the vertices reached, bit for bit those of
+    the full tableau.  Slack i's full column keeps holding column i of
+    B^-1 under any pivots (its column of T when nonbasic, e_r when basic),
+    so ``set_rhs`` moves the basic solution to new right-hand sides without
+    a rebuild.
     """
 
     def __init__(self, rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
@@ -121,43 +135,50 @@ class _Tableau:
         self.source = np.concatenate([le, ge])  # original row of each tableau row
         self.sign = np.repeat([1.0, -1.0], [le.size, ge.size])
         m, self.n = self.source.size, rows.shape[1]
-        self.A = np.hstack([rows[self.source] * self.sign[:, None], np.eye(m)])
-        self.b = rhs[self.source] * self.sign
+        self.T = np.hstack([rows[self.source], rhs[self.source, None]]) * self.sign[:, None]
         self.basis = self.n + np.arange(m)
-        self.in_basis = np.zeros(self.A.shape[1], dtype=bool)
-        self.in_basis[self.basis] = True
+        self.nonbasic = np.arange(self.n)
+        self.where = np.concatenate([self.nonbasic, ~np.arange(m)])
 
     def pivot(self, row: int, col: int) -> None:
-        """Make col basic in row: the one pivot of every solve.  A dense
-        rank-1 update of every row measured faster here than updating only
-        the rows with a nonzero factor."""
-        A, b = self.A, self.b
-        piv = A[row, col]
-        A[row] /= piv
-        b[row] /= piv
-        factors = A[:, col].copy()
+        """Make column col's variable basic in row, and the row's basic
+        variable nonbasic in column col: one rank-1 update of T, b carried
+        as its last column.  The leaving variable's full column is e_row, so
+        column col becomes e_row before the update, which leaves 1/piv at
+        row and 0 - f (1/piv) elsewhere, as in the full tableau.  Every row
+        is updated, as there: updating only the rows with a nonzero factor
+        measured slower at 88 x 25 (about 11 us against 9 us), and it would
+        keep a -0.0 that x - 0 y turns into +0.0."""
+        T = self.T
+        piv = T[row, col]
+        factors = T[:, col].copy()
         factors[row] = 0.0
-        A -= np.outer(factors, A[row])
-        b -= factors * b[row]
-        self.in_basis[self.basis[row]] = False
-        self.in_basis[col] = True
-        self.basis[row] = col
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        T[row] /= piv
+        T -= factors[:, None] * T[row]
+        enter, leave = self.nonbasic[col], self.basis[row]
+        self.basis[row], self.nonbasic[col] = enter, leave
+        self.where[enter], self.where[leave] = ~row, col
+
+    def _bland(self, mask: np.ndarray, names: np.ndarray) -> int:
+        """Bland's rule: the position in names of the smallest variable that
+        mask marks, or -1 if it marks none."""
+        keyed = np.where(mask, names, self.where.size)
+        pos = int(keyed.argmin())
+        return pos if keyed[pos] < self.where.size else -1
 
     def primal(self, cost: np.ndarray) -> tuple[str, int]:
-        """Minimize cost from the current feasible basis with Bland's rule;
-        returns the status and the pivots made."""
-        A, b = self.A, self.b
+        """Minimize cost (one entry per variable) from the current feasible
+        basis with Bland's rule; returns the status and the pivots made."""
+        T, b = self.T, self.T[:, -1]
         for it in range(MAX_ITER):
-            # basis columns form an identity, so reduced costs are
-            # cost - cost[basis] @ A directly (Bland: smallest eligible
-            # index enters)
-            red = cost - cost[self.basis] @ A
-            eligible = np.nonzero((red < -FEAS_TOL) & ~self.in_basis)[0]
-            if eligible.size == 0:
+            red = cost[self.nonbasic] - cost[self.basis] @ T[:, :-1]
+            enter = self._bland(red < -FEAS_TOL, self.nonbasic)
+            if enter < 0:
                 return "optimal", it
-            enter = int(eligible[0])
-            col = A[:, enter]
-            rows = np.nonzero(col > FEAS_TOL)[0]
+            col = T[:, enter]
+            rows = np.flatnonzero(col > FEAS_TOL)
             if rows.size == 0:
                 return "unbounded", it
             ratios = b[rows] / col[rows]
@@ -166,37 +187,44 @@ class _Tableau:
         raise LpError("simplex iteration cap exceeded")
 
     def set_rhs(self, idx: np.ndarray, rhs: np.ndarray) -> None:
-        """Give original rows idx new right-hand sides: b += B^-1 delta."""
+        """Give original rows idx new right-hand sides: b += B^-1 delta.
+        The B^-1 columns of the moved slacks are gathered in Fortran order,
+        the layout of the full tableau's column slice, which keeps the
+        product on the same BLAS path and b bit for bit the same."""
         delta = np.zeros(self.rhs.size)
         delta[idx] = rhs - self.rhs[idx]
         self.rhs[idx] = rhs
         step = self.sign * delta[self.source]
         moved = np.flatnonzero(step)
-        self.b += self.A[:, self.n + moved] @ step[moved]
+        where = self.where[self.n + moved]
+        nonbasic = where >= 0
+        inverse = np.zeros((self.T.shape[0], moved.size), order="F")
+        inverse[:, nonbasic] = self.T[:, where[nonbasic]]
+        inverse[~where[~nonbasic], np.flatnonzero(~nonbasic)] = 1.0
+        self.T[:, -1] += inverse @ step[moved]
 
     def dual(self) -> tuple[str, int]:
         """Reach a feasible basis by a dual simplex under Bland's rule, for a
         zero objective (every basis is dual feasible): the row with b < 0
-        and the smallest basic index leaves, the smallest column with a
+        and the smallest basic variable leaves, the smallest variable with a
         negative entry in it enters.  Infeasible when such a row has no
         negative entry."""
-        A, b = self.A, self.b
+        T, b = self.T, self.T[:, -1]
         for it in range(MAX_ITER):
-            neg = np.flatnonzero(b < -FEAS_TOL)
-            if neg.size == 0:
+            leave = self._bland(b < -FEAS_TOL, self.basis)
+            if leave < 0:
                 return "optimal", it
-            leave = int(neg[np.argmin(self.basis[neg])])
-            cols = np.flatnonzero((A[leave] < -FEAS_TOL) & ~self.in_basis)
-            if cols.size == 0:
+            enter = self._bland(T[leave, :-1] < -FEAS_TOL, self.nonbasic)
+            if enter < 0:
                 return "infeasible", it
-            self.pivot(leave, int(cols[0]))
+            self.pivot(leave, enter)
         raise LpError("simplex iteration cap exceeded")
 
     def solution(self, objective: np.ndarray) -> LpSolution:
         """The basic point, checked against the original rows."""
         x = np.zeros(self.n)
         structural = self.basis < self.n
-        x[self.basis[structural]] = self.b[structural]
+        x[self.basis[structural]] = self.T[structural, -1]
         if not _rows_hold(self.rows, self.rels, self.rhs, x, CHECK_TOL):
             raise LpError("simplex point violates the program's rows")
         integral = bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))
@@ -210,7 +238,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     tab = _Tableau(*lp.arrays())
     if tab.dual()[0] == "infeasible":
         return LpSolution("infeasible", None, None, False)
-    cost = np.zeros(tab.A.shape[1])
+    cost = np.zeros(tab.where.size)
     cost[:lp.num_vars] = -lp.objective if lp.maximize else lp.objective
     if tab.primal(cost)[0] == "unbounded":
         return LpSolution("unbounded", None, None, False)
@@ -323,13 +351,17 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     has a zero objective, so its point is whichever vertex the warm start
     reaches, and ``integral`` records whether that vertex is integral.
     Every point is checked against the type's rows (``LpError`` if one
-    fails), and the log records it with the pivots the type took.
+    fails), and the log records it with the pivots the type took.  Every
+    type is scored by ``types.type_divergences``, the per-cell terms the
+    exhaustive decoders add.
 
     Among types with an integral LP point, the minimum-divergence one wins,
     with types within TIE_TOL of it tied; a fractional point is logged (and
     optionally resolved exhaustively with fallback='exhaustive').  The output
     tuple is the lexicographically first coset-product member carrying a
-    winning type, matching the exhaustive decoder's tie rule.
+    winning type, matching the exhaustive decoder's tie rule.  One pass over
+    the coset product, made when first needed, serves the fallback and the
+    output.
     """
     k = len(matrices)
     if any(s != 2 for s in mu.shape) or len(mu.shape) != k:
@@ -347,27 +379,25 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
         lp.add(row, rel, rhs)
     tab = _Tableau(*lp.arrays())
     count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
+    coset = _CosetTypes(matrices, syndromes, fallback_cap)
 
     log = []
     feasible: list[tuple[float, tuple]] = []  # (divergence, type)
     all_integral = True
-    for t in types:
+    for t, d in zip(types, type_divergences(n, mu.table).tolist()):
         tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
         status, pivots = tab.dual()
-        d = divergence(np.asarray(t) / n, mu)
         entry = {"type": t, "divergence": d, "status": status, "integral": False,
                  "pivots": pivots}
         if status == "optimal":
             sol = tab.solution(lp.objective)
             entry["integral"] = sol.integral
-            entry["point"] = tuple(float(v) for v in sol.values)
+            entry["point"] = tuple(sol.values.tolist())
             if sol.integral:
                 feasible.append((d, t))
             else:
                 all_integral = False
-                if fallback == "exhaustive" and _type_occurs(
-                    matrices, syndromes, t, fallback_cap
-                ):
+                if fallback == "exhaustive" and coset.occurs(t):
                     feasible.append((d, t))
         log.append(entry)
 
@@ -376,42 +406,52 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
                               error=True, type_log=tuple(log))
     best_d = min(d for d, _ in feasible)
     winners = {t for d, t in feasible if d <= best_d + TIE_TOL}
-    x_hat = _first_member_with_type(matrices, syndromes, winners, fallback_cap)
-    return LpDecodeResult(x_hat=x_hat, divergence=best_d, all_integral=all_integral,
-                          error=False, type_log=tuple(log))
+    return LpDecodeResult(x_hat=coset.first_member(winners), divergence=best_d,
+                          all_integral=all_integral, error=False, type_log=tuple(log))
 
 
-def _type_hits(matrices, syndromes, types, cap: int):
-    """The coset product's one-row factors and, per candidate in product
-    order, whether its joint type is in ``types`` (its keys in every lookup
-    group equal one type's); None if the product is empty."""
-    found = coset_factor_batch(matrices, [[tuple(a)] for a in syndromes], cap, LpError)
-    if found is None:
-        return None
-    factors = found[0]
-    ncells, n = 1 << len(matrices), factors[0].shape[2]
-    wanted = np.array(sorted(types), dtype=np.int64).reshape(-1, ncells)
-    groups = type_key_groups(ncells, n)
-    targets = [wanted @ key_weights(cells, ncells, n) for cells in groups]
-    hits = np.empty(math.prod(f.shape[1] for f in factors), dtype=bool)
-    for span, keys in product_keys(factors, (2,) * len(matrices), groups):
-        hits[span] = np.logical_and.reduce(
-            [key[0, :, None] == target for key, target in zip(keys, targets)]).any(axis=1)
-    return factors, hits
+class _CosetTypes:
+    """The coset product of one decode, built on first use: its one-row
+    factors and, per joint type that occurs in it, the product index of its
+    first member.  A type is named by its keys in the lookup groups of
+    ``types.type_key_groups``; building raises ``LpError`` when a coset
+    exceeds the cap."""
 
+    def __init__(self, matrices, syndromes, cap: int):
+        self.matrices, self.syndromes, self.cap = matrices, syndromes, cap
+        ncells, n = 1 << len(matrices), matrices[0].cols
+        self.groups = type_key_groups(ncells, n)
+        self.weights = np.stack([key_weights(cells, ncells, n) for cells in self.groups],
+                                axis=1)
+        self.factors = None
 
-def _type_occurs(matrices, syndromes, t, cap: int) -> bool:
-    found = _type_hits(matrices, syndromes, {tuple(t)}, cap)
-    return found is not None and bool(found[1].any())
+    @cached_property
+    def first(self) -> dict[tuple, int]:
+        found = coset_factor_batch(self.matrices, [[tuple(a)] for a in self.syndromes],
+                                   self.cap, LpError)
+        if found is None:
+            return {}
+        self.factors = found[0]
+        first: dict[tuple, int] = {}
+        for span, keys in product_keys(self.factors, (2,) * len(self.matrices), self.groups):
+            rows, index = np.unique(np.stack([key[0] for key in keys], axis=1), axis=0,
+                                    return_index=True)
+            for row, i in zip(map(tuple, rows.tolist()), index.tolist()):
+                first.setdefault(row, span.start + i)
+        return first
 
+    def _key(self, t) -> tuple:
+        return tuple((np.asarray(t, dtype=np.int64) @ self.weights).tolist())
 
-def _first_member_with_type(matrices, syndromes, winners: set, cap: int):
-    found = _type_hits(matrices, syndromes, winners, cap)
-    if found is None or not found[1].any():
-        return None
-    factors, hits = found
-    first = product_members(factors, [np.flatnonzero(hits)[0]])[0]
-    return tuple(map(tuple, first.tolist()))
+    def occurs(self, t) -> bool:
+        return self._key(t) in self.first
+
+    def first_member(self, wanted) -> tuple | None:
+        """The first member of the product whose joint type is in wanted."""
+        hits = [self.first[key] for key in map(self._key, wanted) if key in self.first]
+        if not hits:
+            return None
+        return tuple(map(tuple, product_members(self.factors, [min(hits)])[0].tolist()))
 
 
 # --- single-position polytope audit -----------------------------------------

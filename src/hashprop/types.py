@@ -385,6 +385,18 @@ def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.n
     return _product_array(factors, cell_log_masses, table)
 
 
+def type_divergences(n: int, table: np.ndarray) -> np.ndarray:
+    """D(t/n || table) of every length-n joint type t, in ``compositions``
+    order: per cell in flat order, its ``cell_terms`` added from 0.0, the
+    floats ``divergence`` gives one type at a time."""
+    masses = table.reshape(-1).tolist()
+    counts = _count_vectors(n, len(masses))
+    out = np.zeros(len(counts))
+    for mass, count in zip(masses, counts.T):
+        out += cell_terms(mass, n)[count]
+    return out
+
+
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:
     counts = np.bincount(np.asarray(sequence, dtype=np.int64), minlength=size)
     return counts / len(sequence)

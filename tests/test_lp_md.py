@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from hashprop import types
+from hashprop.ensemble import Ensemble
 from hashprop.gf import FieldMatrix
 from hashprop.lp_md import (
+    FEAS_TOL,
+    INT_TOL,
     REL_EQ,
     REL_GE,
     REL_LE,
     LinearProgram,
     LpError,
     LpSolution,
-    _first_member_with_type,
+    _CosetTypes,
     build_parity_constraints,
     build_type_constraints,
     md_via_lp,
@@ -27,7 +30,7 @@ from hashprop.lp_md import (
     var_u,
 )
 from hashprop.slepian_wolf import SwCode, sw_decode_md, sw_encode
-from hashprop.types import Distribution, joint_type
+from hashprop.types import Distribution, compositions, joint_type
 
 
 def test_simplex_textbook_maximization():
@@ -264,6 +267,116 @@ def test_md_via_lp_statuses_match_highs():
     assert all(v > 0 for v in seen.values()), seen
 
 
+def _dense_sweep(mats, syns):
+    """Per type of md_via_lp's sweep, (status, pivots, point, integral) from
+    a plain full tableau [rows | I]: the same row layout, warm start and
+    Bland dual simplex, every column stored and updated."""
+    n, k = mats[0].cols, len(mats)
+    sweep = compositions(n, 1 << k)
+    rows, rels, rhs = _cold_program(sweep[0], mats, syns).arrays()
+    implied = ((rels == REL_GE) & (rhs <= 0) & ((rows != 0).sum(axis=1) == 1)
+               & (rows.sum(axis=1) > 0))
+    le, ge = np.flatnonzero(rels != REL_GE), np.flatnonzero((rels != REL_LE) & ~implied)
+    src, sign = np.concatenate([le, ge]), np.repeat([1.0, -1.0], [le.size, ge.size])
+    nv, m = rows.shape[1], src.size
+    A, b = np.hstack([rows[src] * sign[:, None], np.eye(m)]), rhs[src] * sign
+    basis, out = nv + np.arange(m), []
+    for t in sweep:
+        new = rhs.copy()
+        new[rels == REL_EQ] = t
+        step, rhs = sign * (new - rhs)[src], new
+        moved = np.flatnonzero(step)
+        b += A[:, nv + moved] @ step[moved]  # slack columns hold B^-1
+        status, pivots = "optimal", 0
+        while (b < -FEAS_TOL).any():
+            neg = np.flatnonzero(b < -FEAS_TOL)
+            r = neg[np.argmin(basis[neg])]
+            cols = np.flatnonzero(A[r] < -FEAS_TOL)  # basic columns are unit vectors
+            if cols.size == 0:
+                status = "infeasible"
+                break
+            c, piv = cols[0], A[r, cols[0]]
+            A[r] /= piv
+            b[r] /= piv
+            f = A[:, c].copy()
+            f[r] = 0.0
+            A -= np.outer(f, A[r])
+            b -= f * b[r]
+            basis[r], pivots = c, pivots + 1
+        x = np.zeros(nv)
+        x[basis[basis < nv]] = b[basis < nv]
+        out.append((status, pivots, [v.hex() for v in x.tolist()],
+                    bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))))
+    return out
+
+
+def _criterion_8_stream(max_n):
+    """The (matrices, syndromes) of criterion 8's seeded decodes with n <= max_n."""
+    rng = np.random.default_rng(8)
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    for n in [3] * 100 + [4] * 70 + [6] * 24 + [8] * 6:
+        ens = Ensemble.sparse(2, n - 1, n, 2)
+        mats = (ens.sample(rng), ens.sample(rng))
+        xy = [tuple(int(v) for v in rng.integers(0, 2, size=n)) for _ in range(2)]
+        if n <= max_n:
+            yield mats, sw_encode(SwCode(mats, mu), tuple(xy))
+
+
+def test_md_via_lp_log_matches_dense_tableau():
+    """The compact tableau takes the pivots of the full one, bit for bit:
+    every type_log entry's status, pivot count, point (compared by
+    float.hex) and integrality equal the dense reference sweep's, on the
+    warm-start instances and criterion 8's decodes with n <= 6."""
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    seen = {"optimal": 0, "infeasible": 0, "pivots": 0}
+    for mats, syns in itertools.chain(_warm_start_instances(), _criterion_8_stream(6)):
+        log = md_via_lp(mats, syns, mu).type_log
+        for entry, (status, pivots, point, integral) in zip(log, _dense_sweep(mats, syns),
+                                                           strict=True):
+            assert (entry["status"], entry["pivots"]) == (status, pivots), entry["type"]
+            if status == "optimal":
+                assert [v.hex() for v in entry["point"]] == point, entry["type"]
+                assert entry["integral"] == integral
+            seen[status] += 1
+            seen["pivots"] += pivots
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_simplex_solve_objective_matches_highs():
+    """On seeded random small programs with box rows and mixed <=, = and >=
+    rows, simplex_solve's status equals HiGHS's, and an optimal objective
+    agrees within 1e-7."""
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(17)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(30):
+        nv = int(rng.integers(2, 6))
+        lp = LinearProgram(num_vars=nv, objective=rng.integers(-4, 5, size=nv).astype(float),
+                           maximize=bool(rng.integers(0, 2)))
+        for i in np.flatnonzero(rng.random(nv) < 0.8):  # box rows x_i <= u_i
+            lp.add({int(i): 1.0}, REL_LE, float(rng.integers(1, 6)))
+        for _ in range(int(rng.integers(1, 5))):
+            lp.add(rng.integers(-3, 4, size=nv), (REL_LE, REL_EQ, REL_GE)[rng.integers(0, 3)],
+                   float(rng.integers(-4, 8)))
+        rows, rels, rhs = lp.arrays()
+        le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
+        ref = linprog(-lp.objective if lp.maximize else lp.objective,
+                      A_ub=np.vstack([rows[le], -rows[ge]]),
+                      b_ub=np.concatenate([rhs[le], -rhs[ge]]),
+                      A_eq=rows[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                      bounds=(0, None), method="highs")
+        sol = simplex_solve(lp)
+        assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        seen[sol.status] += 1
+        if sol.status == "optimal":
+            assert sol.check_feasible(lp)
+            assert sol.objective == pytest.approx(-ref.fun if lp.maximize else ref.fun,
+                                                  abs=1e-7)
+    assert all(v > 0 for v in seen.values()), seen
+
+
 def test_md_via_lp_raises_on_a_point_outside_its_rows(monkeypatch):
     """A point that fails the row check is an error, never a dropped type."""
     import hashprop.lp_md as lp_md
@@ -328,10 +441,10 @@ def test_first_member_with_type_three_sources(monkeypatch, chunk):
         wanted = {flat_type(candidates[i]) for i in rng.integers(0, len(candidates), size=2)}
         mats = [FieldMatrix.from_dense(2, d) for d in dense]
         expected = next(c for c in candidates if flat_type(c) in wanted)
-        assert _first_member_with_type(mats, syns, wanted, 1 << 20) == expected
+        assert _CosetTypes(mats, syns, 1 << 20).first_member(wanted) == expected
         absent = next(t for t in itertools.product(range(n + 1), repeat=8)
                       if sum(t) == n and t not in seen)
-        assert _first_member_with_type(mats, syns, {absent}, 1 << 20) is None
+        assert _CosetTypes(mats, syns, 1 << 20).first_member({absent}) is None
 
 
 def test_polytope_vertex_audit_all_patterns():

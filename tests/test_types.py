@@ -12,6 +12,7 @@ from hashprop.types import (
     Distribution,
     DistributionError,
     TypicalityParams,
+    compositions,
     cond_divergence,
     cond_entropy,
     divergence,
@@ -32,6 +33,7 @@ from hashprop.types import (
     product_members,
     slack_functions,
     type_census,
+    type_divergences,
     type_key_groups,
     verify_typicality_bounds,
     zeta_slack,
@@ -220,6 +222,19 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
                 assert got[d, i] == divergence(t.empirical(), mu)
                 assert log_masses[d, i] == _log2_mass(t.table().reshape(-1).tolist(), mu)
             assert tuple(map(tuple, chosen[d].tolist())) == tuple(map(tuple, candidates[picks[d]]))
+
+
+def test_type_divergences_equal_divergence_on_every_type():
+    """The per-cell-term score of every length-n type, n <= 8, is the float
+    divergence(t / n, mu) gives, zero-mass cells and three sources included."""
+    laws = [Distribution([[0.475, 0.025], [0.025, 0.475]]),
+            Distribution([[0.6, 0.0], [0.1, 0.3]]),
+            Distribution(np.array([6, 1, 2, 3, 0, 4, 5, 15]).reshape(2, 2, 2) / 36)]
+    for mu in laws:
+        for n in range(1, 9):
+            got = type_divergences(n, mu.table)
+            ref = [divergence(np.asarray(t) / n, mu) for t in compositions(n, mu.table.size)]
+            assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in ref], (mu, n)
 
 
 def test_first_best_rule():
