@@ -2,7 +2,10 @@
 exact empirical verification of the collision/saturation bounds.
 
 All support probabilities are kept as exact fractions so the desk-scale
-checks can assert inequalities without floating-point slack.
+checks can assert inequalities without floating-point slack.  Every audit is
+one weighted sum over a support table: each function's hash values on the
+points the audit names, as integers in [0, image_size), and its probability
+as an integer weight over the support's common denominator.
 """
 
 from __future__ import annotations
@@ -11,13 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gf import FieldMatrix, check_prime
-from .types import compositions
+from .types import compositions, row_groups
 
 
 class EnsembleError(ValueError):
@@ -53,20 +55,6 @@ class TypeFilter:
         n = sum(t)
         weight = n - t[0]
         return weight >= self.w_min
-
-
-@dataclass(frozen=True)
-class FunctionTable:
-    """An explicit map from domain tuples to bin indices (random bin coding)."""
-
-    table: tuple[tuple[tuple[int, ...], int], ...]
-
-    @cached_property
-    def _bins(self) -> dict[tuple[int, ...], int]:
-        return dict(self.table)
-
-    def apply(self, u: Sequence[int]) -> int:
-        return self._bins[tuple(u)]
 
 
 class Ensemble:
@@ -131,15 +119,6 @@ class Ensemble:
     def domain(self) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(range(self.q), repeat=self.n)
 
-    def syndromes(self) -> Iterator:
-        """Im A at the family level (the uniform syndrome's support)."""
-        if self.family == "binning":
-            yield from range(self.bins)
-        elif self.family == "product":
-            yield from itertools.product(self.parts[0].syndromes(), self.parts[1].syndromes())
-        else:
-            yield from itertools.product(range(self.q), repeat=self.l)
-
     def support_size(self) -> int:
         """Number of elementary random choices behind the ensemble."""
         if self.family == "uniform":
@@ -180,16 +159,14 @@ class Ensemble:
                 merged[m] = merged.get(m, Fraction(0)) + prob
             return sorted(merged.items(), key=lambda kv: kv[0].entries)
         if self.family == "binning":
-            domain = list(self.domain())
-            prob = Fraction(1, self.bins ** len(domain))
-            out = []
-            for assignment in itertools.product(range(self.bins), repeat=len(domain)):
-                out.append((FunctionTable(tuple(zip(domain, assignment))), prob))
-            return out
+            # a bin-coding function is the tuple of its bins in domain() order
+            size = self.q ** self.n
+            prob = Fraction(1, self.bins ** size)
+            return [(bins, prob) for bins in itertools.product(range(self.bins), repeat=size)]
         if self.family == "product":
             sa = self.parts[0].enumerate_support(cap)
             sb = self.parts[1].enumerate_support(cap)
-            return [(_StackedMap(fa, fb), pa * pb) for fa, pa in sa for fb, pb in sb]
+            return [((fa, fb), pa * pb) for fa, pa in sa for fb, pb in sb]
         raise EnsembleError(self.family)
 
     # --- sampling ----------------------------------------------------------
@@ -211,17 +188,63 @@ class Ensemble:
         raise EnsembleError(f"sampling is not defined for family {self.family!r}")
 
 
-@dataclass(frozen=True)
-class _StackedMap:
-    first: object
-    second: object
-
-    def apply(self, u: Sequence[int]) -> tuple:
-        return (self.first.apply(u), self.second.apply(u))
-
-
 def universal_profile(e: Ensemble) -> EnsembleProfile:
     return EnsembleProfile(alpha=Fraction(1), beta=Fraction(0), image_size=e.image_size)
+
+
+# --- the support table ------------------------------------------------------
+
+
+def _hash_values(e: Ensemble, functions: Sequence, points: np.ndarray) -> np.ndarray:
+    """h[i, j] in [0, image_size): support function i at points[j], a
+    (P, n) array.
+
+    A matrix's value is the radix key of its syndrome over the rows, so 0 is
+    the zero syndrome; a bin-coding function is the tuple of its bins in
+    domain() order; a product's is the pair (fa, fb), keyed
+    code_a * |Im b| + code_b."""
+    if e.family == "binning":
+        return np.asarray(functions, dtype=np.int64)[:, points @ e.q ** np.arange(e.n - 1, -1, -1)]
+    if e.family == "product":
+        a, b = e.parts
+        return (_hash_values(a, [f[0] for f in functions], points) * b.image_size
+                + _hash_values(b, [f[1] for f in functions], points))
+    dense = np.array([f.to_dense() for f in functions], dtype=np.int64).reshape(-1, e.l, e.n)
+    return e.q ** np.arange(e.l - 1, -1, -1) @ (dense @ points.T % e.q)
+
+
+def _table(es: Sequence[Ensemble], supports, points: Sequence[tuple]):
+    """The product of the ensembles' supports as ``(den, chunks)``.
+
+    points are k-tuples, one point per ensemble.  Each chunk is ``(w, h)``
+    for at most SCORE_CHUNK entries of h (or one combination): h[i, j] is
+    combination i's joint hash value at points[j], keyed over the ensembles
+    in order as the product ensemble keys its parts, and w[i] is its
+    probability times den, the product of each support's lcm of
+    denominators.  For a support of ``enumerate_support`` that lcm is at most
+    ``support_size()``, so the integer sums stay exact in int64."""
+    if math.prod(e.image_size for e in es) >= 1 << 63:
+        raise EnsembleError("joint hash values beyond int64")
+    supports = [s if s is not None else e.enumerate_support()
+                for e, s in zip(es, supports or [None] * len(es))]
+    dens = [math.lcm(*(p.denominator for _, p in s)) for s in supports]
+    weights = [np.array([p.numerator * (d // p.denominator) for _, p in s], dtype=np.int64)
+               for s, d in zip(supports, dens)]
+    columns = [np.array([p[j] for p in points], dtype=np.int64).reshape(-1, e.n)
+               for j, e in enumerate(es)]
+    shape = [len(s) for s in supports]
+    total = math.prod(shape)
+
+    def chunks():
+        for rows in row_groups(total, len(points)):
+            combos = np.unravel_index(np.arange(rows.start, min(rows.stop, total)), shape)
+            w, h = 1, 0
+            for e, s, x, weight, ix in zip(es, supports, columns, weights, combos):
+                used, inv = np.unique(ix, return_inverse=True)
+                hx = _hash_values(e, [s[i][0] for i in used], x)
+                w, h = w * weight[ix], h * e.image_size + hx[inv]
+            yield w, h
+    return math.prod(dens), chunks()
 
 
 # --- collision statistics ---------------------------------------------------
@@ -230,12 +253,8 @@ def universal_profile(e: Ensemble) -> EnsembleProfile:
 def collision_prob(e: Ensemble, u: Sequence[int], u2: Sequence[int],
                    support=None) -> Fraction:
     """p_A({A : Au = Au'}), exactly."""
-    u, u2 = tuple(u), tuple(u2)
-    total = Fraction(0)
-    for fn, p in (support if support is not None else e.enumerate_support()):
-        if fn.apply(u) == fn.apply(u2):
-            total += p
-    return total
+    den, chunks = _table([e], [support], [(tuple(u),), (tuple(u2),)])
+    return Fraction(sum(int(w @ (h[:, 0] == h[:, 1])) for w, h in chunks), den)
 
 
 def spectrum(e: Ensemble, t, support=None) -> Fraction:
@@ -244,21 +263,24 @@ def spectrum(e: Ensemble, t, support=None) -> Fraction:
     return spectrum_table(e, support=support).get(key, Fraction(0))
 
 
+def _linear(e: Ensemble) -> bool:
+    """Matrices and products of them; a product's kernel is its stack's."""
+    return e.family != "binning" and all(map(_linear, e.parts or ()))
+
+
 def spectrum_table(e: Ensemble, support=None) -> dict[tuple[int, ...], Fraction]:
     """S(p_A, t) for every nonzero type, from exact support enumeration."""
-    if e.family == "binning":
+    if not _linear(e):
         raise EnsembleError("spectrum is defined for linear (matrix) ensembles only")
-    support = support if support is not None else e.enumerate_support()
-    zero_type = None
-    table: dict[tuple[int, ...], Fraction] = {}
-    domain = list(itertools.product(range(e.q), repeat=e.n))
-    types = [tuple(np.bincount(np.array(u), minlength=e.q).tolist()) for u in domain]
-    zero_type = types[domain.index(tuple([0] * e.n))]
-    for fn, p in support:
-        for u, t in zip(domain, types):
-            if t != zero_type and all(x == 0 for x in fn.apply(u)):
-                table[t] = table.get(t, Fraction(0)) + p
-    return table
+    domain = list(e.domain())
+    den, chunks = _table([e], [support], [(u,) for u in domain])
+    kernel = sum(w @ (h == 0) for w, h in chunks)  # mass of Au = 0, per u
+    table: dict[tuple[int, ...], int] = {}
+    for u, mass in zip(domain[1:], kernel[1:].tolist()):  # domain[0] is the zero vector
+        if mass:
+            t = tuple(u.count(a) for a in range(e.q))
+            table[t] = table.get(t, 0) + mass
+    return {t: Fraction(mass, den) for t, mass in table.items()}
 
 
 def _type_class_size(t: Sequence[int]) -> int:
@@ -296,20 +318,25 @@ def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> Ens
 def verify_strong_hash(e: Ensemble, profile: EnsembleProfile,
                        support=None) -> list[dict]:
     """Check the collision-mass condition for every u: the total probability
-    of collisions exceeding alpha/|Im A| is at most beta."""
+    of collisions exceeding alpha/|Im A| is at most beta.  The collision
+    masses of one block of rows u, at most SCORE_CHUNK masses (or one row),
+    are summed over the whole support at a time."""
     support = support if support is not None else e.enumerate_support()
-    threshold = profile.alpha / Fraction(profile.image_size)
-    reports = []
     domain = list(e.domain())
-    for u in domain:
-        lhs = Fraction(0)
-        for u2 in domain:
-            if u2 == u:
-                continue
-            cp = collision_prob(e, u, u2, support=support)
-            if cp > threshold:
-                lhs += cp
-        reports.append({"u": u, "holds": lhs <= profile.beta, "lhs_sum": lhs})
+    reports = []
+    for block in row_groups(len(domain), len(domain)):
+        rows = range(len(domain))[block]
+        den, chunks = _table([e], [support], [(u,) for u in domain])
+        mass = np.zeros((len(rows), len(domain)), dtype=np.int64)
+        for w, h in chunks:
+            for i, u in enumerate(rows):
+                mass[i] += w @ (h == h[:, u:u + 1])
+        mass[np.arange(len(rows)), rows] = 0  # u2 = u is no collision
+        # an integer mass exceeds den * alpha/|Im A| iff it exceeds its floor
+        cut = math.floor(profile.alpha * den / profile.image_size)
+        for u, lhs in zip(rows, np.where(mass > cut, mass, 0).sum(axis=1).tolist()):
+            lhs = Fraction(lhs, den)
+            reports.append({"u": domain[u], "holds": lhs <= profile.beta, "lhs_sum": lhs})
     return reports
 
 
@@ -327,6 +354,9 @@ def concat_ensembles(e: Ensemble, e2: Ensemble,
 
 
 # --- closed-form bound verification ----------------------------------------
+#
+# Every bound reads its lists of members as the sets they name: a repeated
+# member is dropped at entry.
 
 BOUND_TOL = 1e-12
 
@@ -337,12 +367,13 @@ def _holds(lhs, rhs) -> bool:
 
 def bound_whash(e: Ensemble, profile: EnsembleProfile,
                 T: Iterable, T2: Iterable, support=None) -> dict:
-    T, T2 = [tuple(t) for t in T], [tuple(t) for t in T2]
-    support = support if support is not None else e.enumerate_support()
-    lhs = Fraction(0)
-    for u in T:
-        for u2 in T2:
-            lhs += collision_prob(e, u, u2, support=support)
+    T, T2 = (list(dict.fromkeys(tuple(t) for t in s)) for s in (T, T2))
+    den, chunks = _table([e], [support], [(u,) for u in T + T2])
+    total = 0
+    for w, h in chunks:
+        for i in range(len(T)):
+            total += int(w @ (h[:, len(T):] == h[:, i:i + 1]).sum(axis=1))
+    lhs = Fraction(total, den)
     inter = len(set(T) & set(T2))
     rhs = inter + Fraction(len(T) * len(T2)) * profile.alpha / profile.image_size \
         + min(len(T), len(T2)) * profile.beta
@@ -352,36 +383,15 @@ def bound_whash(e: Ensemble, profile: EnsembleProfile,
 def bound_crp(e: Ensemble, profile: EnsembleProfile,
               G: Iterable, u: Sequence[int], support=None) -> dict:
     """Collision-resistance: probability that some other member of G shares
-    u's hash value."""
-    G = {tuple(g) for g in G}
-    u = tuple(u)
-    support = support if support is not None else e.enumerate_support()
-    lhs = Fraction(0)
-    for fn, p in support:
-        hu = fn.apply(u)
-        if any(g != u and fn.apply(g) == hu for g in G):
-            lhs += p
-    rhs = Fraction(len(G)) * profile.alpha / profile.image_size + profile.beta
-    return {"holds": _holds(lhs, rhs), "lhs": lhs, "rhs": rhs}
+    u's hash value; the k = 1 case of ``bound_multi_crp``."""
+    return bound_multi_crp([e], [profile], [(g,) for g in G], (u,), supports=[support])
 
 
 def bound_sp(e: Ensemble, profile: EnsembleProfile,
              T: Iterable, support=None) -> dict:
     """Saturation: probability over (A, uniform syndrome) that T misses the
-    whole coset."""
-    T = [tuple(t) for t in T]
-    if not T:
-        raise EnsembleError("saturation bound needs a nonempty target set")
-    support = support if support is not None else e.enumerate_support()
-    syndromes = list(e.syndromes())
-    lhs = Fraction(0)
-    p_syn = Fraction(1, len(syndromes))
-    for fn, p in support:
-        hits = {fn.apply(t) for t in T}
-        missed = sum(1 for a in syndromes if a not in hits)
-        lhs += p * p_syn * missed
-    rhs = profile.alpha - 1 + Fraction(profile.image_size) * (profile.beta + 1) / len(T)
-    return {"holds": _holds(lhs, rhs), "lhs": lhs, "rhs": rhs}
+    whole coset; the k = 1 case of ``bound_multi_sp``."""
+    return bound_multi_sp([e], [profile], [(t,) for t in T], supports=[support])
 
 
 def _subsets(k: int):
@@ -421,17 +431,10 @@ def bound_multi_crp(es: Sequence[Ensemble], profiles: Sequence[EnsembleProfile],
                     G: Iterable, point: Sequence, supports=None) -> dict:
     """k-domain collision resistance (product cosets across k ensembles)."""
     k = len(es)
-    G = [tuple(tuple(x) for x in g) for g in G]
+    G = list(dict.fromkeys(tuple(tuple(x) for x in g) for g in G))
     p0 = tuple(tuple(x) for x in point)
-    supports = supports if supports is not None else [e.enumerate_support() for e in es]
-    lhs = Fraction(0)
-    for combo in itertools.product(*supports):
-        fns = [c[0] for c in combo]
-        prob = math.prod([c[1] for c in combo], start=Fraction(1))
-        anchors = [fn.apply(x) for fn, x in zip(fns, p0)]
-        if any(g != p0 and all(fn.apply(g[j]) == anchors[j] for j, fn in enumerate(fns))
-               for g in G):
-            lhs += prob
+    den, chunks = _table(es, supports, [p0] + [g for g in G if g != p0])
+    lhs = Fraction(sum(int(w @ (h[:, 1:] == h[:, :1]).any(axis=1)) for w, h in chunks), den)
     rhs = _multi_beta(profiles, tuple(range(k)))
     for J in _subsets(k):
         if not J:
@@ -447,19 +450,16 @@ def bound_multi_sp(es: Sequence[Ensemble], profiles: Sequence[EnsembleProfile],
                    T: Iterable, supports=None) -> dict:
     """k-domain saturation with independent uniform syndromes."""
     k = len(es)
-    T = [tuple(tuple(x) for x in t) for t in T]
+    T = list(dict.fromkeys(tuple(tuple(x) for x in t) for t in T))
     if not T:
         raise EnsembleError("saturation bound needs a nonempty target set")
-    supports = supports if supports is not None else [e.enumerate_support() for e in es]
-    syn = [list(e.syndromes()) for e in es]
-    p_syn = Fraction(1, math.prod(len(s) for s in syn))
-    lhs = Fraction(0)
-    for combo in itertools.product(*supports):
-        fns = [c[0] for c in combo]
-        prob = math.prod([c[1] for c in combo], start=Fraction(1))
-        hit = {tuple(fn.apply(t[j]) for j, fn in enumerate(fns)) for t in T}
-        missed = sum(1 for a in itertools.product(*syn) if a not in hit)
-        lhs += prob * p_syn * missed
+    den, chunks = _table(es, supports, T)
+    image = math.prod(e.image_size for e in es)
+    missed = 0  # over (A, syndrome tuple) pairs, weighted by A's probability
+    for w, h in chunks:
+        h = np.sort(h, axis=1)
+        missed += int(w @ (image - 1 - (h[:, 1:] != h[:, :-1]).sum(axis=1)))
+    lhs = Fraction(missed, den * image)
     rhs = _multi_alpha(profiles, tuple(range(k))) - 1
     for J in _subsets(k):
         if len(J) == k:
@@ -474,19 +474,11 @@ def bound_multi_sp(es: Sequence[Ensemble], profiles: Sequence[EnsembleProfile],
 def bound_lem_E(e: Ensemble, u: Sequence[int], support=None) -> dict:
     """Expectation over the uniform syndrome of hitting Au, for each fixed A
     and averaged over A: both equal 1/|Im A| exactly."""
-    u = tuple(u)
-    support = support if support is not None else e.enumerate_support()
-    syndromes = list(e.syndromes())
-    p_syn = Fraction(1, len(syndromes))
-    expected = Fraction(1, e.image_size)
-    per_fn_ok = True
-    avg = Fraction(0)
-    for fn, p in support:
-        hu = fn.apply(u)
-        ev = p_syn * sum(1 for a in syndromes if a == hu)
-        per_fn_ok = per_fn_ok and ev == expected
-        avg += p * ev
-    return {"holds": per_fn_ok and avg == expected, "lhs": avg, "rhs": expected}
+    den, chunks = _table([e], [support], [(tuple(u),)])
+    # each A's value Au is hit by exactly one of the |Im A| syndromes
+    hits = sum(int(w @ ((h[:, 0] >= 0) & (h[:, 0] < e.image_size))) for w, h in chunks)
+    avg, expected = Fraction(hits, den * e.image_size), Fraction(1, e.image_size)
+    return {"holds": avg == expected, "lhs": avg, "rhs": expected}
 
 
 def verify_bound(lemma: str, *args, **kwargs) -> dict:
@@ -494,7 +486,8 @@ def verify_bound(lemma: str, *args, **kwargs) -> dict:
         "whash": bound_whash,
         "crp": bound_crp,
         "sp": bound_sp,
-        # the two-domain lemmas are the k = 2 cases of the k-domain ones
+        # the one- and two-domain lemmas are the k = 1 and k = 2 cases of the
+        # k-domain ones
         "cross_crp": lambda ea, eb, pa, pb, G, point, supports=None:
             bound_multi_crp([ea, eb], [pa, pb], G, point, supports=supports),
         "cross_sp": lambda ea, eb, pa, pb, T, supports=None:

@@ -102,10 +102,6 @@ class FieldMatrix:
             out[r] = (out[r] + v * u[c]) % self.q
         return tuple(out)
 
-    # verify_bound treats matrices and bin-coding tables uniformly through apply()
-    def apply(self, u: Sequence[int]) -> tuple[int, ...]:
-        return self.matvec(u)
-
     def stack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.q != self.q or other.cols != self.cols:
             raise FieldError("stacked matrices must share modulus and column count")

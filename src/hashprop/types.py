@@ -589,7 +589,8 @@ def verify_typicality_bounds(
     """
     flat = mu.table.reshape(-1)
     size = flat.size
-    if lemma in ("prob", "aep", "number") and size ** n > cap:
+    # prob, aep and number walk the length-n types; trans walks the pairs
+    if lemma in ("prob", "aep", "number") and math.comb(n + size - 1, size - 1) > cap:
         raise DistributionError("instance too large for exhaustive verification")
 
     if lemma == "prob":

@@ -79,6 +79,46 @@ def test_hash_audit_cap_exit_3(capsys):
     assert code == 3
 
 
+# stdout of hash-audit --exhaustive and spectrum, recorded when every audit
+# still walked the support one function and one point pair at a time
+AUDIT_GOLDEN = {
+    ("sparse", "3", "2", "3", "2"): (
+        '{"alpha": {"den": 4, "num": 9, "value": 2.25}, '
+        '"beta": {"den": 1, "num": 0, "value": 0.0}, '
+        '"command": "hash-audit", "family": "sparse", "h3_checked": 27, "h3_holds": true, '
+        '"image_size": 9, "l": 2, "n": 3, "q": 3}\n',
+        '{"command": "spectrum", "family": "sparse", "l": 2, "n": 3, "q": 3, "spectrum": ['
+        '{"type": [0, 0, 3], "value": {"den": 1024, "num": 121, "value": 0.1181640625}}, '
+        '{"type": [0, 1, 2], "value": {"den": 1024, "num": 363, "value": 0.3544921875}}, '
+        '{"type": [0, 2, 1], "value": {"den": 1024, "num": 363, "value": 0.3544921875}}, '
+        '{"type": [0, 3, 0], "value": {"den": 1024, "num": 121, "value": 0.1181640625}}, '
+        '{"type": [1, 0, 2], "value": {"den": 64, "num": 27, "value": 0.421875}}, '
+        '{"type": [1, 1, 1], "value": {"den": 32, "num": 27, "value": 0.84375}}, '
+        '{"type": [1, 2, 0], "value": {"den": 64, "num": 27, "value": 0.421875}}, '
+        '{"type": [2, 0, 1], "value": {"den": 4, "num": 3, "value": 0.75}}, '
+        '{"type": [2, 1, 0], "value": {"den": 4, "num": 3, "value": 0.75}}]}\n'),
+    ("uniform", "2", "3", "4", None): (
+        '{"alpha": {"den": 1, "num": 1, "value": 1.0}, '
+        '"beta": {"den": 1, "num": 0, "value": 0.0}, '
+        '"command": "hash-audit", "family": "uniform", "h3_checked": 16, "h3_holds": true, '
+        '"image_size": 8, "l": 3, "n": 4, "q": 2}\n',
+        '{"command": "spectrum", "family": "uniform", "l": 3, "n": 4, "q": 2, "spectrum": ['
+        '{"type": [0, 4], "value": {"den": 8, "num": 1, "value": 0.125}}, '
+        '{"type": [1, 3], "value": {"den": 2, "num": 1, "value": 0.5}}, '
+        '{"type": [2, 2], "value": {"den": 4, "num": 3, "value": 0.75}}, '
+        '{"type": [3, 1], "value": {"den": 2, "num": 1, "value": 0.5}}]}\n'),
+}
+
+
+@pytest.mark.parametrize("config", list(AUDIT_GOLDEN), ids=["sparse_q3", "uniform_q2"])
+def test_hash_audit_and_spectrum_golden(capsys, config):
+    family, q, l, n, tau = config
+    flags = ["--family", family, "--q", q, "--l", l, "--n", n] + (["--tau", tau] if tau else [])
+    audit, spectrum = AUDIT_GOLDEN[config]
+    assert run_cli(capsys, "hash-audit", *flags, "--exhaustive")[:2] == (0, audit)
+    assert run_cli(capsys, "spectrum", *flags)[:2] == (0, spectrum)
+
+
 def test_spectrum_uniform(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "uniform",
                            "--q", "2", "--l", "2", "--n", "3")

@@ -1,11 +1,14 @@
 """Ensembles, spectra, (alpha, beta) profiles, and bound verification."""
 
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hashprop import types
 from hashprop.ensemble import (
     Ensemble,
     EnsembleError,
@@ -59,6 +62,13 @@ def test_support_sizes():
 def test_enumerate_support_cap():
     with pytest.raises(EnsembleError):
         Ensemble.uniform_all(2, 4, 5).enumerate_support(cap=100)
+
+
+def test_hash_values_beyond_int64_refused():
+    """A joint image of 2^64 values cannot be keyed in int64: refused, not wrapped."""
+    e = Ensemble.sparse(2, 64, 1, 2)
+    with pytest.raises(EnsembleError):
+        collision_prob(e, (0,), (1,))
 
 
 def test_sparse_support_probabilities_sum_to_one():
@@ -214,3 +224,151 @@ def test_sample_matches_support_distribution():
     assert set(counts) <= set(support)
     for m, p in support.items():
         assert counts.get(m, 0) / trials == pytest.approx(float(p), abs=0.05)
+
+
+def test_bounds_read_member_lists_as_sets():
+    """A member listed twice gives the same lhs and rhs as listed once."""
+    e, eb = Ensemble.sparse(2, 2, 2, 2), Ensemble.uniform_all(2, 1, 2)
+    pe, pb = alpha_beta_from_spectrum(e, TypeFilter.default(2)), universal_profile(eb)
+    d = list(e.domain())
+    pairs = [(u, v) for u in d for v in d][::3]
+    triples = [(u, u, v) for u in d for v in d][::2]
+    cases = [("whash", (e, pe), [d[:3]], [d[1:]]),
+             ("crp", (e, pe), [d[:3]], [d[0]]),
+             ("sp", (e, pe), [d[:2]], []),
+             ("cross_crp", (e, eb, pe, pb), [pairs], [pairs[1]]),
+             ("cross_sp", (e, eb, pe, pb), [pairs], []),
+             ("multi_crp", ([e, eb, e], [pe, pb, pe]), [triples], [triples[0]]),
+             ("multi_sp", ([e, eb, e], [pe, pb, pe]), [triples], [])]
+    for lemma, head, members, tail in cases:
+        once = verify_bound(lemma, *head, *members, *tail)
+        twice = verify_bound(lemma, *head, *(m + m[:2] for m in members), *tail)
+        assert (twice["lhs"], twice["rhs"]) == (once["lhs"], once["rhs"]), lemma
+
+
+# --- a per-function oracle: one function at one point at a time -------------
+
+
+def _value(e, fn, u):
+    """fn's hash value at u: A u, a bin-coding table's bin, or a product's pair."""
+    if e.family == "binning":
+        return fn[list(e.domain()).index(tuple(u))]
+    if e.family == "product":
+        return tuple(_value(part, f, u) for part, f in zip(e.parts, fn))
+    return fn.matvec(u)
+
+
+def _image(e):
+    if e.family == "binning":
+        return list(range(e.bins))
+    if e.family == "product":
+        return list(itertools.product(*map(_image, e.parts)))
+    return list(itertools.product(range(e.q), repeat=e.l))
+
+
+def _combos(es):
+    """(functions, probability) over the product of the supports."""
+    for combo in itertools.product(*(e.enumerate_support() for e in es)):
+        yield [fn for fn, _ in combo], math.prod((p for _, p in combo), start=Fraction(1))
+
+
+def _oracle_crp(es, G, p0):
+    def hit(fns):
+        return any(g != p0 and all(_value(e, f, x) == _value(e, f, y)
+                                   for e, f, x, y in zip(es, fns, g, p0)) for g in set(G))
+    return sum((p for fns, p in _combos(es) if hit(fns)), Fraction(0))
+
+
+def _oracle_sp(es, T):
+    images = [_image(e) for e in es]
+    def missed(fns):
+        hits = {tuple(_value(e, f, x) for e, f, x in zip(es, fns, t)) for t in T}
+        return sum(a not in hits for a in itertools.product(*images))
+    total = sum((p * missed(fns) for fns, p in _combos(es)), Fraction(0))
+    return total / math.prod(map(len, images))
+
+
+ORACLE_ENSEMBLES = [
+    Ensemble.uniform_all(2, 2, 2), Ensemble.uniform_all(3, 1, 2), Ensemble.sparse(2, 2, 3, 2),
+    Ensemble.sparse(3, 1, 2, 2), Ensemble.binning(2, 2, 2),
+    Ensemble.product(Ensemble.uniform_all(3, 1, 2), Ensemble.sparse(3, 1, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 37])
+def test_audits_match_per_function_oracle(monkeypatch, chunk):
+    """Every audit equals the per-function oracle as exact fractions; at a
+    chunk of 37 the support, the H3 rows and the k-domain combinations are
+    split into several chunks, the last one short."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for e in ORACLE_ENSEMBLES:
+        support, dom = e.enumerate_support(), list(e.domain())
+        def oracle_cp(sup):
+            return {(u, v): sum((p for fn, p in sup if _value(e, fn, u) == _value(e, fn, v)),
+                                Fraction(0)) for u in dom for v in dom}
+        cp, part = oracle_cp(support), support[::3]  # part lacks the ensemble's symmetries
+        assert {(u, v): collision_prob(e, u, v, support) for u in dom for v in dom} == cp
+        assert {(u, v): collision_prob(e, u, v, part) for u in dom for v in dom} == oracle_cp(part)
+        profile = EnsembleProfile(Fraction(3, 2), Fraction(1, 8), e.image_size)
+        if e.family == "binning":
+            with pytest.raises(EnsembleError):
+                spectrum_table(e)
+        else:
+            spec, sizes, filt = {}, {}, TypeFilter.default(e.n)
+            for u in dom[1:]:  # u is in the kernel iff Au = A0
+                t = tuple(u.count(a) for a in range(e.q))
+                spec[t], sizes[t] = spec.get(t, 0) + cp[u, dom[0]], sizes.get(t, 0) + 1
+            assert spectrum_table(e) == {t: s for t, s in spec.items() if s}
+            ql = e.q ** e.l
+            alpha = max(spec[t] * ql / sizes[t] for t in spec if filt.contains(t))
+            beta = sum((spec[t] for t in spec if not filt.contains(t)), Fraction(0))
+            profile = EnsembleProfile(alpha * e.image_size / ql, beta, e.image_size)
+            assert alpha_beta_from_spectrum(e, filt) == profile
+        for prof in (profile, EnsembleProfile(Fraction(1, 2), Fraction(1, 4), e.image_size)):
+            cut = prof.alpha / prof.image_size
+            lhs = [sum((cp[u, v] for v in dom if v != u and cp[u, v] > cut), Fraction(0))
+                   for u in dom]
+            assert [(r["u"], r["lhs_sum"], r["holds"]) for r in verify_strong_hash(e, prof)] == \
+                [(u, x, x <= prof.beta) for u, x in zip(dom, lhs)]
+        for _ in range(3):  # member lists with repeats, read as sets
+            T, T2, G = ([dom[i] for i in rng.integers(len(dom), size=rng.integers(1, 2 * len(dom)))]
+                        for _ in range(3))
+            u = dom[rng.integers(len(dom))]
+            assert verify_bound("whash", e, profile, T, T2)["lhs"] == \
+                sum(cp[a, b] for a in set(T) for b in set(T2))
+            assert verify_bound("crp", e, profile, G, u)["lhs"] == \
+                _oracle_crp([e], [(g,) for g in G], (u,))
+            assert verify_bound("sp", e, profile, T)["lhs"] == _oracle_sp([e], [(t,) for t in T])
+            lem = sum(p * _image(e).count(_value(e, fn, u)) for fn, p in support) / e.image_size
+            assert verify_bound("lem_E", e, u) == bound_lem_E(e, u) == \
+                {"holds": True, "lhs": lem, "rhs": Fraction(1, e.image_size)}
+    e = ORACLE_ENSEMBLES
+    for es in ([e[1], e[4]], [e[2], e[5]], [e[1], e[3], e[4]]):
+        profiles = [universal_profile(x) for x in es]
+        tuples = list(itertools.product(*(x.domain() for x in es)))
+        for _ in range(2):
+            T = [tuples[i] for i in rng.integers(len(tuples), size=6)]
+            point = tuples[rng.integers(len(tuples))]
+            if len(es) == 2:
+                assert verify_bound("cross_crp", *es, *profiles, T, point)["lhs"] == \
+                    _oracle_crp(es, T, point)
+                assert verify_bound("cross_sp", *es, *profiles, T)["lhs"] == _oracle_sp(es, T)
+            assert verify_bound("multi_crp", es, profiles, T, point)["lhs"] == \
+                _oracle_crp(es, T, point)
+            assert verify_bound("multi_sp", es, profiles, T)["lhs"] == _oracle_sp(es, T)
+
+
+def test_spectrum_table_memory():
+    """The spectrum walks the support in chunks: uniform l = 1 at n = 10 peaks
+    well under one whole (support x domain) int64 table of 8 MB."""
+    e = Ensemble.uniform_all(2, 1, 10)
+    support = e.enumerate_support()
+    tracemalloc.start()
+    try:
+        table = spectrum_table(e, support=support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == {(10 - w, w): Fraction(math.comb(10, w), 2) for w in range(1, 11)}
+    assert peak < 4 << 20

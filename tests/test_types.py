@@ -176,9 +176,17 @@ def test_verify_typicality_bounds_guards():
     with pytest.raises(DistributionError):
         verify_typicality_bounds("nope", mu, gamma=0.5, n=4)
     with pytest.raises(DistributionError):
-        verify_typicality_bounds("prob", mu, gamma=0.5, n=4, cap=8)
+        verify_typicality_bounds("prob", mu, gamma=0.5, n=4, cap=4)  # 5 binary types
     with pytest.raises(DistributionError):
         verify_typicality_bounds("trans", mu, gamma=0.5, n=4)
+
+
+def test_verify_typicality_bounds_cap_counts_types():
+    """The single-sequence lemmas walk the n + 1 binary types, not the 2^n
+    sequences, so n = 30 fits the default cap."""
+    mu = Distribution([0.7, 0.3])
+    out = verify_typicality_bounds("prob", mu, gamma=0.5, n=30)
+    assert out["holds"], out
 
 
 def _log2_mass(counts, mu: Distribution) -> float:
