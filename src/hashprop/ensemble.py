@@ -315,26 +315,36 @@ def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> Ens
     return EnsembleProfile(alpha=scale * alpha, beta=beta, image_size=e.image_size)
 
 
+def _exact_dtype(bound: int):
+    """float64 when every integer up to bound is a float64 (bound < 2^53),
+    where its matrix products run faster than int64 ones; else int64."""
+    return np.float64 if bound < 1 << 53 else np.int64
+
+
 def verify_strong_hash(e: Ensemble, profile: EnsembleProfile,
                        support=None) -> list[dict]:
     """Check the collision-mass condition for every u: the total probability
     of collisions exceeding alpha/|Im A| is at most beta.  The collision
     masses of one block of rows u, at most SCORE_CHUNK masses (or one row),
-    are summed over the whole support at a time."""
+    are summed over the whole support at a time, as integer weights held in
+    the dtype ``_exact_dtype`` picks for sums up to den * q^n."""
     support = support if support is not None else e.enumerate_support()
     domain = list(e.domain())
     reports = []
     for block in row_groups(len(domain), len(domain)):
         rows = range(len(domain))[block]
         den, chunks = _table([e], [support], [(u,) for u in domain])
-        mass = np.zeros((len(rows), len(domain)), dtype=np.int64)
+        dtype = _exact_dtype(den * len(domain))
+        mass = np.zeros((len(rows), len(domain)), dtype=dtype)
         for w, h in chunks:
+            w = w.astype(dtype, copy=False)
             for i, u in enumerate(rows):
                 mass[i] += w @ (h == h[:, u:u + 1])
         mass[np.arange(len(rows)), rows] = 0  # u2 = u is no collision
         # an integer mass exceeds den * alpha/|Im A| iff it exceeds its floor
         cut = math.floor(profile.alpha * den / profile.image_size)
-        for u, lhs in zip(rows, np.where(mass > cut, mass, 0).sum(axis=1).tolist()):
+        lhs_sums = np.where(mass > cut, mass, 0).sum(axis=1).astype(np.int64)
+        for u, lhs in zip(rows, lhs_sums.tolist()):
             lhs = Fraction(lhs, den)
             reports.append({"u": domain[u], "holds": lhs <= profile.beta, "lhs_sum": lhs})
     return reports

@@ -12,16 +12,19 @@ iff the restriction of u to N matches some S subseteq N with |S| != a (mod 2),
 and the inequality sum_{i in S} u_i - sum_{N\\S} u_i <= |S| - 1 cuts off
 exactly the vectors agreeing with S on N.
 
-The type LPs of one decode differ only in the count right-hand sides, so a
-decode builds one slack-only tableau, and a dual simplex brings each type to
-a feasible basis: the first from the all-slack basis, every later one from
-the previous type's final basis.  A solve with an objective follows the dual
-simplex with the primal one.  Both share one pivot routine and Bland's rule
-by variable index.  The tableau is kept in compact (dictionary) form: it
-stores only the nonbasic columns and b, since a basic column is a unit
-vector, and its pivots make the float operations of the full tableau
-[rows | I] on the entries it stores, so pivots and points are the full
-tableau's bit for bit.
+A decode visits the joint types by increasing divergence and stops after
+the tie group of the first type whose LP point is integral (or, with the
+exhaustive fallback, whose fractional type occurs in the coset).  The type
+LPs of one decode differ only in the count right-hand sides, so a decode
+builds one slack-only tableau, and a dual simplex brings each visited type
+to a feasible basis: the first from the all-slack basis, every later one
+from the previous type's final basis.  A solve with an objective follows
+the dual simplex with the primal one.  Both share one pivot routine and
+Bland's rule by variable index.  The tableau is kept in compact
+(dictionary) form: it stores only the nonbasic columns and b, since a basic
+column is a unit vector, and its pivots make the float operations of the
+full tableau [rows | I] on the entries it stores, so pivots and points are
+the full tableau's bit for bit.
 """
 
 from __future__ import annotations
@@ -338,30 +341,27 @@ class LpDecodeResult:
 
 def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None,
               fallback_cap: int = 1 << 16) -> LpDecodeResult:
-    """Minimum-divergence decoding over the coset product by sweeping joint
-    types, deciding one feasibility LP per type.
+    """Minimum-divergence decoding over the coset product by visiting joint
+    types in increasing divergence, deciding one feasibility LP per type.
 
-    The type LPs differ only in the right-hand sides of the 2^k count rows,
-    so one tableau serves the whole decode: each type moves those right-hand
-    sides and is brought to feasibility by a dual simplex, the first type
-    from the all-slack basis and every later one from the previous type's
-    final basis.
-    Statuses are exact: infeasible types are exactly those whose LP is
-    infeasible, and they cannot occur in the coset product.  Each type LP
-    has a zero objective, so its point is whichever vertex the warm start
-    reaches, and ``integral`` records whether that vertex is integral.
-    Every point is checked against the type's rows (``LpError`` if one
-    fails), and the log records it with the pivots the type took.  Every
-    type is scored by ``types.type_divergences``, the per-cell terms the
-    exhaustive decoders add.
-
-    Among types with an integral LP point, the minimum-divergence one wins,
-    with types within TIE_TOL of it tied; a fractional point is logged (and
-    optionally resolved exhaustively with fallback='exhaustive').  The output
-    tuple is the lexicographically first coset-product member carrying a
-    winning type, matching the exhaustive decoder's tie rule.  One pass over
+    Types are visited by increasing ``types.type_divergences``, the per-cell
+    terms the exhaustive decoders add, with ties in ``compositions`` order.
+    A type counts when its LP point is integral (an integral point is a
+    coset-product member of the type) or, with fallback='exhaustive', when
+    its point is fractional and the type occurs in the coset product.  The
+    sweep stops after the tie group of the first type that counts: the types
+    within TIE_TOL of its divergence.  The counting types of that group win,
+    and the output tuple is the lexicographically first coset-product member
+    carrying a winning type, matching the exhaustive decoder's tie rule.  An
+    infeasible type has no coset member, so a decode whose solved types are
+    all integral or infeasible is the exact minimum-divergence decode, and
+    the exhaustive fallback is exact in any visiting order.  One pass over
     the coset product, made when first needed, serves the fallback and the
     output.
+
+    ``type_log`` holds the log entries of the types solved, in visiting
+    order (see ``_type_sweep``), and ``all_integral`` says that none of them
+    had a fractional point; the types past the cut are never solved.
     """
     k = len(matrices)
     if any(s != 2 for s in mu.shape) or len(mu.shape) != k:
@@ -369,22 +369,67 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     n = matrices[0].cols
     if any(m.cols != n or m.q != 2 for m in matrices):
         raise LpError("matrices must be binary with a common n")
+    order = _divergence_order(n, k, mu.table)
+    coset = _CosetTypes(matrices, syndromes, fallback_cap)
+
+    log = []
+    winners = set()
+    best_d = math.inf
+    all_integral = True
+    for i, entry in enumerate(_type_sweep(matrices, syndromes, order), 1):
+        log.append(entry)
+        t, d = entry["type"], entry["divergence"]
+        if entry["status"] == "optimal":
+            all_integral &= entry["integral"]
+            if entry["integral"] or (fallback == "exhaustive" and coset.occurs(t)):
+                winners.add(t)
+                best_d = min(best_d, d)
+        if i < len(order) and order[i][1] > best_d + TIE_TOL:
+            break  # the next type is past the winning tie group
+
+    if not winners:
+        return LpDecodeResult(x_hat=None, divergence=math.inf, all_integral=all_integral,
+                              error=True, type_log=tuple(log))
+    return LpDecodeResult(x_hat=coset.first_member(winners), divergence=best_d,
+                          all_integral=all_integral, error=False, type_log=tuple(log))
+
+
+def _divergence_order(n: int, k: int, table: np.ndarray) -> list[tuple[tuple, float]]:
+    """Every length-n joint type over {0,1}^k with its divergence from
+    table, by increasing divergence; tied floats keep ``compositions``
+    order."""
+    every, divs = compositions(n, 1 << k), type_divergences(n, table)
+    idx = np.argsort(divs, kind="stable")
+    return list(zip([every[i] for i in idx.tolist()], divs[idx].tolist()))
+
+
+def _type_sweep(matrices, syndromes, order):
+    """Decide the type LP of each (type, divergence) of order and yield its
+    log entry: type, divergence, status, integral, pivots and, when
+    feasible, the point.
+
+    The type LPs differ only in the right-hand sides of the 2^k count rows,
+    so one tableau serves the whole sweep: each type moves those right-hand
+    sides and is brought to feasibility by a dual simplex, the first type
+    from the all-slack basis and every later one from the previous type's
+    final basis.  Statuses are exact: infeasible types are exactly those
+    whose LP is infeasible.  Each type LP has a zero objective, so its point
+    is whichever vertex the warm start reaches, and ``integral`` records
+    whether that vertex is integral.  Every point is checked against the
+    type's rows (``LpError`` if one fails).  A type is solved only when its
+    entry is asked for.
+    """
+    n, k = matrices[0].cols, len(matrices)
     nv = num_vars(n, k)
     parity = []
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
         parity += build_parity_constraints(m, a, var_offset=j * n)
-    types = list(compositions(n, 1 << k))
     lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
-    for row, rel, rhs in build_type_constraints(types[0], n, k) + parity:
+    for row, rel, rhs in build_type_constraints(order[0][0], n, k) + parity:
         lp.add(row, rel, rhs)
     tab = _Tableau(*lp.arrays())
     count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
-    coset = _CosetTypes(matrices, syndromes, fallback_cap)
-
-    log = []
-    feasible: list[tuple[float, tuple]] = []  # (divergence, type)
-    all_integral = True
-    for t, d in zip(types, type_divergences(n, mu.table).tolist()):
+    for t, d in order:
         tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
         status, pivots = tab.dual()
         entry = {"type": t, "divergence": d, "status": status, "integral": False,
@@ -393,21 +438,7 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
             sol = tab.solution(lp.objective)
             entry["integral"] = sol.integral
             entry["point"] = tuple(sol.values.tolist())
-            if sol.integral:
-                feasible.append((d, t))
-            else:
-                all_integral = False
-                if fallback == "exhaustive" and coset.occurs(t):
-                    feasible.append((d, t))
-        log.append(entry)
-
-    if not feasible:
-        return LpDecodeResult(x_hat=None, divergence=math.inf, all_integral=all_integral,
-                              error=True, type_log=tuple(log))
-    best_d = min(d for d, _ in feasible)
-    winners = {t for d, t in feasible if d <= best_d + TIE_TOL}
-    return LpDecodeResult(x_hat=coset.first_member(winners), divergence=best_d,
-                          all_integral=all_integral, error=False, type_log=tuple(log))
+        yield entry
 
 
 class _CosetTypes:

@@ -355,6 +355,11 @@ def test_lp_md_cli(tmp_path, capsys):
     # the stacked systems pin both sequences completely
     assert data["x_hat"] == [[0, 1, 1], [0, 1, 1]]
     assert data["error"] is False
+    # all C(3 + 3, 3) joint types are candidates; the sweep solves the tied
+    # minimum pair (1, 0, 0, 2), integral in 9 pivots, and (2, 0, 0, 1),
+    # infeasible, and stops
+    assert data["types_considered"] == 20
+    assert (data["types_solved"], data["pivots"], data["fractional_types"]) == (2, 9, 0)
 
 
 def test_lp_md_cli_arity_error(tmp_path, capsys):

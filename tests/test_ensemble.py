@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hashprop import types
+from hashprop import ensemble, types
 from hashprop.ensemble import (
     Ensemble,
     EnsembleError,
@@ -357,6 +357,20 @@ def test_audits_match_per_function_oracle(monkeypatch, chunk):
             assert verify_bound("multi_crp", es, profiles, T, point)["lhs"] == \
                 _oracle_crp(es, T, point)
             assert verify_bound("multi_sp", es, profiles, T)["lhs"] == _oracle_sp(es, T)
+
+
+def test_strong_hash_dtype_guard(monkeypatch):
+    """float64 holds every integer below 2^53, not 2^53 + 1: the collision
+    masses are float64 for sums bounded by 2^53 - 1 and int64 from 2^53,
+    and both dtypes give the same H3 reports."""
+    assert float((1 << 53) - 1) == (1 << 53) - 1 and float((1 << 53) + 1) != (1 << 53) + 1
+    assert ensemble._exact_dtype((1 << 53) - 1) is np.float64
+    assert ensemble._exact_dtype(1 << 53) is np.int64
+    profiles = [(e, EnsembleProfile(a, b, e.image_size)) for e in ORACLE_ENSEMBLES
+                for a, b in ((Fraction(3, 2), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 4)))]
+    floats = [verify_strong_hash(e, prof) for e, prof in profiles]
+    monkeypatch.setattr(ensemble, "_exact_dtype", lambda bound: np.int64)
+    assert [verify_strong_hash(e, prof) for e, prof in profiles] == floats
 
 
 def test_spectrum_table_memory():

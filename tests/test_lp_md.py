@@ -19,6 +19,8 @@ from hashprop.lp_md import (
     LpError,
     LpSolution,
     _CosetTypes,
+    _divergence_order,
+    _type_sweep,
     build_parity_constraints,
     build_type_constraints,
     md_via_lp,
@@ -206,17 +208,47 @@ def _warm_start_instances():
     return out
 
 
+def _full_sweep(mats, syns, mu):
+    """Every type's log entry, in md_via_lp's visiting order."""
+    return list(_type_sweep(mats, syns, _divergence_order(mats[0].cols, len(mats), mu.table)))
+
+
+def _bits(entry):
+    """A log entry with its floats as float.hex, for bit-for-bit compares."""
+    out = {**entry, "divergence": entry["divergence"].hex()}
+    if "point" in entry:
+        out["point"] = [v.hex() for v in entry["point"]]
+    return out
+
+
+def _assert_prefix(log, full):
+    """log is full's first entries, bit for bit, and stops where the rule
+    says: after the tie group of full's first integral type, or at full's
+    end when no type is integral."""
+    assert [_bits(e) for e in log] == [_bits(e) for e in full[:len(log)]]
+    first = next((e["divergence"] for e in full if e["integral"]), math.inf)
+    assert len(log) == sum(1 for e in full if e["divergence"] <= first + types.TIE_TOL)
+
+
 def test_md_via_lp_warm_start_matches_cold_solver():
-    """Every type's status equals a cold solve of the same program;
+    """The full sweep visits every type once, by increasing divergence with
+    ties in compositions order, and md_via_lp's log is its prefix up to the
+    stop rule.  Every type's status equals a cold solve of the same program;
     every logged point satisfies the program's rows, and every integral one
     is a coset-product member carrying the logged type."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
     seen = {"optimal": 0, "infeasible": 0, "integral": 0, "fractional": 0, "empty": 0}
     for mats, syns in _warm_start_instances():
         n, k = mats[0].cols, len(mats)
+        full = _full_sweep(mats, syns, mu)
         res = md_via_lp(mats, syns, mu)
-        assert len(res.type_log) == math.comb(n + 3, 3)
-        for entry in res.type_log:
+        _assert_prefix(res.type_log, full)
+        sweep = compositions(n, 1 << k)
+        divs = types.type_divergences(n, mu.table).tolist()
+        assert sorted(e["type"] for e in full) == list(sweep)
+        assert [(e["divergence"], sweep.index(e["type"])) for e in full] == sorted(
+            (divs[i], i) for i in range(len(sweep)))
+        for entry in full:
             lp = _cold_program(entry["type"], mats, syns)
             assert entry["status"] == simplex_solve(lp).status, entry["type"]
             seen[entry["status"]] += 1
@@ -234,7 +266,7 @@ def test_md_via_lp_warm_start_matches_cold_solver():
                 assert tuple(int(v) for v in m.to_dense() @ uj % 2) == a
             counts = np.asarray(joint_type([tuple(r) for r in u], (2,) * k).counts)
             assert tuple(counts.reshape(-1)) == entry["type"]
-        if all(e["status"] == "infeasible" for e in res.type_log):
+        if all(e["status"] == "infeasible" for e in full):
             seen["empty"] += 1
             assert res.error and res.x_hat is None
     assert all(v > 0 for v in seen.values()), seen
@@ -253,59 +285,65 @@ def _highs_status(lp):
 
 
 def test_md_via_lp_statuses_match_highs():
-    """An oracle that shares no code with the tableau: every logged status
-    on the warm-start instances equals the status HiGHS gives the type's
-    program."""
+    """An oracle that shares no code with the tableau: every status of the
+    full sweep on the warm-start instances equals the status HiGHS gives the
+    type's program, and md_via_lp's log is the sweep's prefix."""
     pytest.importorskip("scipy")
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
     seen = {"optimal": 0, "infeasible": 0}
     for mats, syns in _warm_start_instances():
-        for entry in md_via_lp(mats, syns, mu).type_log:
+        full = _full_sweep(mats, syns, mu)
+        _assert_prefix(md_via_lp(mats, syns, mu).type_log, full)
+        for entry in full:
             lp = _cold_program(entry["type"], mats, syns)
             assert entry["status"] == _highs_status(lp), entry["type"]
             seen[entry["status"]] += 1
     assert all(v > 0 for v in seen.values()), seen
 
 
-def _dense_sweep(mats, syns):
-    """Per type of md_via_lp's sweep, (status, pivots, point, integral) from
-    a plain full tableau [rows | I]: the same row layout, warm start and
-    Bland dual simplex, every column stored and updated."""
-    n, k = mats[0].cols, len(mats)
-    sweep = compositions(n, 1 << k)
+def _dense_sweep(mats, syns, sweep):
+    """Per type of sweep, in its order, (status, pivots, point bits,
+    integral) from a plain full tableau [rows | I | b]: the same row layout,
+    warm start and Bland dual simplex, every column stored and updated.
+
+    The tableau starts with every -0.0 made +0.0, and the pivot row is
+    brought back to +0.0 zeros after its division; then no update makes a
+    -0.0 (x - x and +0.0 - 0.0 give +0.0), so the sign of a zero term
+    A_ic A_rj never matters and einsum forms the rank-1 terms.  The sign of
+    a zero changes no nonzero value, so statuses, pivots and nonzero point
+    entries are the full tableau's bit for bit, and every zero is +0.0."""
     rows, rels, rhs = _cold_program(sweep[0], mats, syns).arrays()
     implied = ((rels == REL_GE) & (rhs <= 0) & ((rows != 0).sum(axis=1) == 1)
                & (rows.sum(axis=1) > 0))
     le, ge = np.flatnonzero(rels != REL_GE), np.flatnonzero((rels != REL_LE) & ~implied)
     src, sign = np.concatenate([le, ge]), np.repeat([1.0, -1.0], [le.size, ge.size])
     nv, m = rows.shape[1], src.size
-    A, b = np.hstack([rows[src] * sign[:, None], np.eye(m)]), rhs[src] * sign
-    basis, out = nv + np.arange(m), []
+    A = np.hstack([rows[src] * sign[:, None], np.eye(m), (rhs[src] * sign)[:, None]]) + 0.0
+    b, terms = A[:, -1], np.empty_like(A)
+    basis, count_rows, out = nv + np.arange(m), rels == REL_EQ, []
     for t in sweep:
         new = rhs.copy()
-        new[rels == REL_EQ] = t
+        new[count_rows] = t
         step, rhs = sign * (new - rhs)[src], new
         moved = np.flatnonzero(step)
         b += A[:, nv + moved] @ step[moved]  # slack columns hold B^-1
         status, pivots = "optimal", 0
-        while (b < -FEAS_TOL).any():
-            neg = np.flatnonzero(b < -FEAS_TOL)
-            r = neg[np.argmin(basis[neg])]
-            cols = np.flatnonzero(A[r] < -FEAS_TOL)  # basic columns are unit vectors
-            if cols.size == 0:
+        while (neg := (b < -FEAS_TOL).nonzero()[0]).size:
+            r = neg[basis[neg].argmin()]
+            c = int((A[r, :-1] < -FEAS_TOL).argmax())  # basic columns are unit vectors
+            piv = A[r, c]
+            if not piv < -FEAS_TOL:
                 status = "infeasible"
                 break
-            c, piv = cols[0], A[r, cols[0]]
             A[r] /= piv
-            b[r] /= piv
-            f = A[:, c].copy()
-            f[r] = 0.0
-            A -= np.outer(f, A[r])
-            b -= f * b[r]
+            A[r] += 0.0
+            np.einsum("i,j->ij", A[:, c], A[r], out=terms)
+            terms[r] = 0.0  # the pivot row keeps its divided values
+            A -= terms
             basis[r], pivots = c, pivots + 1
         x = np.zeros(nv)
         x[basis[basis < nv]] = b[basis < nv]
-        out.append((status, pivots, [v.hex() for v in x.tolist()],
+        out.append((status, pivots, x.view(np.int64),
                     bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))))
     return out
 
@@ -324,22 +362,71 @@ def _criterion_8_stream(max_n):
 
 def test_md_via_lp_log_matches_dense_tableau():
     """The compact tableau takes the pivots of the full one, bit for bit:
-    every type_log entry's status, pivot count, point (compared by
-    float.hex) and integrality equal the dense reference sweep's, on the
-    warm-start instances and criterion 8's decodes with n <= 6."""
+    every entry of the full sweep has the status, pivot count, point
+    (compared by its float64 bits) and integrality of the dense reference
+    sweep in the same order, on the warm-start instances and criterion 8's
+    decodes with n <= 6; md_via_lp's log is the sweep's prefix."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
     seen = {"optimal": 0, "infeasible": 0, "pivots": 0}
     for mats, syns in itertools.chain(_warm_start_instances(), _criterion_8_stream(6)):
-        log = md_via_lp(mats, syns, mu).type_log
-        for entry, (status, pivots, point, integral) in zip(log, _dense_sweep(mats, syns),
-                                                           strict=True):
+        full = _full_sweep(mats, syns, mu)
+        _assert_prefix(md_via_lp(mats, syns, mu).type_log, full)
+        dense = _dense_sweep(mats, syns, [e["type"] for e in full])
+        for entry, (status, pivots, point, integral) in zip(full, dense, strict=True):
             assert (entry["status"], entry["pivots"]) == (status, pivots), entry["type"]
             if status == "optimal":
-                assert [v.hex() for v in entry["point"]] == point, entry["type"]
+                assert (np.array(entry["point"]).view(np.int64) == point).all(), entry["type"]
                 assert entry["integral"] == integral
             seen[status] += 1
             seen["pivots"] += pivots
     assert all(v > 0 for v in seen.values()), seen
+
+
+def _flat_type(pair):
+    return tuple(np.asarray(joint_type(pair, (2, 2)).counts).reshape(-1).tolist())
+
+
+def test_md_via_lp_is_the_md_decode_on_criterion_8_stream():
+    """On all 200 decodes of criterion 8's stream the exhaustive-fallback
+    decode is sw_decode_md's, with its divergence within 1e-12, and so is
+    every all-integral decode without the fallback."""
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    decodes = all_integral = 0
+    for mats, syns in _criterion_8_stream(8):
+        ref = sw_decode_md(SwCode(mats, mu), syns).x_hat
+        ref_d = types.divergence(np.array(_flat_type(ref)) / mats[0].cols, mu)
+        exact = md_via_lp(mats, syns, mu, fallback="exhaustive")
+        assert exact.x_hat == ref
+        assert exact.divergence == pytest.approx(ref_d, abs=1e-12)
+        plain = md_via_lp(mats, syns, mu)
+        if plain.all_integral:
+            all_integral += 1
+            assert plain.x_hat == ref
+            assert plain.divergence == pytest.approx(ref_d, abs=1e-12)
+        decodes += 1
+    assert decodes == 200 and all_integral >= 1
+
+
+def test_md_via_lp_decides_the_whole_tie_group():
+    """A pinned n = 4 instance whose winning tie group holds two integral
+    types one ulp apart: (2, 0, 1, 1) sorts first, and the lexicographically
+    first minimum-divergence member has type (1, 1, 0, 2).  Only a decoder
+    that solves the whole group, by TIE_TOL, returns the exhaustive
+    decoder's member."""
+    mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
+    mats = (FieldMatrix.from_dense(2, [[1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 1]]),
+            FieldMatrix.from_dense(2, [[0, 1, 0, 0], [1, 0, 0, 0]]))
+    syns = ((1, 1, 1), (1, 0))
+    ref = sw_decode_md(SwCode(mats, mu), syns).x_hat
+    integral = [e for e in _full_sweep(mats, syns, mu) if e["integral"]]
+    group = [e for e in integral if e["divergence"] <= integral[0]["divergence"] + types.TIE_TOL]
+    assert [e["type"] for e in group] == [(2, 0, 1, 1), (1, 1, 0, 2)]
+    assert _flat_type(ref) == group[1]["type"]
+    assert group[0]["divergence"] < group[1]["divergence"]  # tied, but not bit-equal
+    res = md_via_lp(mats, syns, mu)
+    assert res.all_integral
+    assert res.x_hat == ref
+    assert res.divergence == group[0]["divergence"]
 
 
 def test_simplex_solve_objective_matches_highs():
@@ -403,7 +490,10 @@ def test_md_via_lp_type_log():
     res = md_via_lp((eye, eye), ((0, 1), (0, 1)), mu)
     assert res.x_hat == ((0, 1), (0, 1))
     assert not res.error
-    assert len(res.type_log) == math.comb(2 + 3, 3)  # compositions of n=2 into 4
+    full = _full_sweep((eye, eye), ((0, 1), (0, 1)), mu)
+    assert len(full) == math.comb(2 + 3, 3)  # compositions of n=2 into 4
+    _assert_prefix(res.type_log, full)
+    assert len(res.type_log) < len(full)
     assert all("status" in e for e in res.type_log)
 
 
