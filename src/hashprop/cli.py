@@ -257,15 +257,12 @@ def _sweep_point(mu, r_x, r_y, n, tau, tries, mode, trials, seed_seq):
 
 
 def cmd_sweep(args) -> None:
-    if args.target != "sw":
-        raise ParseError("only 'sweep sw' is supported")
     mu = formats.load_distribution(args.dist)
     grid = _parse_grid(args.rates)
-    points = [(rx, ry, n) for rx in grid for ry in grid for n in args.n_list]
-    seeds = np.random.SeedSequence(args.seed).spawn(len(points))
-    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode,
-                            args.trials, ss)
-               for (rx, ry, n), ss in zip(points, seeds)]
+    # one stream for every point, so a row does not depend on the rest of the grid
+    seed_seq = np.random.SeedSequence(args.seed, spawn_key=(0,))
+    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode, args.trials, seed_seq)
+               for rx in grid for ry in grid for n in args.n_list]
 
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -340,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="name=matrixfile, one per source")
     s.add_argument("--decoder", choices=["md", "ml", "ml_unconstrained"],
                    default="md")
-    s.add_argument("--gamma", type=float, default=0.0, help="typicality slack, > 0 for ml")
+    s.add_argument("--gamma", type=float, default=0.0,
+                   help="typicality slack, > 0 for ml; md ignores it")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s.add_argument("--trials", type=_positive_int, default=1000)
-    s.add_argument("--seed", type=_seed)
+    s.add_argument("--trials", type=_positive_int, default=1000, help="mc only; exact ignores it")
+    s.add_argument("--seed", type=_seed, help="required in mc mode; exact ignores it")
     s.add_argument("--csv")
     s.set_defaults(fn=cmd_sw_sim)
 
@@ -352,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--code", required=True)
     b.add_argument("--variant", choices=["ml", "md"], default="ml")
     b.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    b.add_argument("--trials", type=_positive_int, default=1000)
-    b.add_argument("--seed", type=_seed)
+    b.add_argument("--trials", type=_positive_int, default=1000, help="mc only; exact ignores it")
+    b.add_argument("--seed", type=_seed, help="required in mc mode; exact ignores it")
     b.set_defaults(fn=cmd_bc_sim)
 
     l = sub.add_parser("lp-md", help="LP minimum-divergence decoding")
@@ -373,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--tau", type=int, default=2)
     sw.add_argument("--tries", type=_positive_int, default=8)
     sw.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    sw.add_argument("--trials", type=_positive_int, default=1000)
+    sw.add_argument("--trials", type=_positive_int, default=1000,
+                    help="MC trials per code; exact ignores it")
     sw.add_argument("--seed", type=_seed, required=True)
     sw.add_argument("--csv")
     sw.set_defaults(fn=cmd_sweep)

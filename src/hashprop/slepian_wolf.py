@@ -99,7 +99,7 @@ def sw_encode(code: SwCode, x_K) -> tuple[tuple[int, ...], ...]:
     return tuple(m.matvec(x) for m, x in zip(code.matrices, x_K))
 
 
-def _check_decoder(code: SwCode, decoder: str) -> None:
+def _check_decoder(decoder: str) -> None:
     if decoder not in ("md", "ml", "ml_unconstrained"):
         raise SwError(f"unknown decoder {decoder!r}")
 
@@ -119,7 +119,7 @@ def sw_decode_batch(code: SwCode, syndromes, decoder: str = "md", gamma: float =
     ``first_best``).  A row whose coset has no member inside the alphabet
     raises ``SwError``, as does a product beyond ``cap``.
     """
-    _check_decoder(code, decoder)
+    _check_decoder(decoder)
     if decoder != "md":
         gamma = TypicalityParams(gamma).gamma
     syndromes = [np.asarray(a, dtype=np.int64) for a in syndromes]
@@ -229,7 +229,7 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     chunk, memory holds the per-axis sequences, the key columns of the last
     axis, the type tables and one index per decoded block.
     """
-    _check_decoder(code, decoder)
+    _check_decoder(decoder)
     n, shape = code.n, code.mu.shape
     total = math.prod(size ** n for size in shape)
     if total > cap:
@@ -324,7 +324,7 @@ def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
     counts as an error. The result depends only on the arguments."""
     if trials < 1:
         raise SwError("trials must be >= 1")
-    _check_decoder(code, decoder)
+    _check_decoder(decoder)
     ends = np.cumsum([0] + [m.rows for m in code.matrices]).tolist()
     bases = [m.q for m in code.matrices for _ in range(m.rows)]
 

@@ -1,26 +1,24 @@
 """Acceptance suite: one test per criterion; the conftest hook prints one
 pass/fail line per criterion at the end of the run.
 
-Every comparison against an expected value goes through an independently
-coded oracle in this file (brute-force enumeration written from scratch),
-not through the library routine under test.
+Every comparison against an expected value goes through a brute-force
+oracle of ``oracles``, written apart from the library, not through the
+library routine under test.
 """
 
 import itertools
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from hashprop.broadcast import (
     BcCode,
     BcProblem,
     bc_code_search,
-    bc_decode,
-    bc_encode,
     bc_error_exact,
     bc_error_mc,
     bc_feasible_params,
@@ -160,42 +158,6 @@ def test_criterion_4():
 # --- criterion 5: SW decoder and error oracle equivalence -------------------
 
 
-def _oracle_coset(matrix, syndrome):
-    """All u with Au = a, by raw enumeration over GF(2)^n."""
-    dense = matrix.to_dense()
-    n = matrix.cols
-    out = []
-    for u in itertools.product((0, 1), repeat=n):
-        if tuple(int(v) for v in dense @ u % 2) == tuple(syndrome):
-            out.append(u)
-    return out
-
-
-def _oracle_divergence(x, y, mu):
-    n = len(x)
-    d = 0.0
-    for cell, c in Counter(zip(x, y)).items():
-        p = float(mu.table[cell])
-        if p <= 0:
-            return math.inf
-        d += (c / n) * math.log2((c / n) / p)
-    return d
-
-
-def _oracle_decode(matrices, syndromes, mu):
-    # candidates arrive in lexicographic order; a strictly-smaller test with
-    # an ulp tolerance keeps the lex-first candidate on mathematical ties
-    # whose float sums differ only by rounding order
-    best = None
-    best_d = math.inf
-    for cx in _oracle_coset(matrices[0], syndromes[0]):
-        for cy in _oracle_coset(matrices[1], syndromes[1]):
-            d = _oracle_divergence(cx, cy, mu)
-            if best is None or d < best_d - 1e-12:
-                best, best_d = (cx, cy), d
-    return best
-
-
 def test_criterion_5():
     rng = np.random.default_rng(11)
     mu_pool = [
@@ -216,7 +178,7 @@ def test_criterion_5():
         x = tuple(int(v) for v in rng.integers(0, 2, size=n))
         y = tuple(int(v) for v in rng.integers(0, 2, size=n))
         syn = sw_encode(code, (x, y))
-        assert sw_decode_md(code, syn).x_hat == _oracle_decode(mats, syn, mu)
+        assert sw_decode_md(code, syn).x_hat == oracles.sw_decode(code, syn)
     for _ in range(100):
         n = int(rng.integers(2, 4))
         la = int(rng.integers(1, n + 1))
@@ -227,17 +189,7 @@ def test_criterion_5():
         )
         mu = mu_pool[int(rng.integers(0, len(mu_pool)))]
         code = SwCode(mats, mu)
-        oracle_err = 0.0
-        cache = {}
-        for x in itertools.product((0, 1), repeat=n):
-            for y in itertools.product((0, 1), repeat=n):
-                mass = math.prod(float(mu.table[xs, ys]) for xs, ys in zip(x, y))
-                syn = sw_encode(code, (x, y))
-                if syn not in cache:
-                    cache[syn] = _oracle_decode(mats, syn, mu)
-                if cache[syn] != (x, y):
-                    oracle_err += mass
-        assert sw_error_exact(code) == pytest.approx(oracle_err, abs=1e-12)
+        assert sw_error_exact(code) == pytest.approx(oracles.sw_error(code)[0], abs=1e-12)
 
 
 # --- criterion 6: SW error trend over block length --------------------------
@@ -279,41 +231,6 @@ def _split_problem() -> BcProblem:
         mu_u=Distribution(np.full((2, 2), 0.25)),
         f=np.array([[0, 1], [2, 3]], dtype=np.int64),
     )
-
-
-def _oracle_bc_error(code: BcCode, p: BcProblem, variant: str) -> float:
-    """Direct enumeration over messages and the full per-position output
-    product, with its own probability bookkeeping."""
-    spaces = [code.message_space(j) for j in range(code.k)]
-    yshape = p.channel.table.shape[:-1]
-    y_tuples = list(itertools.product(*(range(s) for s in yshape)))
-    n = code.n
-    p_m = 1.0 / math.prod(len(s) for s in spaces)
-    err = 0.0
-    cache = {}
-    for m_K in itertools.product(*spaces):
-        enc = bc_encode(code, p, m_K)
-        if enc.failure:
-            err += p_m
-            continue
-        for outs in itertools.product(y_tuples, repeat=n):
-            prob = 1.0
-            for pos in range(n):
-                prob *= float(p.channel.table[outs[pos] + (enc.x[pos],)])
-            if prob == 0.0:
-                continue
-            ok = True
-            for j in range(code.k):
-                yj = tuple(outs[pos][j] for pos in range(n))
-                key = (j, yj)
-                if key not in cache:
-                    cache[key] = bc_decode(code, p, j, yj, variant=variant)
-                if cache[key] != tuple(m_K[j]):
-                    ok = False
-                    break
-            if not ok:
-                err += p_m * prob
-    return err
 
 
 def _random_bc_instance(rng):
@@ -367,7 +284,7 @@ def test_criterion_7():
         prob, code = _random_bc_instance(rng)
         variant = "ml" if i % 2 == 0 else "md"
         lib = bc_error_exact(code, prob, variant=variant)
-        assert lib == pytest.approx(_oracle_bc_error(code, prob, variant), abs=1e-9)
+        assert lib == pytest.approx(oracles.bc_error(code, prob, variant), abs=1e-9)
 
 
 # --- criterion 8: LP decode equivalence on integral instances ---------------
@@ -389,7 +306,7 @@ def test_criterion_8():
             integral_seen += 1
             ref = sw_decode_md(code, syn)
             assert res.x_hat == ref.x_hat
-            ref_d = _oracle_divergence(ref.x_hat[0], ref.x_hat[1], DSBS_005)
+            ref_d = oracles.divergence(ref.x_hat, DSBS_005.table)
             assert res.divergence == pytest.approx(ref_d, abs=1e-12)
     assert integral_seen >= 1
     # constraint-count formulas

@@ -3,11 +3,11 @@ kappa schedules, and the random code search."""
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from hashprop import broadcast, gf, types
 from hashprop.broadcast import (
     BcCode,
@@ -156,21 +156,10 @@ def test_error_exact_zero_on_noiseless_code():
 
 
 def test_error_exact_oracle_small():
-    """Independent direct computation of the error on a tiny instance."""
+    """The exact error of a tiny instance against the enumeration oracle."""
     p = split_channel()
     code = _split_code()
-    spaces = [code.message_space(j) for j in range(2)]
-    wrong = 0.0
-    p_m = 1.0 / (len(spaces[0]) * len(spaces[1]))
-    for m_K in itertools.product(*spaces):
-        enc = bc_encode(code, p, m_K)
-        y0 = tuple(x >> 1 for x in enc.x)
-        y1 = tuple(x & 1 for x in enc.x)
-        ok = (bc_decode(code, p, 0, y0) == m_K[0]
-              and bc_decode(code, p, 1, y1) == m_K[1])
-        if not ok:
-            wrong += p_m
-    assert bc_error_exact(code, p) == pytest.approx(wrong)
+    assert bc_error_exact(code, p) == pytest.approx(oracles.bc_error(code, p, "ml"))
 
 
 def test_error_mc_matches_exact():
@@ -199,6 +188,9 @@ def test_kappa_schedule_inverse_sqrt_rule():
     assert sched.rule == "inverse-sqrt-beta"
     assert sched.kappa == tuple(1.0 / math.sqrt(0.5) for _ in ns)
     assert not sched.checks["k1_grows"]  # constant kappa is flagged
+    # beta n^xi falls from 0.8 to 0.45: below min(1/2, 0.8) but not below
+    # half its start, so it does not vanish
+    assert kappa_schedule((4, 16), [(0.4, 0.1125)], xi=0.5).rule == "inverse-sqrt-beta"
     with pytest.raises(BcError):
         kappa_schedule(ns, betas, xi=0.0)
     with pytest.raises(BcError):
@@ -211,6 +203,7 @@ def test_rows_for_rate_half_up():
     assert rows_for_rate(0.75, 8, 2) == 6
     assert rows_for_rate(1.0, 3, 4) == 2  # log2(4) = 2 bits per symbol
     assert rows_for_rate(0.0, 5, 2) == 0
+    assert rows_for_rate(0.6, 4, 2) == 2  # 2.4 rounds down, not up
 
 
 def test_code_search_finds_zero_error():
@@ -232,19 +225,10 @@ def test_code_search_finds_zero_error():
         bc_code_search(p, params, ens, tries=0, seed=0)
 
 
-# --- an oracle independent of bc_encode / bc_decode -------------------------
+# --- against the oracles of ``oracles`` -------------------------------------
 #
-# Coset members come from filtering all of GF(2)^n with numpy, and scores
-# from the loops below.  Every mass is a dyadic rational, so the oracle and
-# the library work from bit-equal tables.  The documented tie rule decides:
-# the first candidate whose score is within ORACLE_TIE_TOL of the optimum.
-
-ORACLE_TIE_TOL = 1e-12
-
-
-def _oracle_first_min(scores) -> int:
-    best = min(scores)
-    return next(i for i, s in enumerate(scores) if s <= best + ORACLE_TIE_TOL)
+# Every mass is a dyadic rational, so the oracle and the library work from
+# bit-equal tables.
 
 
 def _dyadic_problem(rng) -> BcProblem:
@@ -275,93 +259,6 @@ def _dyadic_code(rng, n: int) -> BcCode:
     return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 
 
-def _solutions(n: int, dense: np.ndarray, rhs, q: int = 2) -> list[tuple[int, ...]]:
-    """Every u in {0, 1}^n with dense u = rhs over GF(q), in lexicographic order."""
-    words = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-    keep = (words @ dense.T % q == np.asarray(rhs, dtype=np.int64)).all(axis=1)
-    return [tuple(int(v) for v in w) for w in words[keep]]
-
-
-def _oracle_type_divergence(columns, ref: np.ndarray) -> float:
-    n = len(columns[0])
-    counts: dict = {}
-    for symbols in zip(*columns):
-        counts[symbols] = counts.get(symbols, 0) + 1
-    total = 0.0
-    for cell in itertools.product(*(range(s) for s in ref.shape)):
-        c = counts.get(cell, 0)
-        if c:
-            if ref[cell] == 0.0:
-                return math.inf
-            total += c / n * math.log2(c / n / float(ref[cell]))
-    return total
-
-
-def _oracle_encode(code: BcCode, p: BcProblem, messages):
-    """(u_K, divergence) of the first divergence minimum (within the tie
-    tolerance) over the product of coset intersections, or None if one is
-    empty."""
-    inter = []
-    for (a_m, ap_m), a, m in zip(code.pairs, code.syndromes, messages):
-        dense = np.concatenate([a_m.to_dense(), ap_m.to_dense()])
-        inter.append(_solutions(code.n, dense, tuple(a) + tuple(m), a_m.q))
-    if not all(inter):
-        return None
-    cands = list(itertools.product(*inter))
-    scores = [_oracle_type_divergence(cand, p.mu_u.table) for cand in cands]
-    best = _oracle_first_min(scores)
-    return cands[best], scores[best]
-
-
-def _oracle_conditional(p: BcProblem, j: int) -> list[list[float]]:
-    """mu_{U_j | Y_j}[u][y] by direct summation over the joint law."""
-    joint = [[0.0, 0.0], [0.0, 0.0]]
-    for u in itertools.product(range(2), repeat=2):
-        x = int(p.f[u])
-        for y in itertools.product(range(2), repeat=2):
-            joint[u[j]][y[j]] += float(p.mu_u.table[u]) * float(p.channel.table[y + (x,)])
-    cond = [[0.0, 0.0], [0.0, 0.0]]
-    for y in range(2):
-        col = joint[0][y] + joint[1][y]
-        for u in range(2):
-            cond[u][y] = joint[u][y] / col if col > 0 else 0.5
-    return cond
-
-
-def _oracle_decode(members, cond, y, variant: str):
-    """(winner, whether every score was infinite) under the first optimum
-    (within the tie tolerance) rule; the first member wins when every score
-    is infinite."""
-    n = len(y)
-    scores = []
-    for u in members:
-        if variant == "ml":
-            s = 0.0
-            for us, ys in zip(u, y):
-                if cond[us][ys] == 0.0:
-                    s = -math.inf
-                    break
-                s += math.log2(cond[us][ys])
-            scores.append(-s)  # minimize the negated log-posterior
-            continue
-        total = 0.0
-        for v in range(2):
-            n_v = sum(1 for ys in y if ys == v)
-            if n_v == 0:
-                continue
-            d_v = 0.0
-            for us in range(2):
-                c = sum(1 for a, b in zip(u, y) if (a, b) == (us, v))
-                if c:
-                    if cond[us][v] == 0.0:
-                        d_v = math.inf
-                        break
-                    d_v += c / n_v * math.log2(c / n_v / cond[us][v])
-            total += n_v / n * d_v
-        scores.append(total)
-    return members[_oracle_first_min(scores)], all(math.isinf(s) for s in scores)
-
-
 def test_encode_decode_match_independent_oracle():
     rng = np.random.default_rng(2718)
     all_infinite = {"encode": 0, "ml": 0, "md": 0}
@@ -370,12 +267,10 @@ def test_encode_decode_match_independent_oracle():
         p = _dyadic_problem(rng)
         code = _dyadic_code(rng, n=3 + trial % 3)
         n = code.n
-        spaces = [sorted({tuple(int(v) for v in ap.to_dense() @ np.array(u) % 2)
-                          for u in itertools.product((0, 1), repeat=n)})
-                  for _, ap in code.pairs]
+        spaces = [oracles.image(oracles.dense(ap), 2) for _, ap in code.pairs]
         for m_K in itertools.product(*spaces):
             enc = bc_encode(code, p, m_K)
-            ref = _oracle_encode(code, p, m_K)
+            ref = oracles.bc_encode(code, p, m_K)
             encodes += 1
             if ref is None:
                 assert enc.failure and enc.u_K is None
@@ -385,23 +280,16 @@ def test_encode_decode_match_independent_oracle():
             assert enc.divergence == ref[1]
             assert enc.x == tuple(int(p.f[s]) for s in zip(*ref[0]))
             all_infinite["encode"] += math.isinf(ref[1])
-        for j, (a_m, ap_m) in enumerate(code.pairs):
-            members = _solutions(n, a_m.to_dense(), code.syndromes[j])
-            cond = _oracle_conditional(p, j)
+        for j, variant in itertools.product(range(2), ("ml", "md")):
+            decode = oracles.bc_decoder(code, p, j, variant)
             for y in itertools.product((0, 1), repeat=n):
-                for variant in ("ml", "md"):
-                    u, infinite = _oracle_decode(members, cond, y, variant)
-                    expected = tuple(int(v) for v in ap_m.to_dense() @ np.array(u) % 2)
-                    assert bc_decode(code, p, j, y, variant=variant) == expected
-                    decodes += 1
-                    all_infinite[variant] += infinite
+                message, infinite = decode(y)
+                assert bc_decode(code, p, j, y, variant=variant) == message
+                decodes += 1
+                all_infinite[variant] += infinite
     assert encodes >= 40 and decodes == 1440
     # the -inf / inf branches and their first-member rule were exercised
     assert min(all_infinite.values()) > 0, all_infinite
-
-
-def _exact_log2(mass: Fraction) -> float:
-    return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
 
 
 def test_decode_ml_matches_exact_oracle():
@@ -424,20 +312,14 @@ def test_decode_ml_matches_exact_oracle():
                           FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))))
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
         code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
-        for j, (a_m, ap_m) in enumerate(pairs):
-            members = _solutions(n, a_m.to_dense(), syndromes[j])
-            cond = [[Fraction(v) for v in row] for row in p.receiver_conditionals[j].tolist()]
+        for j in range(2):
+            members, cond = oracles.bc_members(code, p, j), oracles.bc_conditional(p, j)
             for _ in range(5):
                 y = tuple(int(v) for v in rng.integers(0, 2, size=n))
-                scores = []
-                for u in members:
-                    mass = Fraction(1)
-                    for us, ys in zip(u, y):
-                        mass *= cond[us][ys]
-                    scores.append(_exact_log2(mass))
-                tied = [u for u, s in zip(members, scores) if s >= max(scores) - 1e-12]
-                ties += len({ap_m.matvec(u) for u in tied}) > 1
-                assert bc_decode(code, p, j, y, variant="ml") == ap_m.matvec(tied[0])
+                tied = oracles.ml_ties([members, [y]], cond)
+                tied = [oracles.bc_message(code, j, u) for u, _ in tied]
+                ties += len(set(tied)) > 1
+                assert bc_decode(code, p, j, y, variant="ml") == tied[0]
     assert ties > 0
 
 
@@ -481,7 +363,7 @@ def test_batch_select_and_decode_match_oracle(monkeypatch, chunk):
         u, failure, divergence = bc_select_batch(
             code, p, [np.array([m[j] for m in tuples]) for j in range(2)])
         for row, m_K in enumerate(tuples):
-            ref = _oracle_encode(code, p, m_K)
+            ref = oracles.bc_encode(code, p, m_K)
             if ref is None:
                 assert failure[row] and math.isinf(divergence[row])
                 seen["failure"] += 1
@@ -491,27 +373,21 @@ def test_batch_select_and_decode_match_oracle(monkeypatch, chunk):
             assert divergence[row] == ref[1]
             seen["infinite"] += math.isinf(ref[1])
         ys = np.array(list(itertools.product((0, 1), repeat=n)))
-        for j, (a_m, ap_m) in enumerate(code.pairs):
-            members = _solutions(n, a_m.to_dense(), code.syndromes[j])
-            cond = _oracle_conditional(p, j)
-            for variant in ("ml", "md"):
-                got = bc_decode_batch(code, p, j, ys, variant)
-                for y, message in zip(ys.tolist(), got.tolist()):
-                    ref, infinite = _oracle_decode(members, cond, tuple(y), variant)
-                    assert tuple(message) == tuple(
-                        int(v) for v in ap_m.to_dense() @ np.array(ref) % 2)
-                    decodes += 1
-                    seen[variant] += infinite
+        for j, variant in itertools.product(range(2), ("ml", "md")):
+            decode = oracles.bc_decoder(code, p, j, variant)
+            for y, message in zip(ys.tolist(), bc_decode_batch(code, p, j, ys, variant).tolist()):
+                ref, infinite = decode(tuple(y))
+                assert tuple(message) == ref
+                decodes += 1
+                seen[variant] += infinite
     # md over every output of a noisy split code at n = 8: one row group
     # holds outputs of many types, each scored against one table
     p, code = noisy_split_channel(), _noisy_split_code(8)
     ys = np.array(list(itertools.product((0, 1), repeat=8)))
-    for j, (a_m, ap_m) in enumerate(code.pairs):
-        members = _solutions(8, a_m.to_dense(), code.syndromes[j])
-        cond = _oracle_conditional(p, j)
+    for j in range(2):
+        decode = oracles.bc_decoder(code, p, j, "md")
         for y, message in zip(ys.tolist(), bc_decode_batch(code, p, j, ys, "md").tolist()):
-            ref, _ = _oracle_decode(members, cond, tuple(y), "md")
-            assert tuple(message) == tuple(int(v) for v in ap_m.to_dense() @ np.array(ref) % 2)
+            assert tuple(message) == decode(tuple(y))[0]
             decodes += 1
     assert decodes == 2 * 2 * 4 * (2 ** 3 + 2 ** 4 + 2 ** 5) + 2 * 2 ** 8
     # empty intersections and the all-infinite first-member rules were exercised
@@ -605,26 +481,20 @@ def test_gf3_code_over_binary_auxiliaries_matches_oracle():
             # a binary u, so the shared coset has a member inside the alphabet
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 3))
         code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
-        spaces = [sorted({tuple(int(v) for v in ap.to_dense() @ np.array(u) % 3)
-                          for u in itertools.product(range(3), repeat=n)})
-                  for _, ap in code.pairs]
+        spaces = [oracles.image(oracles.dense(ap), 3) for _, ap in code.pairs]
         for m_K in itertools.product(*spaces):
             enc = bc_encode(code, p, m_K)
-            ref = _oracle_encode(code, p, m_K)
+            ref = oracles.bc_encode(code, p, m_K)
             if ref is None:
                 assert enc.failure
                 failures += 1
                 continue
             assert (enc.u_K, enc.divergence) == ref
-        for j, (a_m, ap_m) in enumerate(code.pairs):
-            members = _solutions(n, a_m.to_dense(), syndromes[j], 3)
-            cond = _oracle_conditional(p, j)
+        for j, variant in itertools.product(range(2), ("ml", "md")):
+            decode = oracles.bc_decoder(code, p, j, variant)
             for y in itertools.product((0, 1), repeat=n):
-                for variant in ("ml", "md"):
-                    u, _ = _oracle_decode(members, cond, y, variant)
-                    expected = tuple(int(v) for v in ap_m.to_dense() @ np.array(u) % 3)
-                    assert bc_decode(code, p, j, y, variant=variant) == expected
-                    decodes += 1
+                assert bc_decode(code, p, j, y, variant=variant) == decode(y)[0]
+                decodes += 1
         assert 0.0 <= bc_error_exact(code, p) <= 1.0
         assert bc_error_mc(code, p, trials=50, seed=trial).trials == 50
     assert failures > 0 and decodes == 8 * 4 * (2 ** 3 + 2 ** 4)  # per n: 2 receivers, 2 variants
@@ -751,15 +621,13 @@ def _random_k_instance(rng, k: int):
 def test_error_exact_matches_criterion_7_oracle(k):
     """The contraction against criterion 7's enumeration of output tuples,
     for one and for three receivers, with ml and md."""
-    from test_acceptance import _oracle_bc_error
-
     rng = np.random.default_rng(70 + k)
     failures = 0
     for i in range(12):
         p, code = _random_k_instance(rng, k)
-        spaces = [code.message_space(j) for j in range(k)]
-        failures += any(bc_encode(code, p, m).failure for m in itertools.product(*spaces))
+        spaces = [oracles.image(oracles.dense(ap), ap.q) for _, ap in code.pairs]
+        failures += any(oracles.bc_encode(code, p, m) is None for m in itertools.product(*spaces))
         variant = ("ml", "md")[i % 2]
         assert bc_error_exact(code, p, variant=variant) == \
-            pytest.approx(_oracle_bc_error(code, p, variant), abs=1e-12)
+            pytest.approx(oracles.bc_error(code, p, variant), abs=1e-12)
     assert failures > 0

@@ -9,7 +9,7 @@ from hashprop.cli import build_parser, main
 from hashprop.formats import emit_matrix, load_distribution, load_matrix, parse_matrix
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import SwCode
-from test_slepian_wolf import _per_tuple_error
+from oracles import sw_error
 
 
 def run_cli(capsys, *argv):
@@ -247,7 +247,7 @@ def _write_dist(tmp_path, sizes):
 def test_sw_sim_ml_three_sources(tmp_path, capsys):
     """ML decodes any number of sources. With three, where gamma = 0.1 leaves
     some cosets without an admissible tuple, exact mode equals the per-tuple
-    decoder loop, and the MC interval holds that value."""
+    oracle, and the MC interval holds that value."""
     dist = _write_dist(tmp_path, [2, 2, 2])
     mats = [write_matrix(tmp_path, f"{name}.txt", dense) for name, dense in
             (("a", [[1, 1, 0]]), ("b", [[0, 1, 1]]), ("c", [[1, 0, 1], [0, 1, 0]]))]
@@ -255,7 +255,7 @@ def test_sw_sim_ml_three_sources(tmp_path, capsys):
     for name, path in zip("xyz", mats):
         argv += ["--matrix", f"{name}={path}"]
     code = SwCode(tuple(load_matrix(path) for path in mats), load_distribution(dist))
-    expected, failures = _per_tuple_error(code, "ml", 0.1)
+    expected, failures = sw_error(code, "ml", 0.1)
     assert failures > 0
     status, out, _ = run_cli(capsys, *argv)
     assert status == 0 and json.loads(out)["error"] == pytest.approx(expected, abs=1e-12)
@@ -472,11 +472,26 @@ def _sweep_args(dist, *extra):
 
 
 def test_sweep_mc_reproducible(tmp_path, capsys):
+    """Same arguments, same CSV; its first row is pinned, which pins the codes'
+    stream and the MC seed drawn from it."""
     args = _sweep_args(write_dsbs(tmp_path), "--tries", "2", "--mode", "mc",
                        "--trials", "50")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2
+    assert out1.splitlines()[1] == "0.5,0.5,2,0.72,0.5833487630404344,0.8252582933408878"
+
+
+def test_sweep_row_does_not_depend_on_the_grid(tmp_path, capsys):
+    """Every grid point draws from one stream: the n = 6 row at rates (0.75,
+    0.75) is byte-identical alone and inside a 2 x 2 rate grid over n = 4, 6."""
+    dist = write_dsbs(tmp_path)
+    rows = []
+    for rates, n_list in (("0.75:0.75:0.25", "6"), ("0.5:0.75:0.25", "4,6")):
+        _, out, _ = run_cli(capsys, "sweep", "sw", "--dist", dist, "--rates", rates,
+                            "--n-list", n_list, "--tries", "4", "--seed", "7")
+        rows.append([row for row in out.splitlines() if row.startswith("0.75,0.75,6,")])
+    assert rows[0] == rows[1] and len(rows[0]) == 1
 
 
 def test_sweep_tries_0_exit_2(tmp_path, capsys):

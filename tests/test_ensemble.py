@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from hashprop import ensemble, types
 from hashprop.ensemble import (
     Ensemble,
@@ -207,6 +208,9 @@ def test_sampling_reproducible():
     a = e.sample(np.random.default_rng(5))
     b = e.sample(np.random.default_rng(5))
     assert a == b
+    # over GF(3) each draw takes a row, then a nonzero scale: pinned
+    assert Ensemble.sparse(3, 3, 4, 2).sample(np.random.default_rng(5)).to_dense().tolist() == \
+        [[2, 0, 1, 1], [0, 0, 0, 1], [2, 0, 1, 0]]
     with pytest.raises(EnsembleError):
         Ensemble.binning(2, 2, 2).sample(np.random.default_rng(0))
 
@@ -246,48 +250,6 @@ def test_bounds_read_member_lists_as_sets():
         assert (twice["lhs"], twice["rhs"]) == (once["lhs"], once["rhs"]), lemma
 
 
-# --- a per-function oracle: one function at one point at a time -------------
-
-
-def _value(e, fn, u):
-    """fn's hash value at u: A u, a bin-coding table's bin, or a product's pair."""
-    if e.family == "binning":
-        return fn[list(e.domain()).index(tuple(u))]
-    if e.family == "product":
-        return tuple(_value(part, f, u) for part, f in zip(e.parts, fn))
-    return fn.matvec(u)
-
-
-def _image(e):
-    if e.family == "binning":
-        return list(range(e.bins))
-    if e.family == "product":
-        return list(itertools.product(*map(_image, e.parts)))
-    return list(itertools.product(range(e.q), repeat=e.l))
-
-
-def _combos(es):
-    """(functions, probability) over the product of the supports."""
-    for combo in itertools.product(*(e.enumerate_support() for e in es)):
-        yield [fn for fn, _ in combo], math.prod((p for _, p in combo), start=Fraction(1))
-
-
-def _oracle_crp(es, G, p0):
-    def hit(fns):
-        return any(g != p0 and all(_value(e, f, x) == _value(e, f, y)
-                                   for e, f, x, y in zip(es, fns, g, p0)) for g in set(G))
-    return sum((p for fns, p in _combos(es) if hit(fns)), Fraction(0))
-
-
-def _oracle_sp(es, T):
-    images = [_image(e) for e in es]
-    def missed(fns):
-        hits = {tuple(_value(e, f, x) for e, f, x in zip(es, fns, t)) for t in T}
-        return sum(a not in hits for a in itertools.product(*images))
-    total = sum((p * missed(fns) for fns, p in _combos(es)), Fraction(0))
-    return total / math.prod(map(len, images))
-
-
 ORACLE_ENSEMBLES = [
     Ensemble.uniform_all(2, 2, 2), Ensemble.uniform_all(3, 1, 2), Ensemble.sparse(2, 2, 3, 2),
     Ensemble.sparse(3, 1, 2, 2), Ensemble.binning(2, 2, 2),
@@ -305,8 +267,8 @@ def test_audits_match_per_function_oracle(monkeypatch, chunk):
     for e in ORACLE_ENSEMBLES:
         support, dom = e.enumerate_support(), list(e.domain())
         def oracle_cp(sup):
-            return {(u, v): sum((p for fn, p in sup if _value(e, fn, u) == _value(e, fn, v)),
-                                Fraction(0)) for u in dom for v in dom}
+            return {(u, v): sum((p for fn, p in sup if oracles.hash_value(e, fn, u) ==
+                                 oracles.hash_value(e, fn, v)), Fraction(0)) for u in dom for v in dom}
         cp, part = oracle_cp(support), support[::3]  # part lacks the ensemble's symmetries
         assert {(u, v): collision_prob(e, u, v, support) for u in dom for v in dom} == cp
         assert {(u, v): collision_prob(e, u, v, part) for u in dom for v in dom} == oracle_cp(part)
@@ -338,25 +300,29 @@ def test_audits_match_per_function_oracle(monkeypatch, chunk):
             assert verify_bound("whash", e, profile, T, T2)["lhs"] == \
                 sum(cp[a, b] for a in set(T) for b in set(T2))
             assert verify_bound("crp", e, profile, G, u)["lhs"] == \
-                _oracle_crp([e], [(g,) for g in G], (u,))
-            assert verify_bound("sp", e, profile, T)["lhs"] == _oracle_sp([e], [(t,) for t in T])
-            lem = sum(p * _image(e).count(_value(e, fn, u)) for fn, p in support) / e.image_size
+                oracles.crp([e], [support], [(g,) for g in G], (u,))
+            assert verify_bound("sp", e, profile, T)["lhs"] == \
+                oracles.sp([e], [support], [(t,) for t in T])
+            lem = sum(p * oracles.hash_image(e).count(oracles.hash_value(e, fn, u))
+                      for fn, p in support) / e.image_size
             assert verify_bound("lem_E", e, u) == bound_lem_E(e, u) == \
                 {"holds": True, "lhs": lem, "rhs": Fraction(1, e.image_size)}
     e = ORACLE_ENSEMBLES
     for es in ([e[1], e[4]], [e[2], e[5]], [e[1], e[3], e[4]]):
         profiles = [universal_profile(x) for x in es]
+        supports = [x.enumerate_support() for x in es]
         tuples = list(itertools.product(*(x.domain() for x in es)))
         for _ in range(2):
             T = [tuples[i] for i in rng.integers(len(tuples), size=6)]
             point = tuples[rng.integers(len(tuples))]
             if len(es) == 2:
                 assert verify_bound("cross_crp", *es, *profiles, T, point)["lhs"] == \
-                    _oracle_crp(es, T, point)
-                assert verify_bound("cross_sp", *es, *profiles, T)["lhs"] == _oracle_sp(es, T)
+                    oracles.crp(es, supports, T, point)
+                assert verify_bound("cross_sp", *es, *profiles, T)["lhs"] == \
+                    oracles.sp(es, supports, T)
             assert verify_bound("multi_crp", es, profiles, T, point)["lhs"] == \
-                _oracle_crp(es, T, point)
-            assert verify_bound("multi_sp", es, profiles, T)["lhs"] == _oracle_sp(es, T)
+                oracles.crp(es, supports, T, point)
+            assert verify_bound("multi_sp", es, profiles, T)["lhs"] == oracles.sp(es, supports, T)
 
 
 def test_strong_hash_dtype_guard(monkeypatch):

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hashprop.broadcast import BcCode, BcProblem, bc_decode, bc_encode, bc_error_mc
+import oracles
+from hashprop.broadcast import BcCode, BcProblem, bc_error_mc
 from hashprop.gf import FieldMatrix
 from hashprop.mc import (
     TRIAL_BLOCK,
@@ -16,13 +17,7 @@ from hashprop.mc import (
     spawn_rngs,
     wilson_interval,
 )
-from hashprop.slepian_wolf import (
-    SwCode,
-    sw_decode_md,
-    sw_decode_ml_typical,
-    sw_encode,
-    sw_error_mc,
-)
+from hashprop.slepian_wolf import SwCode, sw_error_mc
 from hashprop.types import CondDistribution, Distribution
 
 
@@ -81,15 +76,9 @@ def test_distinct_rows(bases):
 #
 # The replay redraws each block's uniforms in the engine's documented order
 # from the same generators, then runs every trial on its own through the
-# public encoders and decoders, with no cache and no vectorization.
+# encoders and decoders of ``oracles``, with no vectorization.
 
 DSBS = Distribution([[0.45, 0.05], [0.05, 0.45]])
-
-
-def _draw(p, u: float) -> int:
-    """The first cell whose normalized cumulative mass exceeds u."""
-    cum = list(itertools.accumulate(float(v) for v in np.ravel(p)))
-    return next(i for i, c in enumerate(cum) if u < c / cum[-1])
 
 
 def _blocks(seed: int, trials: int):
@@ -99,19 +88,19 @@ def _blocks(seed: int, trials: int):
 
 
 def _sw_replay(code: SwCode, decoder: str, trials: int, seed: int, gamma: float = 0.0):
+    checks = [(oracles.dense(m), m.q) for m in code.matrices]
     errors = failures = 0
+    decoded = {}
     for rng, size in _blocks(seed, trials):
         u = rng.random((size, code.n))
         for row in u:
-            cells = [np.unravel_index(_draw(code.mu.table, v), code.mu.shape) for v in row]
+            cells = [np.unravel_index(oracles.draw(code.mu.table, v), code.mu.shape) for v in row]
             x_K = tuple(tuple(int(c[j]) for c in cells) for j in range(code.k))
-            syn = sw_encode(code, x_K)
-            if decoder == "md":
-                res = sw_decode_md(code, syn)
-            else:
-                res = sw_decode_ml_typical(code, syn, gamma)
-            failures += res.failure
-            errors += res.failure or res.x_hat != x_K
+            syn = tuple(oracles.syndromes(d, q, [x])[0] for (d, q), x in zip(checks, x_K))
+            if syn not in decoded:
+                decoded[syn] = oracles.sw_decode(code, syn, decoder, gamma)
+            failures += decoded[syn] is None
+            errors += decoded[syn] != x_K
     return errors, failures
 
 
@@ -137,13 +126,15 @@ def test_sw_engine_matches_replay_ml_with_failures():
 
 
 def test_sw_engine_matches_replay_three_sources():
-    """Zero-mass cells, a ternary source, and a binary source coded over GF(3)."""
+    """Zero-mass cells, a ternary source, and a binary source coded over GF(3),
+    with md and ml."""
     rng = np.random.default_rng(72)
     mass = rng.random((3, 2, 2)) * (rng.random((3, 2, 2)) < 0.8)
     mu = Distribution(mass / mass.sum())
     code = SwCode((_dense(rng, 3, 2, 4), _dense(rng, 3, 2, 4), _dense(rng, 2, 3, 4)), mu)
-    errors, _ = _sw_replay(code, "md", 500, seed=7)
-    assert sw_error_mc(code, trials=500, seed=7).errors == errors > 0
+    for decoder, gamma in (("md", 0.0), ("ml", 0.3)):
+        errors, _ = _sw_replay(code, decoder, 500, seed=7, gamma=gamma)
+        assert sw_error_mc(code, decoder, trials=500, seed=7, gamma=gamma).errors == errors > 0
 
 
 def _noisy_split_problem(stochastic: bool) -> BcProblem:
@@ -179,7 +170,8 @@ def _bc_code(seed: int, n: int = 5) -> BcCode:
 
 
 def _bc_replay(code: BcCode, p: BcProblem, variant: str, trials: int, seed: int):
-    spaces = [code.message_space(j) for j in range(code.k)]
+    spaces = [oracles.image(oracles.dense(ap), ap.q) for _, ap in code.pairs]
+    decoders = [oracles.bc_decoder(code, p, j, variant) for j in range(code.k)]
     yshape = p.channel.table.shape[:-1]
     errors = failures = 0
     for rng, size in _blocks(seed, trials):
@@ -188,19 +180,17 @@ def _bc_replay(code: BcCode, p: BcProblem, variant: str, trials: int, seed: int)
         uy = rng.random((size, code.n))
         for t in range(size):
             m_K = tuple(space[int(idx[t])] for space, idx in zip(spaces, msgs))
-            # only u_K is used: the replay draws x itself from ux
-            enc = bc_encode(code, p, m_K, rng=np.random.default_rng(0))
-            if enc.failure:
+            encoded = oracles.bc_encode(code, p, m_K)
+            if encoded is None:
                 errors += 1
                 failures += 1
                 continue
-            xs = [int(p.f[u]) if p.deterministic else _draw(p.f[u], ux[t, i])
-                  for i, u in enumerate(zip(*enc.u_K))]
-            ys = [np.unravel_index(_draw(p.channel.table[..., x], uy[t, i]), yshape)
+            xs = [int(p.f[u]) if p.deterministic else oracles.draw(p.f[u], ux[t, i])
+                  for i, u in enumerate(zip(*encoded[0]))]
+            ys = [np.unravel_index(oracles.draw(p.channel.table[..., x], uy[t, i]), yshape)
                   for i, x in enumerate(xs)]
-            errors += any(
-                bc_decode(code, p, j, tuple(int(y[j]) for y in ys), variant=variant) != m_K[j]
-                for j in range(code.k))
+            errors += any(decode(tuple(int(y[j]) for y in ys))[0] != m_K[j]
+                          for j, decode in enumerate(decoders))
     return errors, failures
 
 

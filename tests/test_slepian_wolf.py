@@ -3,11 +3,11 @@
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from hashprop import gf, types
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import (
@@ -22,7 +22,7 @@ from hashprop.slepian_wolf import (
     sw_error_mc,
     sw_rate_check,
 )
-from hashprop.types import Distribution, divergence, joint_type
+from hashprop.types import Distribution
 
 DSBS = Distribution([[0.475, 0.025], [0.025, 0.475]])
 ZERO_MASS = Distribution([[0.6, 0.0], [0.1, 0.3]])
@@ -72,31 +72,19 @@ def test_decode_md_recovers_typical_pair():
 
 
 def test_decode_md_brute_force_oracle():
-    """Bit-exact agreement with an argmin over the explicit coset product."""
+    """Agreement with the minimum-divergence oracle over the explicit coset product."""
     rng = np.random.default_rng(42)
-    mu = DSBS
     for _ in range(25):
         n = int(rng.integers(2, 5))
         la = int(rng.integers(1, n + 1))
         lb = int(rng.integers(1, n + 1))
         da = rng.integers(0, 2, size=(la, n))
         db = rng.integers(0, 2, size=(lb, n))
-        code = SwCode((FieldMatrix.from_dense(2, da), FieldMatrix.from_dense(2, db)), mu)
+        code = SwCode((FieldMatrix.from_dense(2, da), FieldMatrix.from_dense(2, db)), DSBS)
         x = tuple(int(v) for v in rng.integers(0, 2, size=n))
         y = tuple(int(v) for v in rng.integers(0, 2, size=n))
         syn = sw_encode(code, (x, y))
-        # the cosets by brute force: every word of GF(2)^n with the syndrome
-        words = list(itertools.product((0, 1), repeat=n))
-        cands = [
-            (cx, cy)
-            for cx in words if (da @ cx % 2 == syn[0]).all()
-            for cy in words if (db @ cy % 2 == syn[1]).all()
-        ]
-        best = min(
-            cands,
-            key=lambda c: (divergence(joint_type(c, (2, 2)).empirical(), mu), c),
-        )
-        assert sw_decode_md(code, syn).x_hat == best
+        assert sw_decode_md(code, syn).x_hat == oracles.sw_decode(code, syn)
 
 
 def test_decode_md_tie_break_is_lexicographic():
@@ -147,32 +135,13 @@ def test_decode_ml_typical():
     assert not res.failure
 
 
-def _per_tuple_error(code, decoder="md", gamma=0.0):
-    """(error, failures): the exact error found by decoding every source
-    tuple with sw_decode_md or sw_decode_ml_typical (once per syndrome), a
-    failed decode counting as wrong, and the number of tuples whose decode
-    failed."""
-    error, failures, decoded = 0.0, 0, {}
-    for x_K in itertools.product(*(itertools.product(range(size), repeat=code.n)
-                                   for size in code.mu.shape)):
-        syn = sw_encode(code, x_K)
-        if syn not in decoded:
-            decoded[syn] = (sw_decode_md(code, syn) if decoder == "md" else
-                            sw_decode_ml_typical(code, syn, gamma, constrained=decoder == "ml"))
-        res = decoded[syn]
-        failures += res.failure
-        if res.x_hat != x_K:
-            error += math.prod(code.mu[cell] for cell in zip(*x_K))
-    return error, failures
-
-
 # gamma = 0.05 leaves some cosets with no typical member: at n = 3 no
 # binary sequence is typical for a uniform marginal
 DECODERS = [("md", 0.0), ("ml", 0.05), ("ml", 0.3), ("ml_unconstrained", 0.0)]
 
 
 def test_error_exact_fast_path_matches_generic():
-    """The table engine equals the per-tuple decoder loop for every decoder."""
+    """The table engine equals the per-tuple oracle for every decoder."""
     rng = np.random.default_rng(9)
     failures = 0
     for _ in range(6):
@@ -181,7 +150,7 @@ def test_error_exact_fast_path_matches_generic():
         b = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))
         code = SwCode((a, b), DSBS)
         for decoder, gamma in DECODERS:
-            expected, failed = _per_tuple_error(code, decoder, gamma)
+            expected, failed = oracles.sw_error(code, decoder, gamma)
             assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
             failures += failed
     assert failures > 0
@@ -190,8 +159,7 @@ def test_error_exact_fast_path_matches_generic():
 def test_error_exact_fast_path_matches_generic_edge_cases():
     """Unequal coset sizes (q above the alphabet size), zero-mass cells,
     non-square alphabets, many-cell alphabets whose type keys outgrow one
-    table, l = 0, one source and three sources against the per-tuple decoder
-    loop."""
+    table, l = 0, one source and three sources against the per-tuple oracle."""
     diag = Distribution([[0.5, 0.0], [0.0, 0.5]])
     rect = Distribution([[0.2, 0.1, 0.05], [0.05, 0.1, 0.5]])
     skew = Distribution([[0.81, 0.09], [0.09, 0.01]])
@@ -230,7 +198,7 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
     failures = 0
     for code in codes:
         for decoder, gamma in DECODERS:
-            expected, failed = _per_tuple_error(code, decoder, gamma)
+            expected, failed = oracles.sw_error(code, decoder, gamma)
             assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
             failures += failed
     assert failures > 0
@@ -253,7 +221,7 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
               for decoder, gamma in (("ml", 0.3), ("ml_unconstrained", 0.0))]
     failures = 0
     for code, decoder, gamma in cases:
-        expected, failed = _per_tuple_error(code, decoder, gamma)
+        expected, failed = oracles.sw_error(code, decoder, gamma)
         assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
         failures += failed
     assert failures > 0
@@ -273,7 +241,7 @@ def test_field_larger_than_alphabet_decodes_over_alphabet():
     est = sw_error_mc(code, trials=200, seed=0)
     assert est.ci_lo <= sw_error_exact(code) <= est.ci_hi
     assert sw_error_exact(code, decoder="ml_unconstrained") == pytest.approx(
-        _per_tuple_error(code, "ml_unconstrained")[0], abs=1e-12)
+        oracles.sw_error(code, "ml_unconstrained")[0], abs=1e-12)
     one = SwCode((FieldMatrix.from_dense(3, [[1]]), FieldMatrix.from_dense(2, [[1]])),
                  DSBS)
     with pytest.raises(SwError):
@@ -401,103 +369,42 @@ def test_error_exact_chunks_do_not_change_values(monkeypatch, chunk):
     assert [sw_error_exact(*case).hex() for case in cases] == expected
 
 
-def _oracle_sides(dense_mats, qs, mu: Distribution, syndromes):
-    """Each source's candidates: the alphabet words with the right syndrome,
-    in lexicographic order."""
-    n = dense_mats[0].shape[1]
-    return [[w for w in itertools.product(range(size), repeat=n)
-             if tuple(int(v) for v in dense @ np.array(w) % q) == tuple(a)]
-            for dense, q, size, a in zip(dense_mats, qs, mu.shape, syndromes)]
-
-
-def _oracle_divergence(cand, mu: Distribution) -> float:
-    """The joint-type divergence of a candidate tuple, from explicit counts."""
-    n = len(cand[0])
-    counts = np.zeros(mu.shape)
-    for symbols in zip(*cand):
-        counts[symbols] += 1
-    d = 0.0
-    for c, m in zip(counts.reshape(-1), mu.table.reshape(-1)):
-        if c:
-            d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
-    return d
-
-
-def _oracle_md_decode(dense_mats, qs, mu: Distribution, syndromes):
-    """Minimum-divergence decode by brute force: the divergence comes from
-    explicit counts, and ties within 1e-12 go to the lexicographically first
-    candidate tuple."""
-    scored = [(_oracle_divergence(cand, mu), cand)
-              for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes))]
-    best = min(d for d, _ in scored)
-    return next(cand for d, cand in scored if d <= best + 1e-12)
-
-
-def _exact_log2(mass: Fraction) -> float:
-    return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
-
-
-def _oracle_ml_decode(dense_mats, mu: Distribution, syndromes, gamma, constrained,
-                      qs=(2, 2)):
-    """(winner, size of the tied set) of a brute-force ML decode over two
-    sources, with codes over GF(qs[j]) and exact masses: each position
-    multiplies Fraction(mu cell), so
-    candidates of one joint type tie exactly.  When constrained, a candidate
-    is admissible only if each source's empirical divergence from its
-    marginal is below gamma.  The first admissible candidate whose log2-mass
-    is within 1e-12 of the best wins; (None, 0) when none is admissible."""
-    n = dense_mats[0].shape[1]
-    table = [[Fraction(v) for v in row] for row in mu.table.tolist()]
-    marginals = [[sum(row) for row in mu.table.tolist()],
-                 [sum(col) for col in zip(*mu.table.tolist())]]
-
-    def typical(word, marginal):
-        d = 0.0
-        for symbol, m in enumerate(marginal):
-            c = word.count(symbol)
-            if c:
-                d = math.inf if m == 0 else d + c / n * math.log2(c / n / m)
-        return d < gamma
-
-    scored = []
-    for cand in itertools.product(*_oracle_sides(dense_mats, qs, mu, syndromes)):
-        if constrained and not all(typical(w, m) for w, m in zip(cand, marginals)):
-            continue
-        mass = Fraction(1)
-        for xs, ys in zip(*cand):
-            mass *= table[xs][ys]
-        scored.append((_exact_log2(mass), cand))
-    if not scored:
-        return None, 0
-    best = max(s for s, _ in scored)
-    tied = [cand for s, cand in scored if s >= best - 1e-12]
-    return tied[0], len(tied)
+def _ml_ties_against_oracle(laws, trials: int, seed: int, low: int, slack: int) -> int:
+    """Constrained and unconstrained ML decodes of ``trials`` random codes at
+    n in [low, low + 5), with n - slack to n - 1 rows per source, against the
+    exact-mass oracle; returns how many decodes had tied candidates."""
+    rng = np.random.default_rng(seed)
+    ties = 0
+    for trial in range(trials):
+        mu = laws[trial % len(laws)]
+        n = int(rng.integers(low, low + 5))
+        dense = [rng.integers(0, 2, size=(int(rng.integers(n - slack, n)), n)) for _ in mu.shape]
+        code = SwCode(tuple(FieldMatrix.from_dense(2, d) if len(d) else FieldMatrix.zeros(2, 0, n)
+                            for d in dense), mu)
+        cells = rng.choice(mu.table.size, size=n, p=mu.table.reshape(-1))
+        x_K = tuple(tuple(int(v) for v in col) for col in np.unravel_index(cells, mu.shape))
+        syn = sw_encode(code, x_K)
+        gamma = float(rng.uniform(0.05, 0.5))
+        for constrained in (True, False):
+            tied = oracles.ml_ties(oracles.sw_sides(code, syn), mu.table,
+                                   gamma if constrained else None)
+            res = sw_decode_ml_typical(code, syn, gamma, constrained=constrained)
+            assert (None if res.failure else res.x_hat) == (tied[0] if tied else None)
+            ties += len(tied) > 1
+    return ties
 
 
 def test_decode_ml_matches_exact_oracle():
     """Constrained and unconstrained ML decodes equal an exact-mass brute
-    force: candidates of equal mass go to the lexicographically first one,
-    not to whichever float product rounding favours."""
-    laws = [DSBS, Distribution([[0.4, 0.1], [0.1, 0.4]]), ZERO_MASS,
-            Distribution([[0.3, 0.2], [0.1, 0.4]])]
-    rng = np.random.default_rng(77)
-    ties = 0
-    for trial in range(100):
-        mu = laws[trial % len(laws)]
-        n = int(rng.integers(4, 9))
-        dense = [rng.integers(0, 2, size=(int(rng.integers(n - 4, n)), n)) for _ in range(2)]
-        code = SwCode(tuple(FieldMatrix.from_dense(2, d) if len(d) else FieldMatrix.zeros(2, 0, n)
-                            for d in dense), mu)
-        cells = rng.choice(4, size=n, p=mu.table.reshape(-1))
-        x_K = tuple(tuple(int(v) for v in col) for col in np.unravel_index(cells, (2, 2)))
-        syn = sw_encode(code, x_K)
-        gamma = float(rng.uniform(0.05, 0.5))
-        for constrained in (True, False):
-            expected, tied = _oracle_ml_decode(dense, mu, syn, gamma, constrained)
-            res = sw_decode_ml_typical(code, syn, gamma, constrained=constrained)
-            assert (None if res.failure else res.x_hat) == expected
-            ties += tied > 1
-    assert ties > 0
+    force over two and three sources: candidates of equal mass go to the
+    lexicographically first one, not to whichever float product rounding
+    favours."""
+    two = [DSBS, Distribution([[0.4, 0.1], [0.1, 0.4]]), ZERO_MASS,
+           Distribution([[0.3, 0.2], [0.1, 0.4]])]
+    three = [Distribution(np.array([9, 2, 1, 2, 2, 1, 2, 9]).reshape(2, 2, 2) / 28),
+             Distribution(np.array([6, 1, 2, 3, 0, 4, 5, 15]).reshape(2, 2, 2) / 36)]
+    assert _ml_ties_against_oracle(two, 100, 77, low=4, slack=4) > 0
+    assert _ml_ties_against_oracle(three, 40, 78, low=2, slack=2) > 0
 
 
 def test_field_larger_than_alphabet_matches_oracle():
@@ -512,8 +419,7 @@ def test_field_larger_than_alphabet_matches_oracle():
         x = tuple(int(v) for v in rng.integers(0, 2, size=8))
         y = tuple(int(v) for v in rng.integers(0, 2, size=8))
         syn = sw_encode(code, (x, y))
-        assert sw_decode_md(code, syn).x_hat == _oracle_md_decode(
-            (dense_x, dense_y), (5, 2), DSBS, syn)
+        assert sw_decode_md(code, syn).x_hat == oracles.sw_decode(code, syn)
 
 
 def test_cap_counts_members_built():
@@ -524,8 +430,7 @@ def test_cap_counts_members_built():
     # 5^7 = 78125 members would be built, though at most 2^7 are kept
     with pytest.raises(SwError, match="78125"):
         sw_decode_md(code, syn, cap=60_000)
-    assert sw_decode_md(code, syn, cap=80_000).x_hat == _oracle_md_decode(
-        (gf5.to_dense(), code.matrices[1].to_dense()), (5, 2), DSBS, syn)
+    assert sw_decode_md(code, syn, cap=80_000).x_hat == oracles.sw_decode(code, syn)
     # 2^39 members: only an up-front check can return at once
     wide = FieldMatrix.from_dense(2, [[1] * 40])
     code = SwCode((wide, wide), DSBS)
@@ -544,7 +449,7 @@ def _all_syndromes(code: SwCode) -> list[tuple]:
 
 
 def _batch_cases():
-    """(code, dense matrices, fields): DSBS at n = 5; a GF(3) check over a
+    """Codes: DSBS at n = 5; a GF(3) check over a
     binary alphabet, so the cosets are ragged once filtered; two laws with
     zero-mass cells; and three sources with a zero-mass cell."""
     rng = np.random.default_rng(808)
@@ -559,13 +464,8 @@ def _batch_cases():
             (ZERO_MASS, ((2, 3, 4), (2, 2, 4))),
             (Distribution([[0.45, 0.0], [0.0, 0.55]]), ((2, 3, 4), (2, 3, 4))),
             (Distribution(three / three.sum()), ((2, 1, 3), (3, 2, 3), (2, 2, 3)))]
-    cases = []
-    for mu, shapes in laws:
-        mats = [dense(*shape) for shape in shapes]
-        code = SwCode(tuple(FieldMatrix.from_dense(shape[0], m)
-                            for shape, m in zip(shapes, mats)), mu)
-        cases.append((code, mats, [shape[0] for shape in shapes]))
-    return cases
+    return [SwCode(tuple(FieldMatrix.from_dense(shape[0], dense(*shape)) for shape in shapes), mu)
+            for mu, shapes in laws]
 
 
 @pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 50, 7])
@@ -575,31 +475,26 @@ def test_batch_decoders_match_oracles_on_every_syndrome(monkeypatch, chunk):
     slice or split across SCORE_CHUNK-sized slices."""
     monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
     seen = {"failure": 0, "all_infinite": 0, "ragged": 0}
-    for code, mats, qs in _batch_cases():
+    for code in _batch_cases():
         syndromes = _all_syndromes(code)
         batch = [np.array([syn[j] for syn in syndromes]).reshape(len(syndromes), -1)
                  for j in range(code.k)]
-        decoders = [("md", 0.0)] if code.k != 2 else \
-            [("md", 0.0), ("ml", 0.05), ("ml", 0.4), ("ml_unconstrained", 0.0)]
-        for decoder, gamma in decoders:
+        for decoder, gamma in [("md", 0.0), ("ml", 0.05), ("ml", 0.4), ("ml_unconstrained", 0.0)]:
             x_hat, failure, all_infinite = sw_decode_batch(code, batch, decoder, gamma)
             assert x_hat.shape == (len(syndromes), code.k, code.n)
             for row, syn in enumerate(syndromes):
+                expected = oracles.sw_decode(code, syn, decoder, gamma)
                 if decoder == "md":
-                    expected = _oracle_md_decode(mats, qs, code.mu, syn)
-                    infinite = math.isinf(_oracle_divergence(expected, code.mu))
+                    infinite = math.isinf(oracles.divergence(expected, code.mu.table))
                     assert bool(all_infinite[row]) == infinite
                     seen["all_infinite"] += infinite
-                else:
-                    expected, _ = _oracle_ml_decode(mats, code.mu, syn, gamma,
-                                                    decoder == "ml", qs)
                 if expected is None:
                     assert failure[row] and (x_hat[row] == -1).all()
                     seen["failure"] += 1
                     continue
                 assert not failure[row]
                 assert tuple(map(tuple, x_hat[row].tolist())) == expected
-            seen["ragged"] += max(qs) > 2
+            seen["ragged"] += max(m.q for m in code.matrices) > 2
     # failures, off-support rows and filtered cosets were all exercised
     assert min(seen.values()) > 0, seen
 
@@ -607,7 +502,7 @@ def test_batch_decoders_match_oracles_on_every_syndrome(monkeypatch, chunk):
 def test_batch_cap_raises_before_building(monkeypatch):
     """The cap is checked against each coset's size before the batch builds
     it, for every row at once."""
-    code, _, _ = _batch_cases()[0]
+    code = _batch_cases()[0]
     batch = [np.zeros((4, m.rows), dtype=np.int64) for m in code.matrices]
 
     def refuse(*args, **kwargs):
@@ -710,6 +605,8 @@ def test_error_mc_matches_exact():
     exact = sw_error_exact(code)
     est = sw_error_mc(code, trials=4000, seed=1)
     assert est.ci_lo <= exact <= est.ci_hi
+    # more trials than one block: pins the block size and each block's stream
+    assert sw_error_mc(code, trials=5000, seed=1).errors == 2760
     with pytest.raises(SwError):
         sw_error_mc(code, trials=0)
 

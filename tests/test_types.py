@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from hashprop import types
 from hashprop.types import (
     CondDistribution,
@@ -189,15 +190,6 @@ def test_verify_typicality_bounds_cap_counts_types():
     assert out["holds"], out
 
 
-def _log2_mass(counts, mu: Distribution) -> float:
-    """sum_c count_c log2(mu_c) over the cells in flat order, from 0.0."""
-    total = 0.0
-    for c, m in zip(counts, mu.table.reshape(-1).tolist()):
-        if c:
-            total += c * math.log2(m) if m > 0 else -math.inf
-    return total
-
-
 def test_product_divergences_bit_exact_across_chunks(monkeypatch):
     """The key scorer equals divergence(joint_type(..).empirical()) and a
     math.log2 sum of the log-mass bit for bit, in itertools.product order
@@ -228,7 +220,7 @@ def test_product_divergences_bit_exact_across_chunks(monkeypatch):
             for i, cand in enumerate(candidates):
                 t = joint_type(cand, mu.shape)
                 assert got[d, i] == divergence(t.empirical(), mu)
-                assert log_masses[d, i] == _log2_mass(t.table().reshape(-1).tolist(), mu)
+                assert log_masses[d, i] == oracles.log2_mass(cand, mu.table)
             assert tuple(map(tuple, chosen[d].tolist())) == tuple(map(tuple, candidates[picks[d]]))
 
 
