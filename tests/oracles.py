@@ -125,8 +125,8 @@ def ml_ties(sides, table: np.ndarray, gamma: float | None = None) -> list:
     within divergence gamma (strictly) of its marginal.  Empty when no tuple
     is admissible."""
     if gamma is not None:
-        sides = [[w for w in side if divergence((w,), marginal(table, j)) < gamma]
-                 for j, side in enumerate(sides)]
+        laws = [marginal(table, j) for j in range(table.ndim)]
+        sides = [[w for w in side if divergence((w,), law) < gamma] for side, law in zip(sides, laws)]
     cells, by_type, scored = np.ravel(table).tolist(), {}, []
     for cand in itertools.product(*sides):
         key = tuple(counts(cand, table.shape))

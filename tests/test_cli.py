@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from hashprop.cli import build_parser, main
 from hashprop.formats import emit_matrix, load_distribution, load_matrix, parse_matrix
 from hashprop.gf import FieldMatrix
 from hashprop.slepian_wolf import SwCode
-from oracles import sw_error
 
 
 def run_cli(capsys, *argv):
@@ -255,7 +255,7 @@ def test_sw_sim_ml_three_sources(tmp_path, capsys):
     for name, path in zip("xyz", mats):
         argv += ["--matrix", f"{name}={path}"]
     code = SwCode(tuple(load_matrix(path) for path in mats), load_distribution(dist))
-    expected, failures = sw_error(code, "ml", 0.1)
+    expected, failures = oracles.sw_error(code, "ml", 0.1)
     assert failures > 0
     status, out, _ = run_cli(capsys, *argv)
     assert status == 0 and json.loads(out)["error"] == pytest.approx(expected, abs=1e-12)
