@@ -289,6 +289,7 @@ def hash_value(e, fn, u):
 
 
 def hash_image(e) -> list:
+    """Every hash value of the ensemble, in lexicographic order."""
     if e.family == "binning":
         return list(range(e.bins))
     if e.family == "product":
