@@ -26,6 +26,7 @@ from .gf import FieldMatrix
 
 CONFIG_EXIT = 2
 COMPUTE_EXIT = 3
+DEFAULT_TRIALS = 1000
 
 
 def _emit(obj) -> None:
@@ -103,14 +104,32 @@ def _parse_named(values, what: str) -> list[tuple[str, str]]:
     return out
 
 
+def _mc_trials(args) -> int | None:
+    """The MC trial count of a ``--mode mc`` run, None in exact mode; exact
+    evaluation draws nothing, so it refuses an explicit --trials or --seed."""
+    if args.mode == "exact":
+        given = [flag for flag, value in (("--trials", args.trials), ("--seed", args.seed))
+                 if value is not None]
+        if given:
+            raise ParseError(f"{' and '.join(given)} only apply to --mode mc")
+        return None
+    if args.seed is None:
+        raise ParseError("--seed is required in mc mode")
+    return DEFAULT_TRIALS if args.trials is None else args.trials
+
+
 def cmd_sw_sim(args) -> None:
+    trials = _mc_trials(args)
+    if args.decoder == "md" and args.gamma is not None:
+        raise ParseError("--gamma is the ml typicality slack; --decoder md has none")
+    gamma = 0.0 if args.gamma is None else args.gamma
     mu = formats.load_distribution(args.dist)
     mats = [formats.load_matrix(path) for _, path in _parse_named(args.matrix, "--matrix")]
     try:
         code = sw_mod.SwCode(matrices=tuple(mats), mu=mu)
     except sw_mod.SwError as exc:
         raise ParseError(str(exc))
-    if args.gamma < 0 or (args.decoder == "ml" and args.gamma == 0):
+    if gamma < 0 or (args.decoder == "ml" and gamma == 0):
         raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
                          "typical means divergence < gamma")
     if args.csv and code.k != 2:
@@ -118,14 +137,12 @@ def cmd_sw_sim(args) -> None:
     result = {"command": "sw-sim", "decoder": args.decoder, "n": code.n,
               "rates": list(code.rates().rates), "mode": args.mode}
     if args.mode == "exact":
-        err = sw_mod.sw_error_exact(code, decoder=args.decoder, gamma=args.gamma)
+        err = sw_mod.sw_error_exact(code, decoder=args.decoder, gamma=gamma)
         result["error"] = err
         result["ci"] = [err, err]
     else:
-        if args.seed is None:
-            raise ParseError("--seed is required in mc mode")
-        est = sw_mod.sw_error_mc(code, decoder=args.decoder, trials=args.trials,
-                                 seed=args.seed, gamma=args.gamma)
+        est = sw_mod.sw_error_mc(code, decoder=args.decoder, trials=trials,
+                                 seed=args.seed, gamma=gamma)
         result["error"] = est.estimate
         result["ci"] = [est.ci_lo, est.ci_hi]
         result["trials"] = est.trials
@@ -138,6 +155,7 @@ def cmd_sw_sim(args) -> None:
 
 
 def cmd_bc_sim(args) -> None:
+    trials = _mc_trials(args)
     problem = formats.load_bc_problem(args.problem)
     code = formats.load_bc_code(args.code)
     try:
@@ -154,9 +172,7 @@ def cmd_bc_sim(args) -> None:
         result["error"] = err
         result["ci"] = [err, err]
     else:
-        if args.seed is None:
-            raise ParseError("--seed is required in mc mode")
-        est = broadcast.bc_error_mc(code, problem, trials=args.trials,
+        est = broadcast.bc_error_mc(code, problem, trials=trials,
                                     seed=args.seed, variant=args.variant)
         result["error"] = est.estimate
         result["ci"] = [est.ci_lo, est.ci_hi]
@@ -257,11 +273,14 @@ def _sweep_point(mu, r_x, r_y, n, tau, tries, mode, trials, seed_seq):
 
 
 def cmd_sweep(args) -> None:
+    if args.mode == "exact" and args.trials is not None:
+        raise ParseError("--trials only applies to --mode mc")
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     mu = formats.load_distribution(args.dist)
     grid = _parse_grid(args.rates)
     # one stream for every point, so a row does not depend on the rest of the grid
     seed_seq = np.random.SeedSequence(args.seed, spawn_key=(0,))
-    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode, args.trials, seed_seq)
+    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode, trials, seed_seq)
                for rx in grid for ry in grid for n in args.n_list]
 
     buf = io.StringIO()
@@ -337,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="name=matrixfile, one per source")
     s.add_argument("--decoder", choices=["md", "ml", "ml_unconstrained"],
                    default="md")
-    s.add_argument("--gamma", type=float, default=0.0,
-                   help="typicality slack, > 0 for ml; md ignores it")
+    s.add_argument("--gamma", type=float,
+                   help="typicality slack, > 0 for ml; refused with md")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s.add_argument("--trials", type=_positive_int, default=1000, help="mc only; exact ignores it")
-    s.add_argument("--seed", type=_seed, help="required in mc mode; exact ignores it")
+    s.add_argument("--trials", type=_positive_int,
+                   help=f"mc only (default {DEFAULT_TRIALS}); refused in exact mode")
+    s.add_argument("--seed", type=_seed, help="required in mc mode; refused in exact mode")
     s.add_argument("--csv")
     s.set_defaults(fn=cmd_sw_sim)
 
@@ -350,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--code", required=True)
     b.add_argument("--variant", choices=["ml", "md"], default="ml")
     b.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    b.add_argument("--trials", type=_positive_int, default=1000, help="mc only; exact ignores it")
-    b.add_argument("--seed", type=_seed, help="required in mc mode; exact ignores it")
+    b.add_argument("--trials", type=_positive_int,
+                   help=f"mc only (default {DEFAULT_TRIALS}); refused in exact mode")
+    b.add_argument("--seed", type=_seed, help="required in mc mode; refused in exact mode")
     b.set_defaults(fn=cmd_bc_sim)
 
     l = sub.add_parser("lp-md", help="LP minimum-divergence decoding")
@@ -371,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--tau", type=int, default=2)
     sw.add_argument("--tries", type=_positive_int, default=8)
     sw.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    sw.add_argument("--trials", type=_positive_int, default=1000,
-                    help="MC trials per code; exact ignores it")
+    sw.add_argument("--trials", type=_positive_int,
+                    help=f"MC trials per code (default {DEFAULT_TRIALS}); refused in exact mode")
     sw.add_argument("--seed", type=_seed, required=True)
     sw.add_argument("--csv")
     sw.set_defaults(fn=cmd_sweep)

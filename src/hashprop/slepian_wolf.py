@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,20 @@ from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     Distribution,
     TypicalityParams,
+    _count_vectors,
+    _law_tables,
     cell_log_masses,
     cell_terms,
     entropy,
     first_best,
     key_columns,
+    key_weights,
     lead_rows,
     product_best,
     product_divergences,
     product_log_masses,
-    product_terms,
     product_valid,
     row_groups,
-    type_key_groups,
-    type_tables,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -186,10 +187,9 @@ def _coset_slots(matrix: FieldMatrix, size: int, n: int):
     (cosets, widest coset) array of their indices: one coset per row, rows in
     syndrome order, members in lexicographic order, -1 in the padding.
 
-    This stays beside ``gf.coset_batch``: it enumerates only the size^n
-    alphabet sequences, while ``coset_factor_batch(..., sizes)`` builds
-    q^(n - rank) members per syndrome, about q^n in all (about 9.8M members
-    against 1024 for a GF(5) check on a binary source at n = 10)."""
+    This stays beside ``gf.coset_batch``: it enumerates the size^n alphabet
+    sequences, while ``coset_factor_batch`` builds about q^n members in all
+    (9.8M against 1024 for a GF(5) check on a binary source at n = 10)."""
     seqs = np.indices((size,) * n).reshape(n, size ** n).T
     weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
     idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
@@ -209,25 +209,20 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     Each axis lays out its source's alphabet sequences as (cosets, widest
     coset) slots, cosets in syndrome order and members in lexicographic
     order, so every coset-product block is a box of slots. A tuple is scored
-    through its joint type by the key scorer of ``hashprop.types``: per
-    lookup group, one float matmul gives its key, which indexes a table
-    summed cell by cell from 0.0, as the decoders score. MD adds
-    ``cell_terms``, ML adds ``-cell_log_masses``, and the log-mass adds
-    ``cell_log_masses``. A keyed run's table has at most min(tuples,
-    SCORE_CHUNK) entries. Padding slots, and for "ml" atypical sources, add
-    NaN, which marks a non-candidate. A block decodes to its ``first_best``
-    tuple, the first tied minimum in row-major order; a block with no
-    admissible tuple decodes every tuple wrongly.
+    through its joint type by the key scorer of ``hashprop.types``, on the
+    decoders' cached tables: MD adds ``cell_terms``, ML negates the sum of
+    ``cell_log_masses``. Padding slots, and for "ml" atypical sources, add
+    NaN, which marks a non-candidate. Blocks are decoded in chunks of whole
+    cosets of the first and the last axis, about SCORE_CHUNK slots (more
+    only when one block with the middle axes is larger). Only a block's
+    ``first_best`` tuple, its first tied minimum in row-major order, decodes
+    correctly; in a block with no admissible tuple, none does.
 
-    Blocks are decoded in chunks of whole cosets of the first and the last
-    axis, about SCORE_CHUNK slots (more only when one block with the middle
-    axes is larger), against key columns of the last axis built once.
-    Row-major source order is the ``itertools.product`` order of
-    ``product_terms``, which streams the log-masses in pieces of at most
-    SCORE_CHUNK tuples; the wrong tuples' masses are summed left to right in
-    that order, as a per-tuple loop adds them. Beyond a few arrays of one
-    chunk, memory holds the per-axis sequences, the key columns of the last
-    axis, the type tables and one index per decoded block.
+    The chunks tally these winners per joint type T. Every tuple of T has
+    the mass mu(T), 2 to its log-mass summed cell by cell from 0.0, so the
+    error is the ``math.fsum`` over the types of mu(T) (|T| - winners of T),
+    with |T| and the difference in integers: one rounding per type. No
+    array holds one value per tuple or per block.
     """
     _check_decoder(decoder)
     n, shape = code.n, code.mu.shape
@@ -250,25 +245,28 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
         admit.insert(0, np.ones(1, dtype=bool))
         shape = (1,) + shape
     k = len(shape)
-    pens = [np.where((slot >= 0) & ok[slot], 0.0, np.nan) for slot, ok in zip(slots, admit)]
+    # (axis, penalty) of each axis with padding or atypical sources; the others add 0
+    pens = [(j, pen) for j, pen in enumerate(np.where((slot >= 0) & ok[slot], 0.0, np.nan)
+                                             for slot, ok in zip(slots, admit))
+            if np.isnan(pen).any()]
     slots = [np.maximum(slot, 0) for slot in slots]
 
-    masses = code.mu.table.reshape(-1).tolist()
-    groups = type_key_groups(len(masses), n, min(total, chunk))
-    terms = cell_terms if decoder == "md" else lambda mass, n: -cell_log_masses(mass, n)
-    scores = type_tables([terms(mass, n) for mass in masses], n, groups)
-    log_masses = type_tables([cell_log_masses(mass, n) for mass in masses], n, groups)
+    masses = tuple(code.mu.table.reshape(-1).tolist())
+    scores = _law_tables(cell_terms if decoder == "md" else cell_log_masses, masses, n,
+                         min(total, chunk))
+    groups = [cells for cells, _ in scores]
     slot_cols = [col[0][:, slots[-1].reshape(-1)]
                  for col in key_columns(seqs[-1][None], shape, groups)]
+    # winners per type: by the key of a lone lookup group, else by the tuple of
+    # group keys; the other tally stays empty
+    correct, tally = np.zeros(len(scores[0][1]), dtype=np.int64), Counter()
 
-    # block minima and winners, on chunks laid out (blocks..., members...)
     (lead_cosets, lead_width), (last_cosets, last_width) = slots[0].shape, slots[-1].shape
     middle = [slot.shape for slot in slots[1:-1]]
     per_pair = math.prod(slot.shape[1] for slot in slots) * math.prod(c for c, _ in middle)
     x_step = max(1, chunk // (per_pair * last_cosets))
     y_step = min(last_cosets, max(1, chunk // per_pair))
     block_major = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
-    winners = []
     for x0 in range(0, lead_cosets, x_step):
         x1 = min(x0 + x_step, lead_cosets)
         lead_shape = ((x1 - x0) * lead_width,) + tuple(c * w for c, w in middle)
@@ -281,35 +279,36 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
             boxes = [(x1 - x0, lead_width)] + middle + [(y1 - y0, last_width)]
             bases = [x0] + [0] * (k - 2) + [y0]
             natural = tuple(d for box in boxes for d in box)
-            parts = (table.take((rows @ col[:, y0 * last_width:y1 * last_width]).reshape(natural)
-                                .transpose(block_major).astype(np.intp, order="C"))
-                     for col, (_, table) in zip(slot_cols, scores))
-            score = next(parts)
-            for part in parts:
-                score += part
-            for j, (pen, base, (c, w)) in enumerate(zip(pens, bases, boxes)):
+            keys = [(rows @ col[:, y0 * last_width:y1 * last_width]).reshape(natural)
+                    .transpose(block_major).astype(np.intp, order="C") for col in slot_cols]
+            score = scores[0][1].take(keys[0])
+            for key, (_, table) in zip(keys[1:], scores[1:]):
+                score += table.take(key)
+            if decoder != "md":
+                np.negative(score, out=score)
+            for j, pen in pens:
                 at = [1] * (2 * k)
-                at[j], at[k + j] = c, w
-                score += pen[base:base + c].reshape(at)
-            first = first_best(score.reshape(-1, math.prod(w for _, w in boxes)))
+                at[j], at[k + j] = boxes[j]
+                score += pen[bases[j]:bases[j] + boxes[j][0]].reshape(at)
+            members = math.prod(w for _, w in boxes)
+            first = first_best(score.reshape(-1, members))
             blocks = np.flatnonzero(first >= 0)
-            coset = np.unravel_index(blocks, tuple(c for c, _ in boxes))
-            member = np.unravel_index(first[blocks], tuple(w for _, w in boxes))
-            winners.append(np.ravel_multi_index(
-                [slot[b + base, m] for slot, b, base, m in zip(slots, coset, bases, member)],
-                tuple(len(s) for s in seqs)))
-    winners = np.sort(np.concatenate(winners))
+            won = [key.reshape(-1).take(blocks * members + first[blocks]) for key in keys]
+            if len(won) == 1:
+                correct += np.bincount(won[0], minlength=len(correct))
+            else:
+                tally.update(zip(*(w.tolist() for w in won)))
 
-    # the wrong tuples' masses, left to right in row-major source order
-    error = 0.0
-    for span, mass in product_terms([s[None] for s in seqs], shape, log_masses):
-        mass = mass.reshape(-1)
-        np.exp2(mass, out=mass)
-        mass[winners[np.searchsorted(winners, span.start):
-                     np.searchsorted(winners, span.stop)] - span.start] = 0.0
-        mass[0] += error
-        error = np.cumsum(mass, out=mass)[-1]
-    return min(1.0, float(error))
+    # all but the winners of a type decode wrongly
+    counts = _count_vectors(n, len(masses))
+    log_mass = np.zeros(len(counts))
+    for mass, count in zip(masses, counts.T):
+        log_mass += cell_log_masses(mass, n)[count]
+    keys = [counts @ key_weights(cells, len(masses), n) for cells in groups]
+    hits = correct[keys[0]] + [tally[key] for key in zip(*(key.tolist() for key in keys))]
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)])
+    sizes = binom[n - counts.cumsum(axis=1) + counts, counts].prod(axis=1)
+    return min(1.0, math.fsum((np.exp2(log_mass) * (sizes - hits)).tolist()))
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,

@@ -161,21 +161,26 @@ def sw_decode(code, syn, decoder: str = "md", gamma: float = 0.0):
 def sw_error(code, decoder: str = "md", gamma: float = 0.0) -> tuple[float, int]:
     """(error, failures): the mass of the source tuples that decode wrongly,
     each syndrome tuple decoded once and a failed decode counting as wrong,
-    and the number of tuples whose decode failed."""
+    and the number of tuples whose decode failed.  The wrong tuples are
+    counted per joint type in integers; the error is one rounding of the
+    exact sum over types of count * prod_c Fraction(mass_c) ** n_c."""
     table, n = code.mu.table, code.matrices[0].cols
     sources = []  # per source, (word, syndrome) over the alphabet's words
     for m, size in zip(code.matrices, table.shape):
         w = words(size, n)
         sources.append(list(zip(map(tuple, w.tolist()), syndromes(dense(m), m.q, w))))
-    error, failures, decoded = 0.0, 0, {}
+    wrong, failures, decoded = Counter(), 0, {}
     for pairs in itertools.product(*sources):
         x_K, syn = tuple(w for w, _ in pairs), tuple(a for _, a in pairs)
         if syn not in decoded:
             decoded[syn] = sw_decode(code, syn, decoder, gamma)
         failures += decoded[syn] is None
         if decoded[syn] != x_K:
-            error += math.prod(table[cell] for cell in zip(*x_K))
-    return error, failures
+            wrong[tuple(counts(x_K, table.shape))] += 1
+    cells = np.ravel(table).tolist()
+    error = sum((count * math.prod((Fraction(m) ** c for c, m in zip(key, cells)), start=Fraction(1))
+                 for key, count in wrong.items()), Fraction(0))
+    return float(error), failures
 
 
 # --- broadcast ---------------------------------------------------------------

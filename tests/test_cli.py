@@ -559,7 +559,7 @@ def test_lp_md_cli_comma_syndromes(tmp_path, capsys):
 
 def test_negative_seed_exit_2(tmp_path, capsys):
     """numpy seeds are non-negative, so a negative --seed is an input error
-    for every subcommand that takes one, in either mode."""
+    for every subcommand and mode that takes one."""
     dist = write_dsbs(tmp_path)
     ma = write_matrix(tmp_path, "sw.txt", [[1, 1]])
     prob, codef = _write_bc_fixture(tmp_path)
@@ -568,7 +568,6 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     cases = [
         ("gen-matrix", "--q", "2", "--rows", "2", "--cols", "4", "--tau", "2"),
         sw + ("--mode", "mc", "--trials", "10"),
-        sw + ("--mode", "exact"),
         bc + ("--mode", "mc", "--trials", "10"),
         ("sweep", "sw", "--dist", dist, "--rates", "0.5:0.5:1", "--n-list", "2",
          "--tries", "1", "--mode", "exact"),
@@ -579,3 +578,30 @@ def test_negative_seed_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 2 and "--seed" in err and not out, argv
         assert run_cli(capsys, *argv, "--seed", "0")[0] == 0, argv
+
+
+def test_options_without_effect_exit_2(tmp_path, capsys):
+    """An option that a mode would not use is refused, not ignored: --trials
+    and --seed in exact mode, and --gamma with the md decoder. Left out, the
+    MC trial count defaults to 1000."""
+    dist = write_dsbs(tmp_path)
+    ma = write_matrix(tmp_path, "sw.txt", [[1, 1]])
+    prob, codef = _write_bc_fixture(tmp_path)
+    sw = ("sw-sim", "--dist", dist, "--matrix", f"x={ma}", "--matrix", f"y={ma}")
+    bc = ("bc-sim", "--problem", prob, "--code", codef)
+    refused = [
+        (sw + ("--trials", "10"), "--trials"),
+        (sw + ("--mode", "exact", "--seed", "1"), "--seed"),
+        (bc + ("--trials", "10"), "--trials"),
+        (bc + ("--mode", "exact", "--seed", "1"), "--seed"),
+        (sw + ("--decoder", "md", "--gamma", "0.5"), "--gamma"),
+        (sw + ("--gamma", "0.5", "--mode", "mc", "--seed", "1"), "--gamma"),
+        (_sweep_args(dist, "--mode", "exact", "--trials", "10"), "--trials"),
+    ]
+    for argv, flag in refused:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and flag in err and not out, argv
+    for argv in (sw + ("--mode", "mc", "--seed", "1"), bc + ("--mode", "mc", "--seed", "1")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["trials"] == 1000, argv
+    assert run_cli(capsys, *_sweep_args(dist, "--tries", "1", "--mode", "mc"))[0] == 0
