@@ -120,18 +120,17 @@ def _mc_trials(args) -> int | None:
 
 def cmd_sw_sim(args) -> None:
     trials = _mc_trials(args)
-    if args.decoder == "md" and args.gamma is not None:
-        raise ParseError("--gamma is the ml typicality slack; --decoder md has none")
+    if args.decoder != "ml" and args.gamma is not None:
+        raise ParseError(f"--gamma is the ml typicality slack; --decoder {args.decoder} has none")
     gamma = 0.0 if args.gamma is None else args.gamma
+    if args.decoder == "ml" and not gamma > 0:
+        raise ParseError("--gamma must be > 0 for --decoder ml: typical means divergence < gamma")
     mu = formats.load_distribution(args.dist)
     mats = [formats.load_matrix(path) for _, path in _parse_named(args.matrix, "--matrix")]
     try:
         code = sw_mod.SwCode(matrices=tuple(mats), mu=mu)
     except sw_mod.SwError as exc:
         raise ParseError(str(exc))
-    if gamma < 0 or (args.decoder == "ml" and gamma == 0):
-        raise ParseError("--gamma must be >= 0, and > 0 for --decoder ml: "
-                         "typical means divergence < gamma")
     if args.csv and code.k != 2:
         raise ParseError(f"--csv writes R_X,R_Y and needs two sources, got {code.k}")
     result = {"command": "sw-sim", "decoder": args.decoder, "n": code.n,
@@ -357,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--decoder", choices=["md", "ml", "ml_unconstrained"],
                    default="md")
     s.add_argument("--gamma", type=float,
-                   help="typicality slack, > 0 for ml; refused with md")
+                   help="typicality slack of --decoder ml, > 0; refused with md and "
+                        "ml_unconstrained")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
     s.add_argument("--trials", type=_positive_int,
                    help=f"mc only (default {DEFAULT_TRIALS}); refused in exact mode")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gf import FieldMatrix, check_prime
-from .types import compositions, row_groups
+from .types import compositions, row_groups, type_classes
 
 
 class EnsembleError(ValueError):
@@ -283,14 +283,6 @@ def spectrum_table(e: Ensemble, support=None) -> dict[tuple[int, ...], Fraction]
     return {t: Fraction(mass, den) for t, mass in table.items()}
 
 
-def _type_class_size(t: Sequence[int]) -> int:
-    n = sum(t)
-    total = math.factorial(n)
-    for c in t:
-        total //= math.factorial(c)
-    return total
-
-
 def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> EnsembleProfile:
     """Exact (alpha, beta) from the ensemble spectrum versus the uniform-all
     spectrum, over the high-weight type filter."""
@@ -299,17 +291,12 @@ def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> Ens
     scale = Fraction(e.image_size, ql)
     alpha = Fraction(0)
     beta = Fraction(0)
-    for t in compositions(e.n, e.q):
+    for t, size in zip(compositions(e.n, e.q), type_classes(e.n, e.q).sizes):
         if t[0] == e.n:
             continue  # the zero type
         s = table.get(t, Fraction(0))
         if filt.contains(t):
-            uniform_s = Fraction(_type_class_size(t), ql)
-            if uniform_s == 0:
-                raise EnsembleError("uniform spectrum vanished on a filtered type")
-            ratio = s / uniform_s
-            if ratio > alpha:
-                alpha = ratio
+            alpha = max(alpha, s / Fraction(size, ql))  # a class size is >= 1
         else:
             beta += s
     return EnsembleProfile(alpha=scale * alpha, beta=beta, image_size=e.image_size)
@@ -348,19 +335,6 @@ def verify_strong_hash(e: Ensemble, profile: EnsembleProfile,
             lhs = Fraction(lhs, den)
             reports.append({"u": domain[u], "holds": lhs <= profile.beta, "lhs_sum": lhs})
     return reports
-
-
-def concat_ensembles(e: Ensemble, e2: Ensemble,
-                     profile: EnsembleProfile, profile2: EnsembleProfile
-                     ) -> tuple[Ensemble, EnsembleProfile]:
-    """Stack two ensembles on the same domain; the profile composes as
-    (alpha*alpha', beta+beta') and image sizes multiply."""
-    prod = Ensemble.product(e, e2)
-    return prod, EnsembleProfile(
-        alpha=profile.alpha * profile2.alpha,
-        beta=profile.beta + profile2.beta,
-        image_size=profile.image_size * profile2.image_size,
-    )
 
 
 # --- closed-form bound verification ----------------------------------------

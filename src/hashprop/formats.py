@@ -100,10 +100,6 @@ def distribution_from_obj(obj) -> Distribution:
         raise ParseError(str(exc))
 
 
-def distribution_to_obj(d: Distribution) -> dict:
-    return {"sizes": list(d.shape), "probs": [float(x) for x in d.table.reshape(-1)]}
-
-
 def load_distribution(path: str) -> Distribution:
     return distribution_from_obj(_load_json(path))
 

@@ -21,7 +21,6 @@ from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     Distribution,
     TypicalityParams,
-    _count_vectors,
     _law_tables,
     cell_log_masses,
     cell_terms,
@@ -35,6 +34,8 @@ from .types import (
     product_log_masses,
     product_valid,
     row_groups,
+    type_classes,
+    type_log_masses,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -219,10 +220,11 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     correctly; in a block with no admissible tuple, none does.
 
     The chunks tally these winners per joint type T. Every tuple of T has
-    the mass mu(T), 2 to its log-mass summed cell by cell from 0.0, so the
-    error is the ``math.fsum`` over the types of mu(T) (|T| - winners of T),
-    with |T| and the difference in integers: one rounding per type. No
-    array holds one value per tuple or per block.
+    the mass mu(T), 2 to its ``type_log_masses`` entry, so the error is the
+    ``math.fsum`` over the types of mu(T) (|T| - winners of T), with the
+    exact class size |T| of ``type_classes`` and the difference in
+    integers: one rounding per type. No array holds one value per tuple or
+    per block.
     """
     _check_decoder(decoder)
     n, shape = code.n, code.mu.shape
@@ -300,15 +302,12 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
                 tally.update(zip(*(w.tolist() for w in won)))
 
     # all but the winners of a type decode wrongly
-    counts = _count_vectors(n, len(masses))
-    log_mass = np.zeros(len(counts))
-    for mass, count in zip(masses, counts.T):
-        log_mass += cell_log_masses(mass, n)[count]
+    counts, sizes = type_classes(n, len(masses))
     keys = [counts @ key_weights(cells, len(masses), n) for cells in groups]
     hits = correct[keys[0]] + [tally[key] for key in zip(*(key.tolist() for key in keys))]
-    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)])
-    sizes = binom[n - counts.cumsum(axis=1) + counts, counts].prod(axis=1)
-    return min(1.0, math.fsum((np.exp2(log_mass) * (sizes - hits)).tolist()))
+    type_mass = np.exp2(type_log_masses(n, code.mu.table)).tolist()
+    return min(1.0, math.fsum(m * (size - hit)
+                              for m, size, hit in zip(type_mass, sizes, hits.tolist())))
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,

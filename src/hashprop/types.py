@@ -1,6 +1,6 @@
-"""Method-of-types toolkit: empirical distributions, entropies, divergences,
-typical-set predicates, and the slack functions used by the finite-length
-bound checks.
+"""Method-of-types toolkit: empirical distributions, the table of type
+classes, entropies, divergences, typical-set predicates, and the slack
+functions used by the finite-length bound checks.
 
 All information quantities are in bits (base-2 logarithms) and follow the
 conventions 0*log(0) = 0 and p > 0 with reference mass 0 giving +inf.
@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,6 +138,40 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
     return JointType(n=n, counts=_as_nested(counts))
 
 
+# --- type classes ------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """All length-``parts`` count vectors summing to n (the length-n types),
+    in lexicographic order."""
+    if parts == 1:
+        return ((n,),)
+    return tuple((head,) + tail for head in range(n + 1)
+                 for tail in compositions(n - head, parts - 1))
+
+
+class TypeClasses(NamedTuple):
+    """The length-n types over ``parts`` cells, in ``compositions`` order:
+    ``counts`` is a read-only (types, parts) int64 array of their count
+    vectors, and ``sizes`` holds the exact size of each type class, the
+    multinomial n! / prod_c t_c!, as Python ints."""
+
+    counts: np.ndarray
+    sizes: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def type_classes(n: int, parts: int) -> TypeClasses:
+    """The one table of length-n type classes over ``parts`` cells; every
+    walk over joint types reads it.  A class size is the product over the
+    cells of comb(t_0 + ... + t_c, t_c)."""
+    types = compositions(n, parts)
+    counts = np.array(types, dtype=np.int64).reshape(-1, parts)
+    counts.setflags(write=False)
+    sizes = tuple(math.prod(map(math.comb, itertools.accumulate(t), t)) for t in types)
+    return TypeClasses(counts, sizes)
+
+
 # --- joint-type key scoring of candidate products ---------------------------
 #
 # A minimum-divergence or maximum-likelihood search scores each candidate of
@@ -208,14 +242,6 @@ def key_weights(cells: Sequence[int], ncells: int, n: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=1024)
-def _count_vectors(n: int, parts: int) -> np.ndarray:
-    """``compositions(n, parts)`` as a (types, parts) array."""
-    out = np.array(compositions(n, parts)).reshape(-1, parts)
-    out.setflags(write=False)
-    return out
-
-
 def type_tables(terms: Sequence[np.ndarray], n: int, groups) -> list[tuple[tuple, np.ndarray]]:
     """Per lookup group, ``(cells, table)``: the table maps the key of every
     count vector a length-n joint type can give to the sum of
@@ -224,7 +250,7 @@ def type_tables(terms: Sequence[np.ndarray], n: int, groups) -> list[tuple[tuple
     out = []
     for cells in groups:
         keyed = len(cells) - (len(cells) == len(terms))
-        counts = _count_vectors(n, keyed + 1)
+        counts = type_classes(n, keyed + 1).counts
         sums = np.zeros(len(counts))
         for cell, count in zip(cells, counts.T):
             sums += terms[cell][count]
@@ -385,16 +411,30 @@ def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.n
     return _product_array(factors, cell_log_masses, table)
 
 
-def type_divergences(n: int, table: np.ndarray) -> np.ndarray:
-    """D(t/n || table) of every length-n joint type t, in ``compositions``
-    order: per cell in flat order, its ``cell_terms`` added from 0.0, the
-    floats ``divergence`` gives one type at a time."""
+def _type_sums(terms, n: int, table: np.ndarray) -> np.ndarray:
+    """Per length-n joint type, in ``compositions`` order, the sum of the
+    per-cell ``terms(mass, n)[count]`` over the cells of ``table`` in flat
+    order, added from 0.0."""
     masses = table.reshape(-1).tolist()
-    counts = _count_vectors(n, len(masses))
+    counts = type_classes(n, len(masses)).counts
     out = np.zeros(len(counts))
     for mass, count in zip(masses, counts.T):
-        out += cell_terms(mass, n)[count]
+        out += terms(mass, n)[count]
     return out
+
+
+def type_divergences(n: int, table: np.ndarray) -> np.ndarray:
+    """D(t/n || table) of every length-n joint type t, in ``compositions``
+    order, from its ``cell_terms``: the floats ``divergence`` gives one type
+    at a time."""
+    return _type_sums(cell_terms, n, table)
+
+
+def type_log_masses(n: int, table: np.ndarray) -> np.ndarray:
+    """log2 of the mass, under the memoryless law ``table``, of any one
+    sequence of each length-n joint type, in ``compositions`` order, from
+    its ``cell_log_masses``: -inf where a type has a zero-mass cell."""
+    return _type_sums(cell_log_masses, n, table)
 
 
 def empirical(sequence: Sequence[int], size: int) -> np.ndarray:
@@ -428,29 +468,6 @@ def divergence(p, p_ref) -> float:
                 return math.inf
             total += x * math.log2(x / y)
     return total
-
-
-def cond_divergence(q, q_ref, p) -> float:
-    """D(q || q_ref | p): weights by p over the conditioning symbol, summing
-    only over contexts with positive weight."""
-    qt = q.table if isinstance(q, CondDistribution) else np.asarray(q, dtype=np.float64)
-    rt = q_ref.table if isinstance(q_ref, CondDistribution) else np.asarray(q_ref, dtype=np.float64)
-    pt = (p.table if isinstance(p, Distribution) else np.asarray(p, dtype=np.float64)).reshape(-1)
-    total = 0.0
-    for v in range(qt.shape[-1]):
-        if pt[v] > 0:
-            d = divergence(qt[..., v].reshape(-1), rt[..., v].reshape(-1))
-            if math.isinf(d):
-                return math.inf
-            total += pt[v] * d
-    return total
-
-
-def mutual_information(joint: Distribution) -> float:
-    """I between axis 0 and axis 1 of a two-axis joint table."""
-    pu = joint.marginal((0,))
-    pv = joint.marginal((1,))
-    return entropy(pu) + entropy(pv) - entropy(joint)
 
 
 def is_typical(x: Sequence[int], mu: Distribution, params: TypicalityParams) -> bool:
@@ -498,14 +515,6 @@ def zeta_slack(size: int, gamma: float) -> float:
     return gamma - root * math.log2(root / size)
 
 
-def zeta_cond_slack(usize: int, vsize: int, gamma_cond: float, gamma: float) -> float:
-    first = 0.0
-    if gamma_cond > 0:
-        root = math.sqrt(2 * gamma_cond)
-        first = gamma_cond - root * math.log2(root / (usize * vsize))
-    return first + math.sqrt(2 * gamma) * math.log2(usize)
-
-
 def eta_slack(size: int, gamma: float, n: int) -> float:
     first = 0.0
     if gamma > 0:
@@ -514,63 +523,19 @@ def eta_slack(size: int, gamma: float, n: int) -> float:
     return first + size * math.log2(n + 1) / n
 
 
-def eta_cond_slack(usize: int, vsize: int, gamma_cond: float, gamma: float, n: int) -> float:
-    first = 0.0
-    if gamma_cond > 0:
-        root = math.sqrt(2 * gamma_cond)
-        first = -root * math.log2(root / (usize * vsize))
-    return first + math.sqrt(2 * gamma) * math.log2(usize) + usize * vsize * math.log2(n + 1) / n
-
-
-def slack_functions(which: str, sizes, n: int, gamma: float = 0.0, gamma_cond: float = 0.0) -> float:
-    """Dispatch on a slack-function name: lambda, zeta, zeta_cond, eta, eta_cond."""
-    if which == "lambda":
-        return lambda_slack(sizes if isinstance(sizes, int) else int(np.prod(sizes)), n)
-    if which == "zeta":
-        return zeta_slack(sizes if isinstance(sizes, int) else int(np.prod(sizes)), gamma)
-    if which == "zeta_cond":
-        return zeta_cond_slack(sizes[0], sizes[1], gamma_cond, gamma)
-    if which == "eta":
-        return eta_slack(sizes if isinstance(sizes, int) else int(np.prod(sizes)), gamma, n)
-    if which == "eta_cond":
-        return eta_cond_slack(sizes[0], sizes[1], gamma_cond, gamma, n)
-    raise DistributionError(f"unknown slack function {which!r}")
-
-
 # --- exhaustive checks of the finite-length typicality bounds --------------
 
-@lru_cache(maxsize=1024)
-def compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """All length-``parts`` count vectors summing to n (the length-n types),
-    in lexicographic order."""
-    if parts == 1:
-        return ((n,),)
-    return tuple((head,) + tail for head in range(n + 1)
-                 for tail in compositions(n - head, parts - 1))
-
-
-def _log2_multinomial(t: Sequence[int]) -> float:
-    n = sum(t)
-    total = math.lgamma(n + 1)
-    for c in t:
-        total -= math.lgamma(c + 1)
-    return total / math.log(2)
-
-
-def type_census(mu: np.ndarray, n: int):
-    """Per-type (count, probability-mass, divergence) over all length-n types."""
-    flat = mu.reshape(-1)
-    out = []
-    for t in compositions(n, flat.size):
-        nu = np.asarray(t) / n
-        d = divergence(nu, flat)
-        log_count = _log2_multinomial(t)
-        mass = 0.0
-        if not math.isinf(d):
-            log_mass = sum(c * math.log2(p) for c, p in zip(t, flat) if c > 0)
-            mass = 2.0 ** (log_count + log_mass)
-        out.append((t, round(2.0 ** log_count), mass, d))
-    return out
+def type_census(mu: np.ndarray, n: int) -> tuple[TypeClasses, np.ndarray, np.ndarray]:
+    """The length-n types of the law ``mu``, in ``compositions`` order:
+    ``(classes, masses, divergences)``.  ``classes`` is their
+    ``type_classes`` table, exact class sizes included; ``masses[i]`` is
+    the mass of class i, 2^(log2 |T| + ``type_log_masses``), so no count is
+    ever a float and nothing overflows (a type with a zero-mass cell has
+    mass 0); ``divergences`` are the ``type_divergences``."""
+    classes = type_classes(n, mu.size)
+    log_sizes = np.array([math.log2(size) for size in classes.sizes])
+    masses = np.exp2(log_sizes + type_log_masses(n, mu))
+    return classes, masses, type_divergences(n, mu)
 
 
 def verify_typicality_bounds(
@@ -586,35 +551,36 @@ def verify_typicality_bounds(
     lemma: 'prob' (tail mass), 'aep' (per-sequence log-probability sandwich),
     'number' (typical-set cardinality sandwich), or 'trans' (inclusion rules
     between joint, marginal and conditional typical sets; needs a two-axis mu).
+
+    Every lemma walks the length-n types of the cells of ``mu`` (for
+    'trans', the joint types of the pair (u, v)), and ``cap`` bounds their
+    number.  Every typicality predicate depends on a sequence only through
+    its type, so 'trans' evaluates the predicates once per joint type, on
+    one pair of that type, and weights its violations, and the ``pairs``
+    it reports, by the exact class size.
     """
-    flat = mu.table.reshape(-1)
-    size = flat.size
-    # prob, aep and number walk the length-n types; trans walks the pairs
-    if lemma in ("prob", "aep", "number") and math.comb(n + size - 1, size - 1) > cap:
+    size = mu.table.size
+    if math.comb(n + size - 1, size - 1) > cap:
         raise DistributionError("instance too large for exhaustive verification")
 
     if lemma == "prob":
-        census = type_census(mu.table, n)
-        lhs = sum(mass for _, _, mass, d in census if d >= gamma)
+        _, masses, divs = type_census(mu.table, n)
+        lhs = math.fsum(masses[divs >= gamma].tolist())
         rhs = 2.0 ** (-n * (gamma - lambda_slack(size, n)))
         return {"holds": lhs <= rhs + 1e-12, "lhs": lhs, "rhs": rhs}
 
     if lemma == "aep":
         h = entropy(mu)
         rhs = zeta_slack(size, gamma)
-        lhs = 0.0
-        for t, _, _, d in type_census(mu.table, n):
-            if d < gamma:
-                cross = sum(
-                    c / n * -math.log2(flat[i]) for i, c in enumerate(t) if c > 0
-                )
-                lhs = max(lhs, abs(cross - h))
+        cross = -type_log_masses(n, mu.table)[type_divergences(n, mu.table) < gamma] / n
+        lhs = float(np.abs(cross - h).max(initial=0.0))
         return {"holds": lhs <= rhs + 1e-12, "lhs": lhs, "rhs": rhs}
 
     if lemma == "number":
         h = entropy(mu)
         eta = eta_slack(size, gamma, n)
-        count = sum(c for _, c, _, d in type_census(mu.table, n) if d < gamma)
+        classes, _, divs = type_census(mu.table, n)
+        count = sum(itertools.compress(classes.sizes, (divs < gamma).tolist()))
         lower = 2.0 ** (n * (h - eta))
         upper = 2.0 ** (n * (h + eta))
         holds = lower <= count + 1e-9 and count <= upper + 1e-9
@@ -623,30 +589,23 @@ def verify_typicality_bounds(
     if lemma == "trans":
         if mu.table.ndim != 2:
             raise DistributionError("trans check needs a two-axis joint distribution")
-        usize, vsize = mu.table.shape
-        if (usize * vsize) ** n > cap:
-            raise DistributionError("instance too large for exhaustive verification")
-        mu_v = mu.marginal((1,))
+        mu_u, mu_v = mu.marginal((0,)), mu.marginal((1,))
         mu_uv = mu.conditional((0,), (1,))
+        p_marg = TypicalityParams(gamma)
         p_joint = TypicalityParams(gamma + gamma_cond)
         p_g = TypicalityParams(gamma, gamma)
         p_cond = TypicalityParams(gamma, gamma_cond)
+        classes = type_classes(n, size)
         violations = 0
-        total = 0
-        for u in itertools.product(range(usize), repeat=n):
-            for v in itertools.product(range(vsize), repeat=n):
-                total += 1
-                v_typ = is_typical(v, mu_v, TypicalityParams(gamma))
-                uv_cond = is_cond_typical(u, v, mu_uv, p_cond)
-                joint_small = is_joint_typical([u, v], mu, p_g)
-                if v_typ and uv_cond and not is_joint_typical([u, v], mu, p_joint):
-                    violations += 1
-                if joint_small:
-                    if not is_typical(u, mu.marginal((0,)), TypicalityParams(gamma)):
-                        violations += 1
-                    if not is_cond_typical(u, v, mu_uv, p_g):
-                        violations += 1
+        for t, class_size in zip(classes.counts, classes.sizes):
+            u, v = np.divmod(np.repeat(np.arange(size), t), mu.shape[1])
+            wrong = 0
+            if is_typical(v, mu_v, p_marg) and is_cond_typical(u, v, mu_uv, p_cond):
+                wrong += not is_joint_typical([u, v], mu, p_joint)
+            if is_joint_typical([u, v], mu, p_g):
+                wrong += (not is_typical(u, mu_u, p_marg)) + (not is_cond_typical(u, v, mu_uv, p_g))
+            violations += wrong * class_size
         return {"holds": violations == 0, "lhs": float(violations), "rhs": 0.0,
-                "pairs": total}
+                "pairs": sum(classes.sizes)}
 
     raise DistributionError(f"unknown typicality lemma {lemma!r}")

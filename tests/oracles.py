@@ -91,6 +91,16 @@ def exact_log2(mass: Fraction) -> float:
     return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
 
 
+def multinomial(t) -> int:
+    """The size of the type class of the count vector t: the number of
+    sequences of length sum(t) with t[c] copies of each symbol c,
+    n! / prod_c t[c]!."""
+    size = math.factorial(sum(t))
+    for c in t:
+        size //= math.factorial(c)
+    return size
+
+
 def marginal(table: np.ndarray, axis: int) -> np.ndarray:
     """The law of one axis of table: the sum over every other axis."""
     return np.array([np.take(table, a, axis=axis).sum() for a in range(table.shape[axis])])

@@ -582,8 +582,8 @@ def test_negative_seed_exit_2(tmp_path, capsys):
 
 def test_options_without_effect_exit_2(tmp_path, capsys):
     """An option that a mode would not use is refused, not ignored: --trials
-    and --seed in exact mode, and --gamma with the md decoder. Left out, the
-    MC trial count defaults to 1000."""
+    and --seed in exact mode, and --gamma with the md and ml_unconstrained
+    decoders. Left out, the MC trial count defaults to 1000."""
     dist = write_dsbs(tmp_path)
     ma = write_matrix(tmp_path, "sw.txt", [[1, 1]])
     prob, codef = _write_bc_fixture(tmp_path)
@@ -595,6 +595,7 @@ def test_options_without_effect_exit_2(tmp_path, capsys):
         (bc + ("--trials", "10"), "--trials"),
         (bc + ("--mode", "exact", "--seed", "1"), "--seed"),
         (sw + ("--decoder", "md", "--gamma", "0.5"), "--gamma"),
+        (sw + ("--decoder", "ml_unconstrained", "--gamma", "0.5"), "--gamma"),
         (sw + ("--gamma", "0.5", "--mode", "mc", "--seed", "1"), "--gamma"),
         (_sweep_args(dist, "--mode", "exact", "--trials", "10"), "--trials"),
     ]

@@ -18,7 +18,6 @@ from hashprop.ensemble import (
     alpha_beta_from_spectrum,
     bound_lem_E,
     collision_prob,
-    concat_ensembles,
     spectrum,
     spectrum_table,
     universal_profile,
@@ -129,14 +128,6 @@ def test_universal_profile_strong_hash():
 def test_profile_validation():
     with pytest.raises(EnsembleError):
         EnsembleProfile(alpha=Fraction(-1), beta=Fraction(0), image_size=2)
-
-
-def test_concat_ensembles_profile():
-    ea = Ensemble.uniform_all(2, 1, 2)
-    eb = Ensemble.uniform_all(2, 1, 2)
-    prod, profile = concat_ensembles(ea, eb, universal_profile(ea), universal_profile(eb))
-    assert prod.family == "product"
-    assert profile.alpha == 1 and profile.beta == 0 and profile.image_size == 4
 
 
 def test_bounds_hold_on_uniform():

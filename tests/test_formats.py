@@ -10,7 +10,6 @@ from hashprop.formats import (
     bc_code_from_obj,
     bc_problem_from_obj,
     distribution_from_obj,
-    distribution_to_obj,
     emit_matrix,
     ensemble_from_obj,
     load_bc_code,
@@ -59,9 +58,6 @@ def test_distribution_json_round_trip():
     d = distribution_from_obj(obj)
     assert d.shape == (2, 2)
     assert d[0, 1] == pytest.approx(0.1)
-    back = distribution_to_obj(d)
-    assert back["sizes"] == [2, 2]
-    assert back["probs"] == pytest.approx(obj["probs"])
 
 
 def test_distribution_json_errors():

@@ -14,7 +14,6 @@ from hashprop.types import (
     DistributionError,
     TypicalityParams,
     compositions,
-    cond_divergence,
     cond_entropy,
     divergence,
     empirical,
@@ -27,13 +26,12 @@ from hashprop.types import (
     joint_type,
     key_weights,
     lambda_slack,
-    mutual_information,
     product_divergences,
     product_keys,
     product_log_masses,
     product_members,
-    slack_functions,
     type_census,
+    type_classes,
     type_divergences,
     type_key_groups,
     verify_typicality_bounds,
@@ -92,22 +90,6 @@ def test_divergence_conventions():
     assert divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(1.0)
 
 
-def test_cond_divergence_weighted():
-    q = CondDistribution([[1.0, 0.5], [0.0, 0.5]])
-    r = CondDistribution([[0.5, 0.5], [0.5, 0.5]])
-    p = Distribution([0.5, 0.5])
-    assert cond_divergence(q, r, p) == pytest.approx(0.5)
-    # zero-weight contexts are skipped even when their slice diverges
-    assert cond_divergence(q, r, Distribution([0.0, 1.0])) == 0.0
-
-
-def test_mutual_information():
-    indep = Distribution(np.outer([0.3, 0.7], [0.6, 0.4]))
-    assert mutual_information(indep) == pytest.approx(0.0, abs=1e-12)
-    eq = Distribution([[0.5, 0.0], [0.0, 0.5]])
-    assert mutual_information(eq) == pytest.approx(1.0)
-
-
 def test_joint_type_fixture():
     x = [0, 1, 0, 0, 1, 0, 1, 0]
     y = [0, 0, 1, 0, 1, 0, 0, 1]
@@ -149,17 +131,71 @@ def test_lambda_slack_value():
 def test_zeta_eta_limits():
     assert zeta_slack(2, 0.0) == 0.0
     assert eta_slack(2, 0.0, 4) == pytest.approx(lambda_slack(2, 4))
-    assert slack_functions("lambda", 2, 3) == pytest.approx(4.0 / 3.0)
-    assert slack_functions("zeta", 2, 0, gamma=0.5) == zeta_slack(2, 0.5)
-    with pytest.raises(DistributionError):
-        slack_functions("nope", 2, 3)
 
 
 def test_type_census_totals():
     mu = np.array([0.7, 0.3])
-    census = type_census(mu, 6)
-    assert sum(c for _, c, _, _ in census) == 2 ** 6
-    assert sum(m for _, _, m, _ in census) == pytest.approx(1.0)
+    classes, masses, _ = type_census(mu, 6)
+    assert sum(classes.sizes) == 2 ** 6
+    assert masses.sum() == pytest.approx(1.0)
+
+
+def test_type_classes_are_exact_multinomials():
+    """The table's class sizes equal the factorial multinomials and sum to
+    parts^n: binary at every n <= 60, four cells at every n <= 12 and at
+    n = 30 and 60; its rows are the compositions, read-only int64."""
+    cases = [(2, n) for n in range(61)] + [(4, n) for n in list(range(13)) + [30, 60]]
+    for parts, n in cases:
+        counts, sizes = type_classes(n, parts)
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        assert list(map(tuple, counts.tolist())) == list(compositions(n, parts))
+        assert list(sizes) == [oracles.multinomial(t) for t in counts.tolist()], (parts, n)
+        assert sum(sizes) == parts ** n
+
+
+def test_type_census_counts_are_exact():
+    """The census counts are the exact class sizes where a float multinomial
+    is off (four cells at n = 30, binary at n = 60), and the masses, from
+    the log domain, still sum to 1."""
+    for mu, n in ((np.array([0.4, 0.1, 0.2, 0.3]), 30), (np.array([0.7, 0.3]), 60)):
+        classes, masses, divs = type_census(mu, n)
+        assert list(classes.sizes) == [oracles.multinomial(t) for t in classes.counts.tolist()]
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert divs.tolist() == type_divergences(n, mu).tolist()
+
+
+def test_typicality_bounds_at_long_binary_n():
+    """The tail-mass and AEP checks hold at binary n = 2000, where a type
+    class has more sequences than a float can count."""
+    mu = Distribution([0.7, 0.3])
+    for gamma in (0.1, 0.5):
+        for lemma in ("prob", "aep"):
+            out = verify_typicality_bounds(lemma, mu, gamma=gamma, n=2000)
+            assert out["holds"], (lemma, gamma, out)
+
+
+def test_trans_walks_joint_types_at_n_12():
+    """The trans check walks the 455 joint types of a 2 x 2 law at n = 12,
+    not its 4^12 pairs, and counts every pair."""
+    joint = Distribution([[0.4, 0.1], [0.2, 0.3]])
+    for gamma in (0.1, 0.5, 1.0):
+        out = verify_typicality_bounds("trans", joint, gamma=gamma, n=12, gamma_cond=gamma)
+        assert out["holds"] and out["pairs"] == 4 ** 12, (gamma, out)
+
+
+def test_trans_weights_violations_by_class_size(monkeypatch):
+    """With the conditional predicate made to fail, every jointly typical
+    pair (u, v) is one violation, so the type walk's count must equal the
+    number of such pairs found by walking all pairs."""
+    joint = Distribution([[0.4, 0.1], [0.2, 0.3]])
+    monkeypatch.setattr(types, "is_cond_typical", lambda *args: False)
+    n, gamma = 5, 0.3
+    pairs = [(u, v) for u in itertools.product(range(2), repeat=n)
+             for v in itertools.product(range(2), repeat=n)]
+    expected = sum(oracles.divergence(pair, joint.table) < gamma for pair in pairs)
+    out = verify_typicality_bounds("trans", joint, gamma=gamma, n=n)
+    assert 0 < expected < len(pairs)
+    assert (out["lhs"], out["pairs"]) == (expected, len(pairs))
 
 
 def test_verify_typicality_bounds_basic():
