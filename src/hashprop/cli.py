@@ -23,6 +23,7 @@ import numpy as np
 from . import broadcast, ensemble as ens_mod, formats, lp_md, slepian_wolf as sw_mod
 from .formats import ParseError
 from .gf import FieldMatrix
+from .types import type_classes
 
 CONFIG_EXIT = 2
 COMPUTE_EXIT = 3
@@ -211,14 +212,13 @@ def cmd_lp_md(args) -> None:
         stacked.append(a.stack(ap))
         merged.append(tuple(syndromes[2 * j]) + tuple(syndromes[2 * j + 1]))
     res = lp_md.md_via_lp(stacked, merged, mu, fallback=args.fallback)
-    cells = 1 << k
     _emit({
         "command": "lp-md",
         "error": res.error,
         "x_hat": [list(x) for x in res.x_hat] if res.x_hat else None,
         "divergence": res.divergence if not math.isinf(res.divergence) else "inf",
         "all_integral": res.all_integral,
-        "types_considered": math.comb(stacked[0].cols + cells - 1, cells - 1),
+        "types_considered": len(type_classes(stacked[0].cols, 1 << k).sizes),
         "types_solved": len(res.type_log),
         "pivots": sum(e["pivots"] for e in res.type_log),
         "fractional_types": sum(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gf import FieldMatrix, check_prime
-from .types import compositions, row_groups, type_classes
+from .types import row_groups, type_classes
 
 
 class EnsembleError(ValueError):
@@ -291,7 +291,8 @@ def alpha_beta_from_spectrum(e: Ensemble, filt: TypeFilter, support=None) -> Ens
     scale = Fraction(e.image_size, ql)
     alpha = Fraction(0)
     beta = Fraction(0)
-    for t, size in zip(compositions(e.n, e.q), type_classes(e.n, e.q).sizes):
+    counts, sizes = type_classes(e.n, e.q)
+    for t, size in zip(map(tuple, counts.tolist()), sizes):
         if t[0] == e.n:
             continue  # the zero type
         s = table.get(t, Fraction(0))

@@ -40,12 +40,12 @@ from .gf import FieldMatrix, coset_factor_batch
 from .types import (
     TIE_TOL,
     Distribution,
-    compositions,
-    key_weights,
     product_keys,
     product_members,
+    type_classes,
     type_divergences,
     type_key_groups,
+    type_rows,
 )
 
 REL_LE, REL_EQ, REL_GE = "<=", "=", ">="
@@ -345,7 +345,8 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     types in increasing divergence, deciding one feasibility LP per type.
 
     Types are visited by increasing ``types.type_divergences``, the per-cell
-    terms the exhaustive decoders add, with ties in ``compositions`` order.
+    terms the exhaustive decoders add, with ties in table order (the rows of
+    ``types.type_classes``, which name the types throughout).
     A type counts when its LP point is integral (an integral point is a
     coset-product member of the type) or, with fallback='exhaustive', when
     its point is fractional and the type occurs in the coset product.  The
@@ -376,13 +377,12 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
     winners = set()
     best_d = math.inf
     all_integral = True
-    for i, entry in enumerate(_type_sweep(matrices, syndromes, order), 1):
+    for i, ((row, d), entry) in enumerate(zip(order, _type_sweep(matrices, syndromes, order)), 1):
         log.append(entry)
-        t, d = entry["type"], entry["divergence"]
         if entry["status"] == "optimal":
             all_integral &= entry["integral"]
-            if entry["integral"] or (fallback == "exhaustive" and coset.occurs(t)):
-                winners.add(t)
+            if entry["integral"] or (fallback == "exhaustive" and coset.occurs(row)):
+                winners.add(row)
                 best_d = min(best_d, d)
         if i < len(order) and order[i][1] > best_d + TIE_TOL:
             break  # the next type is past the winning tie group
@@ -394,19 +394,18 @@ def md_via_lp(matrices, syndromes, mu: Distribution, fallback: str | None = None
                           all_integral=all_integral, error=False, type_log=tuple(log))
 
 
-def _divergence_order(n: int, k: int, table: np.ndarray) -> list[tuple[tuple, float]]:
-    """Every length-n joint type over {0,1}^k with its divergence from
-    table, by increasing divergence; tied floats keep ``compositions``
-    order."""
-    every, divs = compositions(n, 1 << k), type_divergences(n, table)
-    idx = np.argsort(divs, kind="stable")
-    return list(zip([every[i] for i in idx.tolist()], divs[idx].tolist()))
+def _divergence_order(n: int, k: int, table: np.ndarray) -> list[tuple[int, float]]:
+    """Every row of ``type_classes(n, 2^k)`` with its type's divergence
+    from table, by increasing divergence; tied floats keep table order."""
+    divs = type_divergences(n, table)
+    rows = np.argsort(divs, kind="stable")
+    return list(zip(rows.tolist(), divs[rows].tolist()))
 
 
 def _type_sweep(matrices, syndromes, order):
-    """Decide the type LP of each (type, divergence) of order and yield its
-    log entry: type, divergence, status, integral, pivots and, when
-    feasible, the point.
+    """Decide the type LP of each (table row, divergence) of order and
+    yield its log entry: type (the row's count vector as a tuple),
+    divergence, status, integral, pivots and, when feasible, the point.
 
     The type LPs differ only in the right-hand sides of the 2^k count rows,
     so one tableau serves the whole sweep: each type moves those right-hand
@@ -420,20 +419,22 @@ def _type_sweep(matrices, syndromes, order):
     entry is asked for.
     """
     n, k = matrices[0].cols, len(matrices)
+    counts = type_classes(n, 1 << k).counts
     nv = num_vars(n, k)
     parity = []
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
         parity += build_parity_constraints(m, a, var_offset=j * n)
     lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
-    for row, rel, rhs in build_type_constraints(order[0][0], n, k) + parity:
+    for row, rel, rhs in build_type_constraints(counts[order[0][0]], n, k) + parity:
         lp.add(row, rel, rhs)
     tab = _Tableau(*lp.arrays())
     count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
-    for t, d in order:
-        tab.set_rhs(count_rows, np.array(t, dtype=np.float64))
+    for type_row, d in order:
+        t = counts[type_row]
+        tab.set_rhs(count_rows, t.astype(np.float64))
         status, pivots = tab.dual()
-        entry = {"type": t, "divergence": d, "status": status, "integral": False,
-                 "pivots": pivots}
+        entry = {"type": tuple(t.tolist()), "divergence": d, "status": status,
+                 "integral": False, "pivots": pivots}
         if status == "optimal":
             sol = tab.solution(lp.objective)
             entry["integral"] = sol.integral
@@ -443,46 +444,42 @@ def _type_sweep(matrices, syndromes, order):
 
 class _CosetTypes:
     """The coset product of one decode, built on first use: its one-row
-    factors and, per joint type that occurs in it, the product index of its
-    first member.  A type is named by its keys in the lookup groups of
-    ``types.type_key_groups``; building raises ``LpError`` when a coset
-    exceeds the cap."""
+    factors and, per row of ``types.type_classes``, the product index of the
+    first member of that joint type, -1 where none occurs.  ``type_rows``
+    names each member's type from its lookup-group keys; building raises
+    ``LpError`` when a coset exceeds the cap."""
 
     def __init__(self, matrices, syndromes, cap: int):
         self.matrices, self.syndromes, self.cap = matrices, syndromes, cap
-        ncells, n = 1 << len(matrices), matrices[0].cols
-        self.groups = type_key_groups(ncells, n)
-        self.weights = np.stack([key_weights(cells, ncells, n) for cells in self.groups],
-                                axis=1)
+        self.ncells, self.n = 1 << len(matrices), matrices[0].cols
+        self.groups = type_key_groups(self.ncells, self.n)
         self.factors = None
 
     @cached_property
-    def first(self) -> dict[tuple, int]:
+    def first(self) -> np.ndarray:
+        first = np.full(len(type_classes(self.n, self.ncells).sizes), -1)
         found = coset_factor_batch(self.matrices, [[tuple(a)] for a in self.syndromes],
                                    self.cap, LpError)
         if found is None:
-            return {}
+            return first
         self.factors = found[0]
-        first: dict[tuple, int] = {}
         for span, keys in product_keys(self.factors, (2,) * len(self.matrices), self.groups):
-            rows, index = np.unique(np.stack([key[0] for key in keys], axis=1), axis=0,
-                                    return_index=True)
-            for row, i in zip(map(tuple, rows.tolist()), index.tolist()):
-                first.setdefault(row, span.start + i)
+            rows = type_rows([key[0] for key in keys], self.n, self.ncells, self.groups)
+            seen, index = np.unique(rows, return_index=True)
+            new = first[seen] < 0
+            first[seen[new]] = span.start + index[new]
         return first
 
-    def _key(self, t) -> tuple:
-        return tuple((np.asarray(t, dtype=np.int64) @ self.weights).tolist())
-
-    def occurs(self, t) -> bool:
-        return self._key(t) in self.first
+    def occurs(self, row: int) -> bool:
+        return bool(self.first[row] >= 0)
 
     def first_member(self, wanted) -> tuple | None:
-        """The first member of the product whose joint type is in wanted."""
-        hits = [self.first[key] for key in map(self._key, wanted) if key in self.first]
-        if not hits:
+        """The first member of the product whose joint type's row is in wanted."""
+        hits = self.first[list(wanted)]
+        hits = hits[hits >= 0]
+        if not hits.size:
             return None
-        return tuple(map(tuple, product_members(self.factors, [min(hits)])[0].tolist()))
+        return tuple(map(tuple, product_members(self.factors, [hits.min()])[0].tolist()))
 
 
 # --- single-position polytope audit -----------------------------------------

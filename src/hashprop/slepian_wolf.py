@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .types import (
     entropy,
     first_best,
     key_columns,
-    key_weights,
     lead_rows,
     product_best,
     product_divergences,
@@ -36,6 +34,7 @@ from .types import (
     row_groups,
     type_classes,
     type_log_masses,
+    type_rows,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -219,12 +218,16 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     ``first_best`` tuple, its first tied minimum in row-major order, decodes
     correctly; in a block with no admissible tuple, none does.
 
-    The chunks tally these winners per joint type T. Every tuple of T has
-    the mass mu(T), 2 to its ``type_log_masses`` entry, so the error is the
-    ``math.fsum`` over the types of mu(T) (|T| - winners of T), with the
-    exact class size |T| of ``type_classes`` and the difference in
-    integers: one rounding per type. No array holds one value per tuple or
-    per block.
+    The chunks tally these winners per joint type T, by its row in
+    ``type_classes`` (``type_rows`` of the winners' keys), with one
+    ``np.bincount`` per chunk. Every tuple of T has the mass mu(T), 2 to its
+    ``type_log_masses`` entry, so the error is the ``math.fsum`` over the
+    types of mu(T) (|T| - winners of T), with the exact class size |T| of
+    ``type_classes`` and the difference in integers: one rounding per type.
+    No array holds one value per tuple or per block.
+
+    ``cap`` counts the source tuples, so it bounds the work; memory is
+    bounded by the SCORE_CHUNK-sized chunks, whatever the tuple count.
     """
     _check_decoder(decoder)
     n, shape = code.n, code.mu.shape
@@ -259,9 +262,8 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     groups = [cells for cells, _ in scores]
     slot_cols = [col[0][:, slots[-1].reshape(-1)]
                  for col in key_columns(seqs[-1][None], shape, groups)]
-    # winners per type: by the key of a lone lookup group, else by the tuple of
-    # group keys; the other tally stays empty
-    correct, tally = np.zeros(len(scores[0][1]), dtype=np.int64), Counter()
+    sizes = type_classes(n, len(masses)).sizes
+    hits = np.zeros(len(sizes), dtype=np.int64)  # winners per table row
 
     (lead_cosets, lead_width), (last_cosets, last_width) = slots[0].shape, slots[-1].shape
     middle = [slot.shape for slot in slots[1:-1]]
@@ -296,15 +298,9 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
             first = first_best(score.reshape(-1, members))
             blocks = np.flatnonzero(first >= 0)
             won = [key.reshape(-1).take(blocks * members + first[blocks]) for key in keys]
-            if len(won) == 1:
-                correct += np.bincount(won[0], minlength=len(correct))
-            else:
-                tally.update(zip(*(w.tolist() for w in won)))
+            hits += np.bincount(type_rows(won, n, len(masses), groups), minlength=len(hits))
 
     # all but the winners of a type decode wrongly
-    counts, sizes = type_classes(n, len(masses))
-    keys = [counts @ key_weights(cells, len(masses), n) for cells in groups]
-    hits = correct[keys[0]] + [tally[key] for key in zip(*(key.tolist() for key in keys))]
     type_mass = np.exp2(type_log_masses(n, code.mu.table)).tolist()
     return min(1.0, math.fsum(m * (size - hit)
                               for m, size, hit in zip(type_mass, sizes, hits.tolist())))

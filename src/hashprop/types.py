@@ -140,21 +140,13 @@ def joint_type(sequences: Sequence[Sequence[int]], sizes: Sequence[int]) -> Join
 
 # --- type classes ------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """All length-``parts`` count vectors summing to n (the length-n types),
-    in lexicographic order."""
-    if parts == 1:
-        return ((n,),)
-    return tuple((head,) + tail for head in range(n + 1)
-                 for tail in compositions(n - head, parts - 1))
-
-
 class TypeClasses(NamedTuple):
-    """The length-n types over ``parts`` cells, in ``compositions`` order:
-    ``counts`` is a read-only (types, parts) int64 array of their count
-    vectors, and ``sizes`` holds the exact size of each type class, the
-    multinomial n! / prod_c t_c!, as Python ints."""
+    """The length-n types over ``parts`` cells, in table order (the count
+    vectors in lexicographic order): ``counts`` is a read-only (types,
+    parts) int64 array of their count vectors, and ``sizes`` holds the exact
+    size of each type class, the multinomial n! / prod_c t_c!, as Python
+    ints.  A type's row in this table is its one name: ``type_rows`` maps
+    lookup-group keys to it."""
 
     counts: np.ndarray
     sizes: tuple[int, ...]
@@ -163,12 +155,17 @@ class TypeClasses(NamedTuple):
 @lru_cache(maxsize=256)
 def type_classes(n: int, parts: int) -> TypeClasses:
     """The one table of length-n type classes over ``parts`` cells; every
-    walk over joint types reads it.  A class size is the product over the
-    cells of comb(t_0 + ... + t_c, t_c)."""
-    types = compositions(n, parts)
-    counts = np.array(types, dtype=np.int64).reshape(-1, parts)
+    walk over joint types reads it.  The count vectors are the gaps between
+    parts - 1 bars placed among n + parts - 1 slots, bar positions in
+    ``itertools.combinations`` order, which is the lexicographic order of
+    the counts.  A class size is the product over the cells of
+    comb(t_0 + ... + t_c, t_c)."""
+    slots = n + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    counts = np.diff(bars.reshape(len(bars), parts - 1), axis=1, prepend=-1, append=slots) - 1
     counts.setflags(write=False)
-    sizes = tuple(math.prod(map(math.comb, itertools.accumulate(t), t)) for t in types)
+    sizes = tuple(math.prod(map(math.comb, itertools.accumulate(t), t))
+                  for t in counts.tolist())
     return TypeClasses(counts, sizes)
 
 
@@ -240,6 +237,34 @@ def key_weights(cells: Sequence[int], ncells: int, n: int) -> np.ndarray:
     weights = np.zeros(ncells, dtype=np.int64)
     weights[keyed] = (n + 1) ** np.arange(len(keyed))
     return weights
+
+
+@lru_cache(maxsize=64)
+def _row_lookup(n: int, ncells: int, groups: tuple):
+    """The row of every key of ``type_rows``: an array indexed by the key
+    when ``groups`` is one group of every cell, else a dict from the tuple
+    of group keys.  The groups are part of the cache key, as they follow
+    SCORE_CHUNK."""
+    counts = type_classes(n, ncells).counts
+    keys = [counts @ key_weights(cells, ncells, n) for cells in groups]
+    if len(groups) == 1:
+        lookup = np.full((n + 1) ** (ncells - 1), -1, dtype=np.intp)
+        lookup[keys[0]] = np.arange(len(counts))
+        lookup.setflags(write=False)
+        return lookup
+    return dict(zip(zip(*(key.tolist() for key in keys)), range(len(counts))))
+
+
+def type_rows(keys: Sequence[np.ndarray], n: int, ncells: int, groups) -> np.ndarray:
+    """The row in ``type_classes(n, ncells)`` of each candidate whose keys
+    in the lookup groups ``groups`` are ``keys``, one int array per group,
+    all of one shape; the rows have that shape.  Modules outside ``types``
+    name a joint type by this row and never read the key format."""
+    lookup = _row_lookup(n, ncells, tuple(map(tuple, groups)))
+    if len(groups) == 1:
+        return lookup[keys[0]]
+    rows = [lookup[key] for key in zip(*(np.ravel(key).tolist() for key in keys))]
+    return np.array(rows, dtype=np.intp).reshape(np.shape(keys[0]))
 
 
 def type_tables(terms: Sequence[np.ndarray], n: int, groups) -> list[tuple[tuple, np.ndarray]]:
@@ -412,9 +437,9 @@ def product_log_masses(factors: Sequence[np.ndarray], table: np.ndarray) -> np.n
 
 
 def _type_sums(terms, n: int, table: np.ndarray) -> np.ndarray:
-    """Per length-n joint type, in ``compositions`` order, the sum of the
-    per-cell ``terms(mass, n)[count]`` over the cells of ``table`` in flat
-    order, added from 0.0."""
+    """Per length-n joint type, in table order, the sum of the per-cell
+    ``terms(mass, n)[count]`` over the cells of ``table`` in flat order,
+    added from 0.0."""
     masses = table.reshape(-1).tolist()
     counts = type_classes(n, len(masses)).counts
     out = np.zeros(len(counts))
@@ -424,16 +449,16 @@ def _type_sums(terms, n: int, table: np.ndarray) -> np.ndarray:
 
 
 def type_divergences(n: int, table: np.ndarray) -> np.ndarray:
-    """D(t/n || table) of every length-n joint type t, in ``compositions``
-    order, from its ``cell_terms``: the floats ``divergence`` gives one type
-    at a time."""
+    """D(t/n || table) of every length-n joint type t, in table order,
+    from its ``cell_terms``: the floats ``divergence`` gives one type at a
+    time."""
     return _type_sums(cell_terms, n, table)
 
 
 def type_log_masses(n: int, table: np.ndarray) -> np.ndarray:
     """log2 of the mass, under the memoryless law ``table``, of any one
-    sequence of each length-n joint type, in ``compositions`` order, from
-    its ``cell_log_masses``: -inf where a type has a zero-mass cell."""
+    sequence of each length-n joint type, in table order, from its
+    ``cell_log_masses``: -inf where a type has a zero-mass cell."""
     return _type_sums(cell_log_masses, n, table)
 
 
@@ -446,16 +471,6 @@ def entropy(p) -> float:
     arr = p.table if isinstance(p, Distribution) else np.asarray(p, dtype=np.float64)
     mask = arr > 0
     return float(-(arr[mask] * np.log2(arr[mask])).sum())
-
-
-def cond_entropy(q: CondDistribution, p) -> float:
-    parr = p.table if isinstance(p, Distribution) else np.asarray(p, dtype=np.float64)
-    pflat = parr.reshape(-1)
-    total = 0.0
-    for v in range(q.table.shape[-1]):
-        if pflat[v] > 0:
-            total += pflat[v] * entropy(q.slice(v).reshape(-1) / q.slice(v).sum())
-    return total
 
 
 def divergence(p, p_ref) -> float:
@@ -526,7 +541,7 @@ def eta_slack(size: int, gamma: float, n: int) -> float:
 # --- exhaustive checks of the finite-length typicality bounds --------------
 
 def type_census(mu: np.ndarray, n: int) -> tuple[TypeClasses, np.ndarray, np.ndarray]:
-    """The length-n types of the law ``mu``, in ``compositions`` order:
+    """The length-n types of the law ``mu``, in table order:
     ``(classes, masses, divergences)``.  ``classes`` is their
     ``type_classes`` table, exact class sizes included; ``masses[i]`` is
     the mass of class i, 2^(log2 |T| + ``type_log_masses``), so no count is
@@ -557,7 +572,10 @@ def verify_typicality_bounds(
     number.  Every typicality predicate depends on a sequence only through
     its type, so 'trans' evaluates the predicates once per joint type, on
     one pair of that type, and weights its violations, and the ``pairs``
-    it reports, by the exact class size.
+    it reports, by the exact class size.  'number' decides in the log
+    domain, so no count or bound overflows a float: its ``lhs`` is log2 of
+    the exact typical-set size (-inf when empty), and ``rhs`` and ``lower``
+    are n (h + eta) and n (h - eta).
     """
     size = mu.table.size
     if math.comb(n + size - 1, size - 1) > cap:
@@ -581,10 +599,10 @@ def verify_typicality_bounds(
         eta = eta_slack(size, gamma, n)
         classes, _, divs = type_census(mu.table, n)
         count = sum(itertools.compress(classes.sizes, (divs < gamma).tolist()))
-        lower = 2.0 ** (n * (h - eta))
-        upper = 2.0 ** (n * (h + eta))
-        holds = lower <= count + 1e-9 and count <= upper + 1e-9
-        return {"holds": holds, "lhs": float(count), "rhs": upper, "lower": lower}
+        lhs = math.log2(count) if count else -math.inf
+        lower, upper = n * (h - eta), n * (h + eta)
+        holds = lower <= lhs + 1e-12 and lhs <= upper + 1e-12
+        return {"holds": holds, "lhs": lhs, "rhs": upper, "lower": lower}
 
     if lemma == "trans":
         if mu.table.ndim != 2:

@@ -91,6 +91,18 @@ def exact_log2(mass: Fraction) -> float:
     return math.log2(mass.numerator) - math.log2(mass.denominator) if mass else -math.inf
 
 
+def compositions(n: int, parts: int):
+    """Every count vector of ``parts`` nonnegative integers summing to n,
+    the length-n types over ``parts`` cells, in lexicographic order: the
+    first count runs up from 0, and for each the rest recurse."""
+    if parts == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for tail in compositions(n - head, parts - 1):
+            yield (head,) + tail
+
+
 def multinomial(t) -> int:
     """The size of the type class of the count vector t: the number of
     sequences of length sum(t) with t[c] copies of each symbol c,

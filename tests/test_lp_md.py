@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from hashprop import types
 from hashprop.ensemble import Ensemble
 from hashprop.gf import FieldMatrix
@@ -32,7 +33,7 @@ from hashprop.lp_md import (
     var_u,
 )
 from hashprop.slepian_wolf import SwCode, sw_decode_md, sw_encode
-from hashprop.types import Distribution, compositions, joint_type
+from hashprop.types import Distribution, joint_type
 
 
 def test_simplex_textbook_maximization():
@@ -232,10 +233,11 @@ def _assert_prefix(log, full):
 
 def test_md_via_lp_warm_start_matches_cold_solver():
     """The full sweep visits every type once, by increasing divergence with
-    ties in compositions order, and md_via_lp's log is its prefix up to the
-    stop rule.  Every type's status equals a cold solve of the same program;
-    every logged point satisfies the program's rows, and every integral one
-    is a coset-product member carrying the logged type."""
+    ties in the order of the oracle's compositions, and md_via_lp's log is
+    its prefix up to the stop rule.  Every type's status equals a cold solve
+    of the same program; every logged point satisfies the program's rows,
+    and every integral one is a coset-product member carrying the logged
+    type."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
     seen = {"optimal": 0, "infeasible": 0, "integral": 0, "fractional": 0, "empty": 0}
     for mats, syns in _warm_start_instances():
@@ -243,9 +245,9 @@ def test_md_via_lp_warm_start_matches_cold_solver():
         full = _full_sweep(mats, syns, mu)
         res = md_via_lp(mats, syns, mu)
         _assert_prefix(res.type_log, full)
-        sweep = compositions(n, 1 << k)
+        sweep = list(oracles.compositions(n, 1 << k))
         divs = types.type_divergences(n, mu.table).tolist()
-        assert sorted(e["type"] for e in full) == list(sweep)
+        assert sorted(e["type"] for e in full) == sweep
         assert [(e["divergence"], sweep.index(e["type"])) for e in full] == sorted(
             (divs[i], i) for i in range(len(sweep)))
         for entry in full:
@@ -512,11 +514,13 @@ def test_md_via_lp_cap_counts_members_built():
 def test_first_member_with_type_three_sources(monkeypatch, chunk):
     """With three binary sources at n = 4, whose 8-cell type keys fall into
     several lookup groups, the first candidate of the coset product with a
-    wanted joint type is the one a brute-force search finds first, also in
-    pieces of 7 candidates; a type no candidate has finds nothing."""
+    wanted joint type, named by its row in the type-class table, is the one
+    a brute-force search finds first, also in pieces of 7 candidates; a type
+    no candidate has finds nothing."""
     monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
     rng = np.random.default_rng(21)
     n, shape = 4, (2, 2, 2)
+    row_of = {t: row for row, t in enumerate(oracles.compositions(n, 8))}
 
     def flat_type(cand):
         return tuple(np.asarray(joint_type(cand, shape).counts).reshape(-1).tolist())
@@ -531,10 +535,12 @@ def test_first_member_with_type_three_sources(monkeypatch, chunk):
         wanted = {flat_type(candidates[i]) for i in rng.integers(0, len(candidates), size=2)}
         mats = [FieldMatrix.from_dense(2, d) for d in dense]
         expected = next(c for c in candidates if flat_type(c) in wanted)
-        assert _CosetTypes(mats, syns, 1 << 20).first_member(wanted) == expected
-        absent = next(t for t in itertools.product(range(n + 1), repeat=8)
-                      if sum(t) == n and t not in seen)
-        assert _CosetTypes(mats, syns, 1 << 20).first_member({absent}) is None
+        coset = _CosetTypes(mats, syns, 1 << 20)
+        assert coset.first_member({row_of[t] for t in wanted}) == expected
+        assert all(coset.occurs(row_of[t]) for t in wanted)
+        absent = next(t for t in row_of if t not in seen)
+        assert not coset.occurs(row_of[absent])
+        assert coset.first_member({row_of[absent]}) is None
 
 
 def test_polytope_vertex_audit_all_patterns():

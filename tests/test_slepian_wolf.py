@@ -341,9 +341,9 @@ def test_pinned_errors_are_near_the_exact_rational_error():
 
 def test_error_exact_tallies_types_across_lookup_groups():
     """A 3 x 3 law at n = 4 has 5^8 > SCORE_CHUNK type keys, so its cells
-    split into several lookup groups and each winner's type is the tuple of
-    its group keys: every decoder equals the exact oracle, ML at gamma = 0.3
-    with blocks that admit no tuple."""
+    split into several lookup groups and each winner's table row comes from
+    the tuple of its group keys: every decoder equals the exact oracle, ML
+    at gamma = 0.3 with blocks that admit no tuple."""
     law = Distribution(np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24)
     assert len(types.type_key_groups(law.table.size, 4)) > 1
     code = SwCode((FieldMatrix.from_dense(3, [[1, 2, 0, 1], [0, 1, 1, 2], [1, 1, 1, 0]]),

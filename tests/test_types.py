@@ -13,8 +13,6 @@ from hashprop.types import (
     Distribution,
     DistributionError,
     TypicalityParams,
-    compositions,
-    cond_entropy,
     divergence,
     empirical,
     entropy,
@@ -34,6 +32,7 @@ from hashprop.types import (
     type_classes,
     type_divergences,
     type_key_groups,
+    type_rows,
     verify_typicality_bounds,
     zeta_slack,
 )
@@ -74,13 +73,6 @@ def test_entropy_values():
     assert entropy(Distribution([0.5, 0.5])) == pytest.approx(1.0)
     assert entropy(Distribution([1.0, 0.0])) == 0.0
     assert entropy(Distribution([0.25] * 4)) == pytest.approx(2.0)
-
-
-def test_cond_entropy_chain_rule():
-    joint = Distribution([[0.4, 0.1], [0.2, 0.3]])
-    hv = entropy(joint.marginal((1,)))
-    huv = cond_entropy(joint.conditional((0,), (1,)), joint.marginal((1,)))
-    assert hv + huv == pytest.approx(entropy(joint))
 
 
 def test_divergence_conventions():
@@ -143,12 +135,14 @@ def test_type_census_totals():
 def test_type_classes_are_exact_multinomials():
     """The table's class sizes equal the factorial multinomials and sum to
     parts^n: binary at every n <= 60, four cells at every n <= 12 and at
-    n = 30 and 60; its rows are the compositions, read-only int64."""
+    n = 30 and 60; its rows are the oracle's compositions, in order,
+    read-only int64.  One cell and n = 0 give one type each."""
     cases = [(2, n) for n in range(61)] + [(4, n) for n in list(range(13)) + [30, 60]]
+    cases += [(1, n) for n in (0, 1, 7)] + [(parts, 0) for parts in (1, 3, 9)]
     for parts, n in cases:
         counts, sizes = type_classes(n, parts)
         assert counts.dtype == np.int64 and not counts.flags.writeable
-        assert list(map(tuple, counts.tolist())) == list(compositions(n, parts))
+        assert list(map(tuple, counts.tolist())) == list(oracles.compositions(n, parts))
         assert list(sizes) == [oracles.multinomial(t) for t in counts.tolist()], (parts, n)
         assert sum(sizes) == parts ** n
 
@@ -172,6 +166,19 @@ def test_typicality_bounds_at_long_binary_n():
         for lemma in ("prob", "aep"):
             out = verify_typicality_bounds(lemma, mu, gamma=gamma, n=2000)
             assert out["holds"], (lemma, gamma, out)
+
+
+def test_number_bound_decides_in_the_log_domain():
+    """The typical-set size check runs at binary n = 1000 and 2000, where
+    2^(n (h + eta)) overflows a float: it compares log2 of the exact count
+    with n (h +- eta)."""
+    mu = Distribution([0.7, 0.3])
+    for n in (1000, 2000):
+        out = verify_typicality_bounds("number", mu, gamma=0.5, n=n)
+        classes, _, divs = type_census(mu.table, n)
+        count = sum(size for size, d in zip(classes.sizes, divs.tolist()) if d < 0.5)
+        assert out["holds"] and out["lhs"] == math.log2(count), (n, out)
+        assert out["lower"] <= out["lhs"] <= out["rhs"]
 
 
 def test_trans_walks_joint_types_at_n_12():
@@ -269,7 +276,7 @@ def test_type_divergences_equal_divergence_on_every_type():
     for mu in laws:
         for n in range(1, 9):
             got = type_divergences(n, mu.table)
-            ref = [divergence(np.asarray(t) / n, mu) for t in compositions(n, mu.table.size)]
+            ref = [divergence(np.asarray(t) / n, mu) for t in oracles.compositions(n, mu.table.size)]
             assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in ref], (mu, n)
 
 
@@ -322,3 +329,30 @@ def test_product_keys_slices_long_rows(monkeypatch):
                     counts = np.asarray(joint_type(cand, shape).counts).reshape(-1)
                     assert [key[d, i - span.start] for key in keys] == [counts @ w for w in weights]
         assert end == math.prod(widths)
+
+
+@pytest.mark.parametrize("chunk", [types.SCORE_CHUNK, 7])
+def test_type_rows_name_every_table_row(monkeypatch, chunk):
+    """Every row of type_classes(n, ncells), keyed in each lookup group as
+    sum_i count_i (n+1)^i over the group's keyed cells, maps back to that
+    row: one group (4 cells, n = 12), several groups (8 and 9 cells, n = 4),
+    one cell, and n = 0; at a chunk of 7 every case has several groups but
+    one cell.  Keys in any array shape give rows in that shape."""
+    monkeypatch.setattr(types, "SCORE_CHUNK", chunk)
+    for ncells, n in [(4, 12), (8, 4), (9, 4), (1, 5), (3, 0)]:
+        groups = type_key_groups(ncells, n)
+        if chunk == 7:
+            assert (len(groups) > 1) == (ncells > 1 and n > 0), (ncells, n)
+        elif ncells in (8, 9):
+            assert len(groups) > 1
+        counts = type_classes(n, ncells).counts
+        keys = []
+        for cells in groups:
+            keyed = cells[:-1] if len(cells) == ncells else cells
+            keys.append(sum(counts[:, c] * (n + 1) ** i for i, c in enumerate(keyed))
+                        + np.zeros(len(counts), dtype=np.int64))
+        rows = np.arange(len(counts))
+        assert type_rows(keys, n, ncells, groups).tolist() == rows.tolist(), (ncells, n)
+        picks = np.random.default_rng(ncells).integers(0, len(counts), size=(2, 3))
+        got = type_rows([key[picks] for key in keys], n, ncells, groups)
+        assert got.shape == (2, 3) and got.tolist() == picks.tolist()
