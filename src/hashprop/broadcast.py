@@ -34,6 +34,7 @@ from .types import (
 )
 
 DEFAULT_CAP = 1 << 20
+MARGIN_GRID = 32  # bc_feasible_params tries the margins s_max * i / MARGIN_GRID
 
 
 class BcError(ValueError):
@@ -175,7 +176,7 @@ def bc_check_params(p: BcProblem, params: RateParams) -> dict:
             "relaxed": params.relaxed}
 
 
-def bc_feasible_params(p: BcProblem, rates, grid: int = 32) -> RateParams | None:
+def bc_feasible_params(p: BcProblem, rates) -> RateParams | None:
     """Search r_j = H(U_j|Y_j) + s over a margin grid, deriving eps from the
     remaining slack; returns the first tuple passing every inequality."""
     rates = tuple(rates)
@@ -190,8 +191,8 @@ def bc_feasible_params(p: BcProblem, rates, grid: int = 32) -> RateParams | None
     if s_max <= 0:
         return None
     for relaxed in (False, True):
-        for frac in range(1, grid):
-            s = s_max * frac / grid
+        for frac in range(1, MARGIN_GRID):
+            s = s_max * frac / MARGIN_GRID
             total = sum(h_cond) + k * s + sum(rates)
             gap_lower = h_uk - total  # how far the sum sits below H(U_K)
             eps_lo = max(0.0, gap_lower / (k + 1) if relaxed else gap_lower)
@@ -264,9 +265,11 @@ class BcEncodeResult:
 
 def bc_select_batch(code: BcCode, p: BcProblem, messages,
                     cap: int = DEFAULT_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``bc_select`` for D message tuples at once; ``messages[j]`` is a
-    (D, rows of A'_j) array.  Returns ``(u, failure, divergence)``: u is
-    (D, k, n), with -1 on the rows whose coset intersections are not all
+    """The minimum-divergence u_K over the product of coset intersections
+    C_{A_j}(a_j) cap C_{A'_j}(m_j) cap U_j^n, and its divergence, for D
+    message tuples at once; ``messages[j]`` is a (D, rows of A'_j) array.
+    The symbol map plays no part.  Returns ``(u, failure, divergence)``: u
+    is (D, k, n), with -1 on the rows whose coset intersections are not all
     inhabited (failure), where the divergence is inf."""
     p.check_code(code)
     if len(messages) != code.k:
@@ -294,32 +297,22 @@ def bc_select_batch(code: BcCode, p: BcProblem, messages,
     return u, failure, divergence
 
 
-def bc_select(code: BcCode, p: BcProblem, messages,
-              cap: int = DEFAULT_CAP) -> tuple[tuple | None, float]:
-    """Minimum-divergence u_K over the product of coset intersections
-    C_{A_j}(a_j) cap C_{A'_j}(m_j) cap U_j^n, and its divergence; (None, inf)
-    when an intersection is empty. The symbol map plays no part. The
-    one-row case of ``bc_select_batch``."""
-    u, failure, divergence = bc_select_batch(code, p, [[tuple(m)] for m in messages], cap)
-    if failure[0]:
-        return None, math.inf
-    return tuple(map(tuple, u[0].tolist())), float(divergence[0])
-
-
 def bc_encode(code: BcCode, p: BcProblem, messages,
               rng: np.random.Generator | None = None,
               cap: int = DEFAULT_CAP) -> BcEncodeResult:
-    """``bc_select``, then the symbol map applied per position; a stochastic
-    map draws each x_i from f[u_i] by inverse CDF of one ``rng.random(n)``."""
+    """The one-row case of ``bc_select_batch``, then the symbol map applied
+    per position; a stochastic map draws each x_i from f[u_i] by inverse CDF
+    of one ``rng.random(n)``.  An empty intersection gives a failure with
+    no u_K or x and divergence inf."""
     if not p.deterministic and rng is None:
         raise BcError("a stochastic symbol map needs an rng")
-    best, divergence = bc_select(code, p, messages, cap)
-    if best is None:
-        return BcEncodeResult(None, None, True, divergence)
-    u = tuple(np.array(best))
-    x = p.f[u] if p.deterministic else inverse_cdf(p.f[u], rng.random(code.n))
-    return BcEncodeResult(u_K=best, x=tuple(x.tolist()), failure=False,
-                          divergence=divergence)
+    u, failure, divergence = bc_select_batch(code, p, [[tuple(m)] for m in messages], cap)
+    if failure[0]:
+        return BcEncodeResult(None, None, True, math.inf)
+    f_u = p.f[tuple(u[0])]
+    x = f_u if p.deterministic else inverse_cdf(f_u, rng.random(code.n))
+    return BcEncodeResult(u_K=tuple(map(tuple, u[0].tolist())), x=tuple(x.tolist()),
+                          failure=False, divergence=float(divergence[0]))
 
 
 def bc_decode_batch(code: BcCode, p: BcProblem, j: int, ys,
@@ -462,6 +455,8 @@ def kappa_schedule(n_values, beta_sequences, xi: float) -> KappaSchedule:
     if xi <= 0:
         raise BcError("xi must be positive")
     n_values = tuple(int(n) for n in n_values)
+    if any(n <= 0 for n in n_values):
+        raise BcError("block lengths n must be positive")
     seqs = [tuple(float(b) for b in s) for s in beta_sequences]
     if not seqs or any(len(s) != len(n_values) for s in seqs):
         raise BcError("each beta sequence must align with the n range")

@@ -42,7 +42,7 @@ def _frac(f: Fraction) -> dict:
 def _build_ensemble(args) -> tuple[ens_mod.Ensemble, ens_mod.TypeFilter]:
     """The ensemble of --desc, or of the ensemble flags read as a descriptor."""
     if args.desc:
-        obj = formats._load_json(args.desc)
+        obj = formats.load_json(args.desc)
     else:
         flags = {"family": args.family, "q": args.q, "l": args.l, "n": args.n,
                  "tau": args.tau, "w_min": args.w_min}

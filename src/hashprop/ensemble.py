@@ -258,8 +258,9 @@ def collision_prob(e: Ensemble, u: Sequence[int], u2: Sequence[int],
 
 
 def spectrum(e: Ensemble, t, support=None) -> Fraction:
-    """S(p_A, t): expected number of kernel vectors of the given type."""
-    key = tuple(np.asarray(t.counts if hasattr(t, "counts") else t).reshape(-1).tolist())
+    """S(p_A, t): expected number of kernel vectors of the type whose counts
+    t gives, as a nested or flat count array."""
+    key = tuple(np.asarray(t).reshape(-1).tolist())
     return spectrum_table(e, support=support).get(key, Fraction(0))
 
 

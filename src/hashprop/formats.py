@@ -19,6 +19,11 @@ class ParseError(ValueError):
     """Malformed input file; message carries the offending location."""
 
 
+def _is_int(v) -> bool:
+    """A JSON integer (a JSON boolean is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # --- matrix text format -----------------------------------------------------
 # First line "q l n"; each following line "r c v" (0-based row, col, nonzero
 # value); entries sorted by (r, c); unlisted entries are zero.
@@ -90,6 +95,10 @@ def distribution_from_obj(obj) -> Distribution:
         raise ParseError("distribution JSON needs 'sizes' and 'probs' fields")
     sizes = obj["sizes"]
     probs = obj["probs"]
+    if not isinstance(sizes, list) or not all(_is_int(s) and s > 0 for s in sizes):
+        raise ParseError(f"'sizes' must be a list of positive ints, got {sizes!r}")
+    if not isinstance(probs, list) or not all(_is_int(v) or isinstance(v, float) for v in probs):
+        raise ParseError(f"'probs' must be a list of numbers, got {probs!r}")
     if len(probs) != math.prod(sizes):
         raise ParseError(
             f"'probs' has {len(probs)} entries, expected {math.prod(sizes)}"
@@ -101,10 +110,12 @@ def distribution_from_obj(obj) -> Distribution:
 
 
 def load_distribution(path: str) -> Distribution:
-    return distribution_from_obj(_load_json(path))
+    return distribution_from_obj(load_json(path))
 
 
-def _load_json(path: str):
+def load_json(path: str):
+    """The JSON value in the file at ``path``; an unreadable file or invalid
+    JSON raises ParseError."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -177,19 +188,24 @@ def bc_problem_from_obj(obj) -> BcProblem:
 
 
 def bc_code_from_obj(obj, base_dir: str = ".") -> BcCode:
-    if not isinstance(obj, dict) or "receivers" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("receivers"), list):
         raise ParseError("code JSON needs a 'receivers' list")
     pairs = []
     syndromes = []
     for i, rec in enumerate(obj["receivers"]):
-        try:
-            a = load_matrix(os.path.join(base_dir, rec["A"]))
-            ap = load_matrix(os.path.join(base_dir, rec["A_prime"]))
-            syn = tuple(int(v) for v in rec["syndrome"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"receiver {i}: missing field {exc}")
-        pairs.append((a, ap))
-        syndromes.append(syn)
+        if not isinstance(rec, dict):
+            raise ParseError(f"receiver {i}: must be an object, got {rec!r}")
+        for field in ("A", "A_prime", "syndrome"):
+            if field not in rec:
+                raise ParseError(f"receiver {i}: missing field {field!r}")
+        if not isinstance(rec["A"], str) or not isinstance(rec["A_prime"], str):
+            raise ParseError(f"receiver {i}: 'A' and 'A_prime' must be file paths")
+        syn = rec["syndrome"]
+        if not isinstance(syn, list) or not all(map(_is_int, syn)):
+            raise ParseError(f"receiver {i}: 'syndrome' must be a list of ints, got {syn!r}")
+        pairs.append((load_matrix(os.path.join(base_dir, rec["A"])),
+                      load_matrix(os.path.join(base_dir, rec["A_prime"]))))
+        syndromes.append(tuple(syn))
     try:
         return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
     except ValueError as exc:
@@ -197,11 +213,11 @@ def bc_code_from_obj(obj, base_dir: str = ".") -> BcCode:
 
 
 def load_bc_problem(path: str) -> BcProblem:
-    return bc_problem_from_obj(_load_json(path))
+    return bc_problem_from_obj(load_json(path))
 
 
 def load_bc_code(path: str) -> BcCode:
-    return bc_code_from_obj(_load_json(path), base_dir=os.path.dirname(path) or ".")
+    return bc_code_from_obj(load_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def parse_symbols(text: str) -> tuple[int, ...]:

@@ -284,10 +284,10 @@ def position_rows(b, s: int, u) -> list[tuple[dict, str, float]]:
 def build_type_constraints(t, n: int, k: int) -> list[tuple[dict, str, float]]:
     """The per-position pattern system plus the 2^k count equalities.
 
-    t gives the target count of each pattern (a JointType over {0,1}^k or a
-    nested/flat count array in row-major pattern order).
+    t gives the target count of each pattern, as a nested or flat count
+    array in row-major pattern order.
     """
-    counts = np.asarray(t.counts if hasattr(t, "counts") else t, dtype=np.int64).reshape(-1)
+    counts = np.asarray(t, dtype=np.int64).reshape(-1)
     if counts.size != 1 << k:
         raise LpError("type must have one count per binary pattern")
     if counts.sum() != n:

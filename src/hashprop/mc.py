@@ -13,16 +13,16 @@ Z_95 = 1.959963984540054
 TRIAL_BLOCK = 4096
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+    p, z2 = successes / trials, Z_95 * Z_95
+    denom = 1.0 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denom
+    half = (Z_95 / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

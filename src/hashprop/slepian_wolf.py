@@ -20,7 +20,6 @@ from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
 from .types import (
     Distribution,
     TypicalityParams,
-    _law_tables,
     cell_log_masses,
     cell_terms,
     entropy,
@@ -35,6 +34,7 @@ from .types import (
     type_classes,
     type_log_masses,
     type_rows,
+    type_tables,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -257,8 +257,7 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     slots = [np.maximum(slot, 0) for slot in slots]
 
     masses = tuple(code.mu.table.reshape(-1).tolist())
-    scores = _law_tables(cell_terms if decoder == "md" else cell_log_masses, masses, n,
-                         min(total, chunk))
+    scores = type_tables(cell_terms if decoder == "md" else cell_log_masses, masses, n, chunk)
     groups = [cells for cells, _ in scores]
     slot_cols = [col[0][:, slots[-1].reshape(-1)]
                  for col in key_columns(seqs[-1][None], shape, groups)]

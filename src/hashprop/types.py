@@ -1,6 +1,7 @@
 """Method-of-types toolkit: empirical distributions, the table of type
-classes, entropies, divergences, typical-set predicates, and the slack
-functions used by the finite-length bound checks.
+classes, the joint-type key scorer with its one table builder
+(``type_tables``), entropies, divergences, typical-set predicates, and the
+slack functions used by the finite-length bound checks.
 
 All information quantities are in bits (base-2 logarithms) and follow the
 conventions 0*log(0) = 0 and p > 0 with reference mass 0 giving +inf.
@@ -67,14 +68,14 @@ class Distribution:
         out = np.empty_like(flat)
         for j in range(flat.shape[1]):
             out[:, j] = flat[:, j] / col[j] if col[j] > 0 else 1.0 / flat.shape[0]
-        return CondDistribution(out.reshape(tshape + (flat.shape[1],)), given_shape=gshape)
+        return CondDistribution(out.reshape(tshape + (flat.shape[1],)))
 
 
 class CondDistribution:
     """Conditional mass table; the LAST axis indexes the conditioning symbol
     and every slice [..., v] sums to 1."""
 
-    def __init__(self, table, given_shape: tuple[int, ...] | None = None) -> None:
+    def __init__(self, table) -> None:
         arr = np.asarray(table, dtype=np.float64)
         if (arr < 0).any():
             raise DistributionError("negative conditional mass")
@@ -83,7 +84,6 @@ class CondDistribution:
             raise DistributionError("conditional slices must each sum to 1")
         self.table = arr
         self.table.setflags(write=False)
-        self.given_shape = given_shape if given_shape is not None else (arr.shape[-1],)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,9 +91,6 @@ class CondDistribution:
 
     def __getitem__(self, idx):
         return self.table[idx]
-
-    def slice(self, v: int) -> np.ndarray:
-        return self.table[..., v]
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,8 @@ def type_classes(n: int, parts: int) -> TypeClasses:
 # SCORE_CHUNK candidates are keyed at a time.  The cells of a joint type
 # fall into lookup groups (``type_key_groups``).  In each group, one float32
 # matmul of 0/1 indicators gives every candidate's key, and the key indexes
-# a table of the group's summed per-cell terms (``type_tables``).  Each
+# a table of the group's summed per-cell terms (``type_tables``, cached per
+# law, n and chunk, and read by the decoders and ``sw_error_exact``).  Each
 # table entry adds its cells' terms in flat cell order from 0.0, and the
 # groups follow that order, so a score is added as a per-cell loop adds it.
 # The divergence tables hold the Python floats that ``divergence`` computes,
@@ -267,25 +265,6 @@ def type_rows(keys: Sequence[np.ndarray], n: int, ncells: int, groups) -> np.nda
     return np.array(rows, dtype=np.intp).reshape(np.shape(keys[0]))
 
 
-def type_tables(terms: Sequence[np.ndarray], n: int, groups) -> list[tuple[tuple, np.ndarray]]:
-    """Per lookup group, ``(cells, table)``: the table maps the key of every
-    count vector a length-n joint type can give to the sum of
-    terms[c][count_c] over the group's cells c, added in cell order from
-    0.0.  ``terms`` holds one array of n + 1 terms per cell."""
-    out = []
-    for cells in groups:
-        keyed = len(cells) - (len(cells) == len(terms))
-        counts = type_classes(n, keyed + 1).counts
-        sums = np.zeros(len(counts))
-        for cell, count in zip(cells, counts.T):
-            sums += terms[cell][count]
-        table = np.zeros((n + 1) ** keyed)
-        table[counts[:, :keyed] @ (n + 1) ** np.arange(keyed)] = sums
-        table.setflags(write=False)
-        out.append((cells, table))
-    return out
-
-
 def lead_rows(heads: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> np.ndarray:
     """(D, R, n x leading cells) float32: row r of batch row d is the 0/1
     indicator, per position and flat cell of the leading axes, of the
@@ -339,18 +318,6 @@ def product_keys(factors: Sequence[np.ndarray], shape: Sequence[int], groups):
             s1 = min(s0 + last_step, last)
             yield (slice(a0 * last + s0, (a1 - 1) * last + s1),
                    [(lead @ col[:, :, s0:s1]).astype(np.intp).reshape(rows, -1) for col in cols])
-
-
-def product_terms(factors: Sequence[np.ndarray], shape: Sequence[int], tables):
-    """``product_keys`` pieces ``(span, values)`` whose (D, span length)
-    values sum one lookup per ``(cells, table)`` of ``tables`` (see
-    ``type_tables``)."""
-    for span, keys in product_keys(factors, shape, [cells for cells, _ in tables]):
-        parts = (table.take(key) for key, (_, table) in zip(keys, tables))
-        out = next(parts)
-        for part in parts:
-            out += part
-        yield span, out
 
 
 def product_valid(kept: Sequence[np.ndarray]) -> np.ndarray:
@@ -407,19 +374,40 @@ def cell_log_masses(mass: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _law_tables(terms, masses: tuple, n: int, limit: int) -> list:
-    """``type_tables`` of ``terms(mass, n)`` per cell of a flat law."""
-    return type_tables([terms(mass, n) for mass in masses], n,
-                       type_key_groups(len(masses), n, limit))
+def type_tables(terms, masses: tuple, n: int, chunk: int) -> tuple[tuple[tuple, np.ndarray], ...]:
+    """Per lookup group of ``type_key_groups(len(masses), n, chunk)``,
+    ``(cells, table)``: the table maps the key of every count vector a
+    length-n joint type can give to the sum of ``terms(masses[c], n)`` at
+    count_c over the group's cells c, added in cell order from 0.0.
+    ``terms`` is ``cell_terms`` or ``cell_log_masses`` and ``masses`` the
+    flat law.  Every scorer passes SCORE_CHUNK, so the decoders and
+    ``sw_error_exact`` share one cached table per law and n; the chunk is
+    part of the cache key, as it decides the groups."""
+    out = []
+    for cells in type_key_groups(len(masses), n, chunk):
+        keyed = len(cells) - (len(cells) == len(masses))
+        counts = type_classes(n, keyed + 1).counts
+        sums = np.zeros(len(counts))
+        for cell, count in zip(cells, counts.T):
+            sums += terms(masses[cell], n)[count]
+        table = np.zeros((n + 1) ** keyed)
+        table[counts[:, :keyed] @ (n + 1) ** np.arange(keyed)] = sums
+        table.setflags(write=False)
+        out.append((cells, table))
+    return tuple(out)
 
 
 def _product_array(factors, terms, table: np.ndarray) -> np.ndarray:
     """(D, M) sums of the per-cell ``terms`` of every candidate's joint type
-    under the cell masses ``table``."""
-    tables = _law_tables(terms, tuple(table.reshape(-1).tolist()), factors[0].shape[2],
+    under the cell masses ``table``: per ``product_keys`` piece, one lookup
+    per group of ``type_tables``, added in group order."""
+    tables = type_tables(terms, tuple(table.reshape(-1).tolist()), factors[0].shape[2],
                          SCORE_CHUNK)
     out = np.empty((max(len(f) for f in factors), math.prod(f.shape[1] for f in factors)))
-    for span, values in product_terms(factors, table.shape, tables):
+    for span, keys in product_keys(factors, table.shape, [cells for cells, _ in tables]):
+        values = tables[0][1].take(keys[0])
+        for key, (_, group_table) in zip(keys[1:], tables[1:]):
+            values += group_table.take(key)
         out[:, span] = values
     return out
 

@@ -227,7 +227,7 @@ def _split_problem() -> BcProblem:
     for x in range(4):
         table[x >> 1, x & 1, x] = 1.0
     return BcProblem(
-        channel=CondDistribution(table, given_shape=(4,)),
+        channel=CondDistribution(table),
         mu_u=Distribution(np.full((2, 2), 0.25)),
         f=np.array([[0, 1], [2, 3]], dtype=np.int64),
     )
@@ -246,7 +246,7 @@ def _random_bc_instance(rng):
     mu_u = rng.random((2, 2)) + 0.05
     mu_u /= mu_u.sum()
     f = rng.integers(0, x_size, size=(2, 2))
-    p = BcProblem(channel=CondDistribution(channel, given_shape=(x_size,)),
+    p = BcProblem(channel=CondDistribution(channel),
                   mu_u=Distribution(mu_u), f=f)
     pairs = []
     syndromes = []
@@ -370,7 +370,7 @@ def test_criterion_11():
         table[x >> 1, x & 1, x] = 1.0
     table = 0.9 * table + 0.1 / 4
     table /= table.reshape(-1, 4).sum(axis=0)
-    p = BcProblem(channel=CondDistribution(table, given_shape=(4,)),
+    p = BcProblem(channel=CondDistribution(table),
                   mu_u=Distribution(np.full((2, 2), 0.25)),
                   f=np.array([[0, 1], [2, 3]], dtype=np.int64))
     pair = (FieldMatrix.from_dense(2, [[1, 0]]), FieldMatrix.from_dense(2, [[1, 1]]))

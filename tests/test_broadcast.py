@@ -37,7 +37,7 @@ def split_channel() -> BcProblem:
     table = np.zeros((2, 2, 4))
     for x in range(4):
         table[x >> 1, x & 1, x] = 1.0
-    channel = CondDistribution(table, given_shape=(4,))
+    channel = CondDistribution(table)
     mu_u = Distribution(np.full((2, 2), 0.25))
     f = np.array([[0, 1], [2, 3]], dtype=np.int64)
     return BcProblem(channel=channel, mu_u=mu_u, f=f)
@@ -197,6 +197,13 @@ def test_kappa_schedule_inverse_sqrt_rule():
         kappa_schedule(ns, [(0.5, 0.5)], xi=0.5)
 
 
+def test_kappa_schedule_refuses_nonpositive_n():
+    """A block length n <= 0 is refused, as xi <= 0 is."""
+    for ns in ((0, 4, 8), (-4, 4, 8)):
+        with pytest.raises(BcError, match="block lengths"):
+            kappa_schedule(ns, [(1.0, 0.9, 0.9)], xi=0.5)
+
+
 def test_rows_for_rate_half_up():
     assert rows_for_rate(0.75, 4, 2) == 3
     assert rows_for_rate(0.75, 6, 2) == 5  # 4.5 rounds half up
@@ -243,7 +250,7 @@ def _dyadic_problem(rng) -> BcProblem:
         channel[..., x] = counts.reshape(2, 2) / 8
     prior = rng.multinomial(16, rng.dirichlet(np.full(4, 0.7))).reshape(2, 2) / 16
     f = rng.integers(0, x_size, size=(2, 2))
-    return BcProblem(channel=CondDistribution(channel, given_shape=(x_size,)),
+    return BcProblem(channel=CondDistribution(channel),
                      mu_u=Distribution(prior), f=f)
 
 
@@ -301,7 +308,7 @@ def test_decode_ml_matches_exact_oracle():
     ties = 0
     for _ in range(40):
         channel = rng.dirichlet(np.full(4, 0.8), size=4).T.reshape(2, 2, 4)
-        p = BcProblem(channel=CondDistribution(channel, given_shape=(4,)),
+        p = BcProblem(channel=CondDistribution(channel),
                       mu_u=Distribution(rng.dirichlet(np.ones(4)).reshape(2, 2)),
                       f=np.array([[0, 1], [2, 3]], dtype=np.int64))
         n = int(rng.integers(4, 9))
@@ -424,10 +431,10 @@ def _pinned_bc_cases():
     sparse[0, 0] += 0.05
     sparse /= sparse.reshape(-1, 3).sum(axis=0)
     problems = [
-        BcProblem(channel=CondDistribution(noisy, given_shape=(4,)),
+        BcProblem(channel=CondDistribution(noisy),
                   mu_u=Distribution(np.full((2, 2), 0.25)),
                   f=np.array([[0, 1], [2, 3]], dtype=np.int64)),
-        BcProblem(channel=CondDistribution(sparse, given_shape=(3,)),
+        BcProblem(channel=CondDistribution(sparse),
                   mu_u=Distribution([[0.4, 0.0], [0.25, 0.35]]),
                   f=np.array([[0, 1], [2, 0]], dtype=np.int64)),
     ]
@@ -532,7 +539,7 @@ def test_code_must_match_problem_receivers():
 def noisy_split_channel() -> BcProblem:
     """The split channel, each output pair replaced by a uniform one w.p. 0.1."""
     table = 0.9 * split_channel().channel.table + 0.1 / 4
-    return BcProblem(channel=CondDistribution(table, given_shape=(4,)),
+    return BcProblem(channel=CondDistribution(table),
                      mu_u=Distribution(np.full((2, 2), 0.25)),
                      f=np.array([[0, 1], [2, 3]], dtype=np.int64))
 
@@ -587,7 +594,7 @@ def test_exact_label_limit_is_a_bc_error():
     """numpy's einsum has 52 labels, one per (receiver, position)."""
     table = np.zeros((2, 2, 2, 2))
     table[0, 0, 0, :] = 1.0
-    p = BcProblem(channel=CondDistribution(table, given_shape=(2,)),
+    p = BcProblem(channel=CondDistribution(table),
                   mu_u=Distribution(np.full((2, 2, 2), 0.125)), f=np.zeros((2, 2, 2), dtype=np.int64))
     pair = (FieldMatrix.from_dense(2, [[1] * 18]), FieldMatrix.from_dense(2, [[1] + [0] * 17]))
     code = BcCode(pairs=(pair,) * 3, syndromes=((0,),) * 3)  # 3 tables of 2^18 fit the cap
@@ -604,7 +611,7 @@ def _random_k_instance(rng, k: int):
     channel /= channel.reshape(-1, x_size).sum(axis=0)
     mu_u = rng.random((2,) * k) * (rng.random((2,) * k) < 0.8)
     mu_u[(1,) * k] += 0.1
-    p = BcProblem(channel=CondDistribution(channel, given_shape=(x_size,)),
+    p = BcProblem(channel=CondDistribution(channel),
                   mu_u=Distribution(mu_u / mu_u.sum()), f=rng.integers(0, x_size, size=(2,) * k))
     q = int(rng.integers(2, 4))
     n = int(rng.integers(3, 6)) if k == 1 else int(rng.integers(2, 4))

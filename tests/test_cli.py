@@ -298,6 +298,28 @@ def _write_bc_fixture(tmp_path):
     return str(prob), str(codef)
 
 
+@pytest.mark.parametrize("flag, obj", [
+    ("--dist", {"sizes": ["2", "2"], "probs": [0.25] * 4}),
+    ("--dist", {"sizes": [2], "probs": 0.5}),
+    ("--code", {"receivers": 3}),
+    ("--code", {"receivers": [{"A": "a.txt", "A_prime": "ap.txt", "syndrome": ["x"]}]}),
+], ids=["sizes-strings", "probs-number", "receivers-int", "syndrome-strings"])
+def test_malformed_json_field_exit_2(tmp_path, capsys, flag, obj):
+    """A JSON input whose field has the wrong kind of value is an input
+    error: exit 2 with a message, no traceback."""
+    prob, codef = _write_bc_fixture(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    if flag == "--dist":
+        ma = write_matrix(tmp_path, "m.txt", [[1, 1]])
+        argv = ("sw-sim", "--dist", str(bad), "--matrix", f"x={ma}", "--matrix", f"y={ma}")
+    else:
+        argv = ("bc-sim", "--problem", prob, "--code", str(bad))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bc_sim_exact_zero_error(tmp_path, capsys):
     prob, codef = _write_bc_fixture(tmp_path)
     code, out, _ = run_cli(capsys, "bc-sim", "--problem", prob, "--code", codef)

@@ -69,6 +69,23 @@ def test_distribution_json_errors():
         distribution_from_obj({"sizes": [2], "probs": [0.5, 0.6]})
 
 
+
+@pytest.mark.parametrize("obj, field", [
+    ({"sizes": ["2", "2"], "probs": [0.25] * 4}, "sizes"),
+    ({"sizes": 2, "probs": [0.5, 0.5]}, "sizes"),
+    ({"sizes": [2.0], "probs": [0.5, 0.5]}, "sizes"),
+    ({"sizes": [True, 2], "probs": [0.5, 0.5]}, "sizes"),
+    ({"sizes": [0], "probs": []}, "sizes"),
+    ({"sizes": [2], "probs": 0.5}, "probs"),
+    ({"sizes": [2], "probs": [None, 1.0]}, "probs"),
+], ids=["sizes-strings", "sizes-int", "sizes-float", "sizes-bool", "sizes-zero",
+        "probs-number", "probs-null"])
+def test_distribution_json_malformed_field_names_it(obj, field):
+    """sizes must be a list of positive ints and probs a list of numbers."""
+    with pytest.raises(ParseError, match=f"'{field}' must be a list"):
+        distribution_from_obj(obj)
+
+
 def test_ensemble_descriptor():
     ens, filt = ensemble_from_obj({"family": "sparse", "q": 2, "l": 3, "n": 4, "tau": 2})
     assert ens.family == "sparse" and ens.tau == 2
@@ -131,6 +148,30 @@ def test_bc_code_round_trip(tmp_path):
         bc_code_from_obj({})
     with pytest.raises(ParseError):
         bc_code_from_obj({"receivers": [{"A": "a.txt"}]}, base_dir=str(tmp_path))
+
+
+
+def _receiver(**fields):
+    return {"A": "a.txt", "A_prime": "ap.txt", "syndrome": [0], **fields}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"receivers": 3}, "'receivers' list"),
+    ({"receivers": [3]}, "receiver 0: must be an object"),
+    ({"receivers": [_receiver(syndrome=["x"])]}, "receiver 0: 'syndrome' must be a list of ints"),
+    ({"receivers": [_receiver(syndrome=5)]}, "receiver 0: 'syndrome' must be a list of ints"),
+    ({"receivers": [_receiver(), _receiver(syndrome=[1.0])]},
+     "receiver 1: 'syndrome' must be a list of ints"),
+    ({"receivers": [_receiver(syndrome=[True])]}, "receiver 0: 'syndrome' must be a list of ints"),
+    ({"receivers": [_receiver(A=5)]}, "receiver 0: 'A' and 'A_prime' must be file paths"),
+    ({"receivers": [{"A": "a.txt", "syndrome": [0]}]}, "receiver 0: missing field 'A_prime'"),
+], ids=["receivers-int", "receiver-int", "syndrome-strings", "syndrome-int", "syndrome-float",
+        "syndrome-bool", "A-int", "A_prime-missing"])
+def test_bc_code_json_malformed_field_names_it(tmp_path, obj, message):
+    (tmp_path / "a.txt").write_text(emit_matrix(FieldMatrix.from_dense(2, [[1, 0]])))
+    (tmp_path / "ap.txt").write_text(emit_matrix(FieldMatrix.from_dense(2, [[1, 1]])))
+    with pytest.raises(ParseError, match=message):
+        bc_code_from_obj(obj, base_dir=str(tmp_path))
 
 
 def test_parse_symbols():

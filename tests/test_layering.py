@@ -1,5 +1,7 @@
-"""The lookup-key format of a joint type is decided in hashprop.types alone:
-every other module names a type by its row in the type-class table."""
+"""Module boundaries of hashprop, checked by ``ast``: the lookup-key format
+of a joint type is decided in hashprop.types alone (every other module names
+a type by its row in the type-class table), and no module reaches into
+another hashprop module's ``_``-prefixed names."""
 
 import ast
 from pathlib import Path
@@ -20,7 +22,48 @@ def _names(path: Path) -> set[str]:
     return names
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    """The ``_``-prefixed names of other hashprop modules that a module
+    imports (``from .m import _x``) or reads off an imported hashprop
+    module (``m._x`` after ``from . import m``)."""
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hashprop"
+                                                 or (node.module or "").startswith("hashprop.")):
+            if node.module in (None, "hashprop"):
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                uses += [f"{node.module}.{alias.name}" for alias in node.names
+                         if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name.startswith("hashprop.") and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
 def test_only_types_reads_key_weights():
     modules = sorted(SRC.glob("*.py"))
     assert SRC / "types.py" in modules
     assert [p.name for p in modules if p.name != "types.py" and "key_weights" in _names(p)] == []
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {p.name: _private_uses(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_private_use_check_sees_both_forms():
+    """The guard flags a private import and a private attribute of an
+    imported module, and passes public names and dunders."""
+    tree = ast.parse("from .types import _tables, type_rows\n"
+                     "from . import formats, lp_md as lp\n"
+                     "formats._load(p); lp._key; formats.load_json(p); formats.__name__\n")
+    assert sorted(_private_uses(tree)) == ["formats._load", "lp._key", "types._tables"]

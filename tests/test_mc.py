@@ -150,7 +150,7 @@ def _noisy_split_problem(stochastic: bool) -> BcProblem:
             f[u, v, (2 * u + v + 1) % 4] = 0.3
     else:
         f = np.array([[0, 1], [2, 3]], dtype=np.int64)
-    return BcProblem(channel=CondDistribution(table, given_shape=(4,)),
+    return BcProblem(channel=CondDistribution(table),
                      mu_u=Distribution([[0.3, 0.2], [0.2, 0.3]]), f=f)
 
 

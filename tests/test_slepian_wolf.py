@@ -356,6 +356,28 @@ def test_error_exact_tallies_types_across_lookup_groups():
     assert failures > 0
 
 
+
+@pytest.mark.parametrize("code", [
+    _dsbs_code(),
+    # 3^4 = 81 source tuples, fewer than the 3^8 keys of the decoders' one group
+    SwCode((FieldMatrix.from_dense(3, [[1, 2]]), FieldMatrix.from_dense(3, [[1, 1]])),
+           Distribution(np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24)),
+    # 4 x 4 at n = 4: several lookup groups
+    SwCode((FieldMatrix.from_dense(5, [[1, 2, 0, 1]]), FieldMatrix.from_dense(5, [[1, 0, 2, 3]])),
+           Distribution(np.arange(1, 17).reshape(4, 4) / 136)),
+], ids=["dsbs_n4", "3x3_n2", "4x4_n4"])
+def test_error_exact_reads_the_decoders_type_tables(code):
+    """sw_error_exact scores on the cached type tables that the decoders
+    built for the same law and n: after product_divergences, it adds a
+    cache hit and no miss, whatever the tuple count."""
+    n, mu = code.n, code.mu
+    types.product_divergences([np.zeros((1, 1, n), dtype=np.int64)] * len(mu.shape), mu.table)
+    before = types.type_tables.cache_info()
+    sw_error_exact(code, "md")
+    after = types.type_tables.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_error_exact_n12_memory():
     """Exact n = 12 (2^24 tuples) keeps its pinned value in a few chunks'
     memory: its peak traced allocation stays under 32 MB (a whole-table
