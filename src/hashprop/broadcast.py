@@ -339,7 +339,7 @@ def bc_decode_batch(code: BcCode, p: BcProblem, j: int, ys,
         candidates = [members, ys[sl, None, :]]
         winners[sl] = first_best(product_divergences(candidates, cond) if variant == "md"
                                  else -product_log_masses(candidates, cond))
-    return members[0, winners] @ ap_m.to_dense().T % ap_m.q
+    return members[0, winners] @ ap_m.dense.T % ap_m.q
 
 
 def bc_decode(code: BcCode, p: BcProblem, j: int, y,

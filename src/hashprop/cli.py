@@ -60,7 +60,7 @@ def cmd_gen_matrix(args) -> None:
             fh.write(text)
         _emit({"command": "gen-matrix", "out": args.out, "q": args.q,
                "rows": args.rows, "cols": args.cols, "tau": args.tau,
-               "seed": args.seed, "nonzeros": len(m.entries)})
+               "seed": args.seed, "nonzeros": int(np.count_nonzero(m.dense))})
     else:
         sys.stdout.write(text)
 

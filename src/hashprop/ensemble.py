@@ -144,7 +144,7 @@ class Ensemble:
             out = []
             for values in itertools.product(range(self.q), repeat=self.l * self.n):
                 dense = np.array(values, dtype=np.int64).reshape(self.l, self.n)
-                out.append((FieldMatrix.from_dense(self.q, dense), prob))
+                out.append((FieldMatrix(self.q, dense), prob))
             return out
         if self.family == "sparse":
             options = [(j, a) for j in range(self.l) for a in range(1, self.q)]
@@ -155,7 +155,7 @@ class Ensemble:
                 dense = np.zeros((self.l, self.n), dtype=np.int64)
                 for idx, (j, a) in enumerate(seq):
                     dense[j, idx // self.tau] = (dense[j, idx // self.tau] + a) % self.q
-                m = FieldMatrix.from_dense(self.q, dense)
+                m = FieldMatrix(self.q, dense)
                 merged[m] = merged.get(m, Fraction(0)) + prob
             return sorted(merged.items(), key=lambda kv: kv[0].entries)
         if self.family == "binning":
@@ -176,7 +176,7 @@ class Ensemble:
         the sparse family so generation is reproducible from the seed."""
         if self.family == "uniform":
             dense = rng.integers(0, self.q, size=(self.l, self.n))
-            return FieldMatrix.from_dense(self.q, dense)
+            return FieldMatrix(self.q, dense)
         if self.family == "sparse":
             dense = np.zeros((self.l, self.n), dtype=np.int64)
             for i in range(self.n):
@@ -184,7 +184,7 @@ class Ensemble:
                     j = int(rng.integers(0, self.l))
                     a = int(rng.integers(1, self.q))
                     dense[j, i] = (dense[j, i] + a) % self.q
-            return FieldMatrix.from_dense(self.q, dense)
+            return FieldMatrix(self.q, dense)
         raise EnsembleError(f"sampling is not defined for family {self.family!r}")
 
 
@@ -209,7 +209,7 @@ def _hash_values(e: Ensemble, functions: Sequence, points: np.ndarray) -> np.nda
         a, b = e.parts
         return (_hash_values(a, [f[0] for f in functions], points) * b.image_size
                 + _hash_values(b, [f[1] for f in functions], points))
-    dense = np.array([f.to_dense() for f in functions], dtype=np.int64).reshape(-1, e.l, e.n)
+    dense = np.array([f.dense for f in functions], dtype=np.int64).reshape(-1, e.l, e.n)
     return e.q ** np.arange(e.l - 1, -1, -1) @ (dense @ points.T % e.q)
 
 

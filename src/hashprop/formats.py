@@ -11,7 +11,7 @@ import numpy as np
 
 from .broadcast import BcCode, BcProblem
 from .ensemble import Ensemble, TypeFilter
-from .gf import FieldMatrix
+from .gf import FieldError, FieldMatrix, check_prime
 from .types import CondDistribution, Distribution
 
 
@@ -24,9 +24,33 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_positive_int(v) -> bool:
+    return _is_int(v) and v > 0
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number (``json`` also reads the literals NaN and Infinity)."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _list_field(obj: dict, name: str, what: str, ok, length: int | None = None) -> list:
+    """``obj[name]`` if it is a list of ``what``, each entry passing ``ok``,
+    with ``length`` entries when that is given; else a ParseError naming it."""
+    value = obj.get(name)
+    if not isinstance(value, list) or not all(map(ok, value)):
+        raise ParseError(f"{name!r} must be a list of {what}, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ParseError(f"{name!r} has {len(value)} entries, expected {length}")
+    return value
+
+
 # --- matrix text format -----------------------------------------------------
 # First line "q l n"; each following line "r c v" (0-based row, col, nonzero
 # value); entries sorted by (r, c); unlisted entries are zero.
+
+# A matrix is held as its dense l x n array, so the header alone sizes the
+# allocation; this is far past the n <= 24 the workbench targets.
+MAX_MATRIX_ENTRIES = 1 << 24
 
 
 def parse_matrix(text: str) -> FieldMatrix:
@@ -42,7 +66,15 @@ def parse_matrix(text: str) -> FieldMatrix:
         q, l, n = (int(p) for p in parts)
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer header field in {header!r}")
-    entries = []
+    try:
+        check_prime(q)
+    except FieldError as exc:
+        raise ParseError(f"line {lineno}: {exc}")
+    if l < 0 or n < 0:
+        raise ParseError(f"line {lineno}: negative matrix dimensions in {header!r}")
+    if l * n > MAX_MATRIX_ENTRIES:
+        raise ParseError(f"line {lineno}: {l}x{n} matrix exceeds {MAX_MATRIX_ENTRIES} entries")
+    dense = np.zeros((l, n), dtype=np.int64)
     prev = None
     for lineno, ln in rows[1:]:
         parts = ln.split()
@@ -61,11 +93,8 @@ def parse_matrix(text: str) -> FieldMatrix:
                 raise ParseError(f"line {lineno}: duplicate entry at ({r},{c})")
             raise ParseError(f"line {lineno}: entries must be sorted by (r, c)")
         prev = (r, c)
-        entries.append((r, c, v))
-    try:
-        return FieldMatrix(q=q, rows=l, cols=n, entries=tuple(entries))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+        dense[r, c] = v
+    return FieldMatrix(q, dense)
 
 
 def emit_matrix(m: FieldMatrix) -> str:
@@ -93,16 +122,8 @@ def load_matrix(path: str) -> FieldMatrix:
 def distribution_from_obj(obj) -> Distribution:
     if not isinstance(obj, dict) or "sizes" not in obj or "probs" not in obj:
         raise ParseError("distribution JSON needs 'sizes' and 'probs' fields")
-    sizes = obj["sizes"]
-    probs = obj["probs"]
-    if not isinstance(sizes, list) or not all(_is_int(s) and s > 0 for s in sizes):
-        raise ParseError(f"'sizes' must be a list of positive ints, got {sizes!r}")
-    if not isinstance(probs, list) or not all(_is_int(v) or isinstance(v, float) for v in probs):
-        raise ParseError(f"'probs' must be a list of numbers, got {probs!r}")
-    if len(probs) != math.prod(sizes):
-        raise ParseError(
-            f"'probs' has {len(probs)} entries, expected {math.prod(sizes)}"
-        )
+    sizes = _list_field(obj, "sizes", "positive ints", _is_positive_int)
+    probs = _list_field(obj, "probs", "finite numbers", _is_number, math.prod(sizes))
     try:
         return Distribution(np.asarray(probs, dtype=np.float64).reshape(sizes))
     except ValueError as exc:
@@ -133,19 +154,23 @@ def ensemble_from_obj(obj) -> tuple[Ensemble, TypeFilter]:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParseError("ensemble descriptor needs a 'family' field")
     family = obj["family"]
+
+    def int_field(name: str) -> int:
+        value = obj.get(name)
+        if not _is_int(value):
+            raise ParseError(f"ensemble descriptor: {name!r} must be an int, got {value!r}")
+        return value
+
+    q, l, n = int_field("q"), int_field("l"), int_field("n")
     try:
-        q, l, n = int(obj["q"]), int(obj["l"]), int(obj["n"])
-        filt = (TypeFilter(int(obj["w_min"])) if obj.get("w_min") is not None
+        filt = (TypeFilter(int_field("w_min")) if obj.get("w_min") is not None
                 else TypeFilter.default(n))
-    except (KeyError, ValueError, TypeError):
-        raise ParseError("ensemble descriptor needs integer q, l, n (and w_min if given)")
-    try:
         if family == "uniform":
             ens = Ensemble.uniform_all(q, l, n)
         elif family == "sparse":
             if obj.get("tau") is None:
                 raise ParseError("sparse ensembles need 'tau'")
-            ens = Ensemble.sparse(q, l, n, int(obj["tau"]))
+            ens = Ensemble.sparse(q, l, n, int_field("tau"))
         else:
             raise ParseError(f"unknown ensemble family {family!r}")
     except (ValueError, TypeError) as exc:
@@ -165,23 +190,27 @@ def bc_problem_from_obj(obj) -> BcProblem:
     if not isinstance(obj, dict):
         raise ParseError("problem JSON must be an object")
     try:
-        y_sizes = [int(s) for s in obj["y_sizes"]]
-        x_size = int(obj["x_size"])
-        channel = np.asarray(obj["channel"], dtype=np.float64).reshape(
-            tuple(y_sizes) + (x_size,)
-        )
-        mu_u = distribution_from_obj(obj["mu_u"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"problem JSON: {exc}")
+        mu_u = distribution_from_obj(obj.get("mu_u"))
+    except ParseError as exc:
+        raise ParseError(f"'mu_u': {exc}")
+    # one output alphabet per receiver, i.e. per auxiliary axis of mu_u
+    y_sizes = _list_field(obj, "y_sizes", "positive ints", _is_positive_int, len(mu_u.shape))
+    x_size = obj.get("x_size")
+    if not _is_positive_int(x_size):
+        raise ParseError(f"'x_size' must be a positive int, got {x_size!r}")
+    channel = _list_field(obj, "channel", "finite numbers", _is_number,
+                          math.prod(y_sizes) * x_size)
     if "f" in obj:
-        f = np.asarray(obj["f"], dtype=np.int64).reshape(mu_u.shape)
+        f = np.array(_list_field(obj, "f", "ints", _is_int, mu_u.table.size),
+                     dtype=np.int64).reshape(mu_u.shape)
     elif "f_stochastic" in obj:
-        f = np.asarray(obj["f_stochastic"], dtype=np.float64).reshape(
-            mu_u.shape + (x_size,)
-        )
+        f = np.array(_list_field(obj, "f_stochastic", "finite numbers", _is_number,
+                                 mu_u.table.size * x_size),
+                     dtype=np.float64).reshape(mu_u.shape + (x_size,))
     else:
         raise ParseError("problem JSON needs 'f' or 'f_stochastic'")
     try:
+        channel = np.array(channel, dtype=np.float64).reshape(tuple(y_sizes) + (x_size,))
         return BcProblem(channel=CondDistribution(channel), mu_u=mu_u, f=f)
     except ValueError as exc:
         raise ParseError(f"problem JSON: {exc}")

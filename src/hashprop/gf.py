@@ -1,8 +1,8 @@
 """Exact arithmetic and linear algebra over prime fields GF(q).
 
-Matrices are stored sparsely as (row, col) -> nonzero value maps but all
-elimination is done densely; the workbench targets n <= 24, q <= 7, where
-dense Gaussian elimination is more than fast enough.
+A matrix is its dense array of residues: the workbench targets n <= 24,
+q <= 7, where an l x n matrix holds a few hundred entries and every
+elimination, coset, syndrome and hash value is computed from that array.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ def is_prime(q: int) -> bool:
     return True
 
 
+MAX_MODULUS = 1 << 16  # residues below it keep every int64 sum of < 2^31 products exact
+
+
 def check_prime(q: int) -> int:
+    if q > MAX_MODULUS:
+        raise FieldError(f"modulus {q} exceeds {MAX_MODULUS}: int64 arithmetic would overflow")
     if not is_prime(q):
         raise FieldError(f"modulus {q} is not prime")
     return q
@@ -41,75 +46,64 @@ def finv(x: int, q: int) -> int:
     return pow(x, q - 2, q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldMatrix:
-    """An l x n matrix over GF(q) with sparse storage of nonzero entries."""
+    """An l x n matrix over GF(q): its residues as one read-only int64 array.
+
+    Matrices are equal, and hash alike, when q, shape and residues agree."""
 
     q: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...] = field(default=())
+    dense: np.ndarray
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_prime(self.q)
-        if self.rows < 0 or self.cols < 0:
-            raise FieldError("negative matrix dimensions")
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise FieldError(f"entry ({r},{c}) out of range")
-            if not (0 < v < self.q):
-                raise FieldError(f"entry value {v} not a nonzero residue mod {self.q}")
-            if (r, c) in seen:
-                raise FieldError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    @classmethod
-    def from_dense(cls, q: int, dense: Sequence[Sequence[int]]) -> "FieldMatrix":
-        arr = np.asarray(dense, dtype=np.int64) % q
+        arr = np.asarray(self.dense, dtype=np.int64) % self.q
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
-            raise FieldError("dense input must be two-dimensional")
-        entries = tuple(
-            (int(r), int(c), int(arr[r, c]))
-            for r in range(arr.shape[0])
-            for c in range(arr.shape[1])
-            if arr[r, c] != 0
-        )
-        return cls(q=q, rows=arr.shape[0], cols=arr.shape[1], entries=entries)
+            raise FieldError("a matrix must be two-dimensional")
+        arr.setflags(write=False)
+        object.__setattr__(self, "dense", arr)
+        object.__setattr__(self, "_key", (self.q, arr.shape, arr.tobytes()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldMatrix) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @property
+    def rows(self) -> int:
+        return self.dense.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.dense.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero entries (row, col, value), in (row, col) order."""
+        r, c = np.nonzero(self.dense)
+        return tuple(zip(r.tolist(), c.tolist(), self.dense[r, c].tolist()))
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
-        return cls(q=q, rows=rows, cols=cols)
+        return cls(q, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, q: int, n: int) -> "FieldMatrix":
-        return cls(q=q, rows=n, cols=n, entries=tuple((i, i, 1) for i in range(n)))
-
-    def to_dense(self) -> np.ndarray:
-        arr = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, c, v in self.entries:
-            arr[r, c] = v
-        return arr
+        return cls(q, np.eye(n, dtype=np.int64))
 
     def matvec(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.cols:
             raise FieldError(f"vector length {len(u)} != {self.cols} columns")
-        out = [0] * self.rows
-        for r, c, v in self.entries:
-            out[r] = (out[r] + v * u[c]) % self.q
-        return tuple(out)
+        return tuple((self.dense @ np.asarray(u, dtype=np.int64) % self.q).tolist())
 
     def stack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.q != self.q or other.cols != self.cols:
             raise FieldError("stacked matrices must share modulus and column count")
-        shifted = tuple((r + self.rows, c, v) for r, c, v in other.entries)
-        return FieldMatrix(
-            q=self.q, rows=self.rows + other.rows, cols=self.cols,
-            entries=self.entries + shifted,
-        )
+        return FieldMatrix(self.q, np.concatenate([self.dense, other.dense]))
 
 
 def rref(dense: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -169,7 +163,7 @@ class _Elimination:
 @lru_cache(maxsize=COSET_CACHE)
 def _eliminate(matrix: FieldMatrix) -> _Elimination:
     q, rows, cols = matrix.q, matrix.rows, matrix.cols
-    aug = np.concatenate([matrix.to_dense(), np.eye(rows, dtype=np.int64)], axis=1)
+    aug = np.concatenate([matrix.dense, np.eye(rows, dtype=np.int64)], axis=1)
     r, all_pivots = rref(aug, q)
     pivots = [p for p in all_pivots if p < cols]
     free = [c for c in range(cols) if c not in pivots]
@@ -211,7 +205,7 @@ def in_image(matrix: FieldMatrix, syndrome: Iterable[int]) -> bool:
 def enumerate_image(matrix: FieldMatrix) -> list[tuple[int, ...]]:
     """All q^rank distinct syndromes Au, sorted lexicographically.  The pivot
     columns of A are a basis of Im A."""
-    basis = matrix.to_dense()[:, _eliminate(matrix).pivots].T
+    basis = matrix.dense[:, _eliminate(matrix).pivots].T
     return sorted(map(tuple, _span(basis, matrix.q, matrix.rows).tolist()))
 
 

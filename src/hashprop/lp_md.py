@@ -309,12 +309,9 @@ def build_parity_constraints(A: FieldMatrix, a,
         raise LpError("syndrome length mismatch")
     if any(int(v) not in (0, 1) for v in a):
         raise LpError("syndrome symbols must be 0 or 1 over GF(2)")
-    support: dict[int, list[int]] = {j: [] for j in range(A.rows)}
-    for r, c, _ in A.entries:
-        support[r].append(c)
     out: list[tuple[dict, str, float]] = []
-    for j in range(A.rows):
-        N = sorted(support[j])
+    for j, row in enumerate(A.dense.tolist()):
+        N = [c for c, v in enumerate(row) if v]
         if len(N) > DEGREE_CAP:
             raise LpError(f"row {j} degree {len(N)} exceeds cap {DEGREE_CAP}")
         target = int(a[j])

@@ -191,10 +191,11 @@ def _coset_slots(matrix: FieldMatrix, size: int, n: int):
     sequences, while ``coset_factor_batch`` builds about q^n members in all
     (9.8M against 1024 for a GF(5) check on a binary source at n = 10)."""
     seqs = np.indices((size,) * n).reshape(n, size ** n).T
-    weights = matrix.q ** np.arange(matrix.rows - 1, -1, -1, dtype=np.int64)
-    idx = (seqs @ matrix.to_dense().T % matrix.q) @ weights
+    # each sequence's rank among the distinct syndromes, in lexicographic order
+    _, idx = distinct_rows(seqs @ matrix.dense.T % matrix.q, [matrix.q] * matrix.rows)
     perm = np.argsort(idx, kind="stable")
-    _, starts, sizes = np.unique(idx[perm], return_index=True, return_counts=True)
+    sizes = np.bincount(idx)
+    starts = np.cumsum(sizes) - sizes
     slots = np.full((len(sizes), sizes.max()), -1)
     slots[np.repeat(np.arange(len(sizes)), sizes),
           np.arange(len(seqs)) - np.repeat(starts, sizes)] = perm
@@ -324,7 +325,7 @@ def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,
     def block_errors(rng, size):
         cells = inverse_cdf(code.mu.table.reshape(-1), rng.random((size, code.n)))
         x = np.stack(np.unravel_index(cells, code.mu.shape), axis=1)
-        syn = np.concatenate([x[:, j] @ m.to_dense().T % m.q
+        syn = np.concatenate([x[:, j] @ m.dense.T % m.q
                               for j, m in enumerate(code.matrices)], axis=1)
         first, inverse = distinct_rows(syn, bases)
         x_hat, _, _ = sw_decode_batch(code, [syn[first, a:b] for a, b in zip(ends, ends[1:])],

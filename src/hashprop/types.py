@@ -31,6 +31,8 @@ class Distribution:
         arr = np.asarray(table, dtype=np.float64)
         if arr.size == 0:
             raise DistributionError("empty probability table")
+        if not np.isfinite(arr).all():
+            raise DistributionError("non-finite probability mass")
         if (arr < 0).any():
             raise DistributionError("negative probability mass")
         if abs(float(arr.sum()) - 1.0) > MASS_TOL:
@@ -77,6 +79,8 @@ class CondDistribution:
 
     def __init__(self, table) -> None:
         arr = np.asarray(table, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise DistributionError("non-finite conditional mass")
         if (arr < 0).any():
             raise DistributionError("negative conditional mass")
         cols = arr.reshape(-1, arr.shape[-1]).sum(axis=0)

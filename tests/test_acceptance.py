@@ -170,8 +170,8 @@ def test_criterion_5():
         la = int(rng.integers(1, n + 1))
         lb = int(rng.integers(1, n + 1))
         mats = (
-            FieldMatrix.from_dense(2, rng.integers(0, 2, size=(la, n))),
-            FieldMatrix.from_dense(2, rng.integers(0, 2, size=(lb, n))),
+            FieldMatrix(2, rng.integers(0, 2, size=(la, n))),
+            FieldMatrix(2, rng.integers(0, 2, size=(lb, n))),
         )
         mu = mu_pool[int(rng.integers(0, len(mu_pool)))]
         code = SwCode(mats, mu)
@@ -184,8 +184,8 @@ def test_criterion_5():
         la = int(rng.integers(1, n + 1))
         lb = int(rng.integers(1, n + 1))
         mats = (
-            FieldMatrix.from_dense(2, rng.integers(0, 2, size=(la, n))),
-            FieldMatrix.from_dense(2, rng.integers(0, 2, size=(lb, n))),
+            FieldMatrix(2, rng.integers(0, 2, size=(la, n))),
+            FieldMatrix(2, rng.integers(0, 2, size=(lb, n))),
         )
         mu = mu_pool[int(rng.integers(0, len(mu_pool)))]
         code = SwCode(mats, mu)
@@ -252,8 +252,8 @@ def _random_bc_instance(rng):
     syndromes = []
     for _ in range(2):
         la = int(rng.integers(0, 2))
-        a = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(la, n)))
-        ap = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(1, n)))
+        a = FieldMatrix(2, rng.integers(0, 2, size=(la, n)))
+        ap = FieldMatrix(2, rng.integers(0, 2, size=(1, n)))
         u = tuple(int(v) for v in rng.integers(0, 2, size=n))
         pairs.append((a, ap))
         syndromes.append(a.matvec(u))
@@ -360,7 +360,7 @@ def test_criterion_10():
 
 def test_criterion_11():
     sw_code = SwCode(
-        (FieldMatrix.from_dense(2, [[1, 1]]), FieldMatrix.from_dense(2, [[1, 0]])),
+        (FieldMatrix(2, [[1, 1]]), FieldMatrix(2, [[1, 0]])),
         DSBS_005,
     )
     sw_exact = sw_error_exact(sw_code)
@@ -373,7 +373,7 @@ def test_criterion_11():
     p = BcProblem(channel=CondDistribution(table),
                   mu_u=Distribution(np.full((2, 2), 0.25)),
                   f=np.array([[0, 1], [2, 3]], dtype=np.int64))
-    pair = (FieldMatrix.from_dense(2, [[1, 0]]), FieldMatrix.from_dense(2, [[1, 1]]))
+    pair = (FieldMatrix(2, [[1, 0]]), FieldMatrix(2, [[1, 1]]))
     bc_code = BcCode(pairs=(pair, pair), syndromes=((0,), (0,)))
     bc_exact = bc_error_exact(bc_code, p)
 

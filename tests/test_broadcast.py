@@ -98,9 +98,9 @@ def test_feasible_params_split_channel():
 
 
 def _split_code(n: int = 2) -> BcCode:
-    a = FieldMatrix.from_dense(2, [[1, 0], [0, 1]][: n - 1])
-    ap = FieldMatrix.from_dense(2, [[1, 1]])
-    pair = (FieldMatrix.from_dense(2, [[1, 0]]), ap)
+    a = FieldMatrix(2, [[1, 0], [0, 1]][: n - 1])
+    ap = FieldMatrix(2, [[1, 1]])
+    pair = (FieldMatrix(2, [[1, 0]]), ap)
     return BcCode(pairs=(pair, pair), syndromes=((0,), (0,)))
 
 
@@ -260,8 +260,8 @@ def _dyadic_code(rng, n: int) -> BcCode:
         a = rng.integers(0, 2, size=(int(rng.integers(0, 3)), n))
         ap = rng.integers(0, 2, size=(1, n))
         u = rng.integers(0, 2, size=n)
-        pairs.append((FieldMatrix.from_dense(2, a) if len(a) else FieldMatrix.zeros(2, 0, n),
-                      FieldMatrix.from_dense(2, ap)))
+        pairs.append((FieldMatrix(2, a) if len(a) else FieldMatrix.zeros(2, 0, n),
+                      FieldMatrix(2, ap)))
         syndromes.append(tuple(int(v) for v in a @ u % 2))
     return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 
@@ -315,8 +315,8 @@ def test_decode_ml_matches_exact_oracle():
         pairs, syndromes = [], []
         for _ in range(2):
             a = rng.integers(0, 2, size=(int(rng.integers(max(0, n - 5), n - 1)), n))
-            pairs.append((FieldMatrix.from_dense(2, a) if len(a) else FieldMatrix.zeros(2, 0, n),
-                          FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))))
+            pairs.append((FieldMatrix(2, a) if len(a) else FieldMatrix.zeros(2, 0, n),
+                          FieldMatrix(2, rng.integers(0, 2, size=(2, n)))))
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
         code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
         for j in range(2):
@@ -333,7 +333,7 @@ def test_decode_ml_matches_exact_oracle():
 def test_cap_counts_members_built():
     """Encoder and decoder check q^(n - rank) against the cap before building."""
     p = split_channel()
-    wide = FieldMatrix.from_dense(2, [[1] * 40])
+    wide = FieldMatrix(2, [[1] * 40])
     code = BcCode(pairs=((wide, wide), (wide, wide)), syndromes=((0,), (0,)))
     with pytest.raises(BcError, match="exceeds cap"):
         bc_decode(code, p, 0, (0,) * 40)
@@ -363,7 +363,7 @@ def test_batch_select_and_decode_match_oracle(monkeypatch, chunk):
             a = rng.integers(0, 2, size=(2, n))
             a[0, 0] = 1
             ap = a[:1] if j == 1 else rng.integers(0, 2, size=(1, n))
-            pairs.append((FieldMatrix.from_dense(2, a), FieldMatrix.from_dense(2, ap)))
+            pairs.append((FieldMatrix(2, a), FieldMatrix(2, ap)))
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
         code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
         tuples = list(itertools.product(code.message_space(0), code.message_space(1)))
@@ -443,8 +443,8 @@ def _pinned_bc_cases():
         pairs, syndromes = [], []
         for _ in range(2):
             a = rng.integers(0, 2, size=(3, 6))
-            pairs.append((FieldMatrix.from_dense(2, a),
-                          FieldMatrix.from_dense(2, rng.integers(0, 2, size=(1, 6)))))
+            pairs.append((FieldMatrix(2, a),
+                          FieldMatrix(2, rng.integers(0, 2, size=(1, 6)))))
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=6) % 2))
         cases.append((p, BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))))
     return cases
@@ -483,8 +483,8 @@ def test_gf3_code_over_binary_auxiliaries_matches_oracle():
         pairs, syndromes = [], []
         for _ in range(2):
             a = rng.integers(0, 3, size=(int(rng.integers(0, 3)), n))
-            pairs.append((FieldMatrix.from_dense(3, a) if len(a) else FieldMatrix.zeros(3, 0, n),
-                          FieldMatrix.from_dense(3, rng.integers(0, 3, size=(1, n)))))
+            pairs.append((FieldMatrix(3, a) if len(a) else FieldMatrix.zeros(3, 0, n),
+                          FieldMatrix(3, rng.integers(0, 3, size=(1, n)))))
             # a binary u, so the shared coset has a member inside the alphabet
             syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 3))
         code = BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
@@ -511,8 +511,8 @@ def test_no_member_inside_alphabet_is_a_bc_error():
     """A shared coset with no member inside U_j^n leaves receiver j nothing
     to decode to, as a SW coset with no member inside the source alphabet."""
     p = split_channel()
-    a = FieldMatrix.from_dense(3, [[1, 0]])  # a = 2 forces u_1 = 2
-    ap = FieldMatrix.from_dense(3, [[0, 1]])
+    a = FieldMatrix(3, [[1, 0]])  # a = 2 forces u_1 = 2
+    ap = FieldMatrix(3, [[0, 1]])
     code = BcCode(pairs=((a, ap), (a, ap)), syndromes=((2,), (2,)))
     assert bc_encode(code, p, ((0,), (0,))).failure
     with pytest.raises(BcError, match="inside U_j"):
@@ -550,8 +550,8 @@ def _noisy_split_code(n: int) -> BcCode:
     pairs, syndromes = [], []
     for _ in range(2):
         a = rng.integers(0, 2, size=(1, n))
-        pairs.append((FieldMatrix.from_dense(2, a),
-                      FieldMatrix.from_dense(2, rng.integers(0, 2, size=(n // 2, n)))))
+        pairs.append((FieldMatrix(2, a),
+                      FieldMatrix(2, rng.integers(0, 2, size=(n // 2, n)))))
         syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
     return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 
@@ -596,7 +596,7 @@ def test_exact_label_limit_is_a_bc_error():
     table[0, 0, 0, :] = 1.0
     p = BcProblem(channel=CondDistribution(table),
                   mu_u=Distribution(np.full((2, 2, 2), 0.125)), f=np.zeros((2, 2, 2), dtype=np.int64))
-    pair = (FieldMatrix.from_dense(2, [[1] * 18]), FieldMatrix.from_dense(2, [[1] + [0] * 17]))
+    pair = (FieldMatrix(2, [[1] * 18]), FieldMatrix(2, [[1] + [0] * 17]))
     code = BcCode(pairs=(pair,) * 3, syndromes=((0,),) * 3)  # 3 tables of 2^18 fit the cap
     with pytest.raises(BcError, match="52"):
         bc_error_exact(code, p)
@@ -618,8 +618,8 @@ def _random_k_instance(rng, k: int):
     pairs, syndromes = [], []
     for _ in range(k):
         a = rng.integers(0, q, size=(int(rng.integers(0, 2)), n))
-        pairs.append((FieldMatrix.from_dense(q, a) if len(a) else FieldMatrix.zeros(q, 0, n),
-                      FieldMatrix.from_dense(q, rng.integers(0, q, size=(int(rng.integers(1, 3)), n)))))
+        pairs.append((FieldMatrix(q, a) if len(a) else FieldMatrix.zeros(q, 0, n),
+                      FieldMatrix(q, rng.integers(0, q, size=(int(rng.integers(1, 3)), n)))))
         syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % q))
     return p, BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 

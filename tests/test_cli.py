@@ -28,7 +28,7 @@ def write_dsbs(tmp_path):
 
 def write_matrix(tmp_path, name, dense, q=2):
     path = tmp_path / name
-    path.write_text(emit_matrix(FieldMatrix.from_dense(q, dense)))
+    path.write_text(emit_matrix(FieldMatrix(q, dense)))
     return str(path)
 
 
@@ -53,6 +53,28 @@ def test_gen_matrix_stdout_and_file(tmp_path, capsys):
     assert parse_matrix(dest.read_text()) == m  # same seed, same draw
     assert json.loads(out)["out"] == str(dest)
     assert "done in" in err  # timing goes to stderr only
+
+
+# gen-matrix stdout and its --out summary, recorded when a matrix was still
+# stored as its sorted nonzero entries
+GEN_MATRIX_GOLDEN = {
+    ("2", "3", "6", "7"): ("2 3 6\n0 3 1\n0 5 1\n1 0 1\n1 2 1\n2 0 1\n2 2 1\n2 3 1\n2 5 1\n", 8),
+    ("3", "2", "4", "5"): ("3 2 4\n0 0 2\n0 1 2\n0 2 1\n0 3 1\n1 0 2\n1 1 1\n1 2 1\n1 3 1\n", 8),
+}
+
+
+@pytest.mark.parametrize("config", list(GEN_MATRIX_GOLDEN), ids=["q2", "q3"])
+def test_gen_matrix_golden(tmp_path, capsys, config):
+    q, rows, cols, seed = config
+    text, nonzeros = GEN_MATRIX_GOLDEN[config]
+    flags = ["--q", q, "--rows", rows, "--cols", cols, "--tau", "2", "--seed", seed]
+    assert run_cli(capsys, "gen-matrix", *flags)[:2] == (0, text)
+    dest = tmp_path / "m.txt"
+    code, out, _ = run_cli(capsys, "gen-matrix", *flags, "--out", str(dest))
+    assert code == 0 and dest.read_text() == text
+    assert json.loads(out) == {"command": "gen-matrix", "out": str(dest), "q": int(q),
+                               "rows": int(rows), "cols": int(cols), "tau": 2,
+                               "seed": int(seed), "nonzeros": nonzeros}
 
 
 def test_gen_matrix_bad_params_exit_3(capsys):
@@ -147,6 +169,16 @@ def test_descriptor_bad_w_min_exit_2(tmp_path, capsys):
     desc.write_text(json.dumps({"family": "uniform", "q": 2, "l": 1, "n": 2, "w_min": "x"}))
     code, out, err = run_cli(capsys, "hash-audit", "--desc", str(desc))
     assert code == 2 and "descriptor" in err and not out
+
+
+@pytest.mark.parametrize("field, value", [("l", 1.9), ("q", "3"), ("l", True)],
+                         ids=["l-float", "q-string", "l-bool"])
+def test_descriptor_non_int_field_exit_2(tmp_path, capsys, field, value):
+    """A descriptor field that is no JSON int is refused, not truncated."""
+    desc = tmp_path / "ens.json"
+    desc.write_text(json.dumps({"family": "uniform", "q": 2, "l": 1, "n": 2, field: value}))
+    code, out, err = run_cli(capsys, "hash-audit", "--desc", str(desc))
+    assert code == 2 and f"'{field}' must be an int" in err and not out
 
 
 @pytest.mark.parametrize("flags", [
@@ -318,6 +350,21 @@ def test_malformed_json_field_exit_2(tmp_path, capsys, flag, obj):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("f", [0, 1, 2]), ("y_sizes", ["2", "2"])],
+                         ids=["f-short", "y_sizes-strings"])
+def test_malformed_problem_field_exit_2(tmp_path, capsys, field, value):
+    """A problem field of the wrong kind or length is an input error that
+    names the field, in either mode."""
+    prob, codef = _write_bc_fixture(tmp_path)
+    obj = json.loads(open(prob).read())
+    obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for mode in (["--mode", "exact"], ["--mode", "mc", "--trials", "10", "--seed", "1"]):
+        code, out, err = run_cli(capsys, "bc-sim", "--problem", str(bad), "--code", codef, *mode)
+        assert code == 2 and f"'{field}'" in err and not out
 
 
 def test_bc_sim_exact_zero_error(tmp_path, capsys):

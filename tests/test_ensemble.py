@@ -200,10 +200,19 @@ def test_sampling_reproducible():
     b = e.sample(np.random.default_rng(5))
     assert a == b
     # over GF(3) each draw takes a row, then a nonzero scale: pinned
-    assert Ensemble.sparse(3, 3, 4, 2).sample(np.random.default_rng(5)).to_dense().tolist() == \
+    assert Ensemble.sparse(3, 3, 4, 2).sample(np.random.default_rng(5)).dense.tolist() == \
         [[2, 0, 1, 1], [0, 0, 0, 1], [2, 0, 1, 0]]
     with pytest.raises(EnsembleError):
         Ensemble.binning(2, 2, 2).sample(np.random.default_rng(0))
+
+
+def test_uniform_sample_golden():
+    """The uniform draw is one rng.integers call; recorded when a matrix
+    was still stored as its sorted nonzero entries."""
+    assert Ensemble.uniform_all(2, 3, 5).sample(np.random.default_rng(11)).dense.tolist() == \
+        [[0, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 1, 1, 0, 1]]
+    assert Ensemble.uniform_all(3, 2, 4).sample(np.random.default_rng(12)).dense.tolist() == \
+        [[1, 0, 2, 2], [0, 0, 0, 0]]
 
 
 def test_sample_matches_support_distribution():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from hashprop.gf import (
+    _eliminate,
     FieldError,
     FieldMatrix,
     coset_array,
@@ -24,7 +25,9 @@ from hashprop.gf import (
 
 def test_matrix_rejects_composite_modulus():
     with pytest.raises(FieldError):
-        FieldMatrix.from_dense(6, [[1]])
+        FieldMatrix(6, [[1]])
+    with pytest.raises(FieldError, match="exceeds"):  # prime, but past int64-exact products
+        FieldMatrix(65537, [[1]])
 
 
 def test_finv_all_units():
@@ -36,40 +39,58 @@ def test_finv_all_units():
 
 
 def test_matrix_round_trip_and_validation():
-    m = FieldMatrix.from_dense(3, [[0, 1, 2], [2, 0, 1]])
+    m = FieldMatrix(3, [[0, 1, 2], [2, 0, 1]])
     assert m.rows == 2 and m.cols == 3
-    assert np.array_equal(m.to_dense(), [[0, 1, 2], [2, 0, 1]])
+    assert np.array_equal(m.dense, [[0, 1, 2], [2, 0, 1]])
+    assert m.entries == ((0, 1, 1), (0, 2, 2), (1, 0, 2), (1, 2, 1))
+    assert not m.dense.flags.writeable
+    assert FieldMatrix(3, [[3, -1]]) == FieldMatrix(3, [[0, 2]])  # residues mod q
     with pytest.raises(FieldError):
-        FieldMatrix(q=2, rows=1, cols=1, entries=((0, 0, 1), (0, 0, 1)))
-    with pytest.raises(FieldError):
-        FieldMatrix(q=2, rows=1, cols=1, entries=((1, 0, 1),))
+        FieldMatrix(2, [[[1]]])
+
+
+def test_equal_matrices_share_one_elimination():
+    """Equality and hashing follow (q, shape, residues), so a matrix built
+    again from the same residues hits the cached elimination of the first."""
+    dense = [[1, 0, 1, 1], [0, 1, 1, 0]]
+    a, b = FieldMatrix(2, dense), FieldMatrix(2, np.array(dense))
+    assert a is not b and a == b and hash(a) == hash(b)
+    _eliminate.cache_clear()
+    rank(a)
+    rank(b)
+    assert _eliminate.cache_info().hits == 1 and _eliminate.cache_info().currsize == 1
+    assert FieldMatrix(3, dense) != a  # same residues, other field
+    assert FieldMatrix(2, np.reshape(dense, (4, 2))) != a  # same residues, other shape
+    assert FieldMatrix.zeros(2, 0, 3) != FieldMatrix.zeros(2, 0, 2)
 
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(7)
     for q in (2, 3, 5):
         dense = rng.integers(0, q, size=(3, 4))
-        m = FieldMatrix.from_dense(q, dense)
+        m = FieldMatrix(q, dense)
         for _ in range(20):
             u = tuple(int(x) for x in rng.integers(0, q, size=4))
             assert m.matvec(u) == tuple((dense @ u) % q)
+    q = 65521  # the largest prime modulus: (q - 1)^2 sums stay exact in int64
+    assert FieldMatrix(q, [[q - 1] * 3]).matvec((q - 1,) * 3) == (3 * (q - 1) ** 2 % q,)
     with pytest.raises(FieldError):
         FieldMatrix.identity(2, 3).matvec((1, 0))
 
 
 def test_stack_concatenates_rows():
-    a = FieldMatrix.from_dense(2, [[1, 0], [0, 1]])
-    b = FieldMatrix.from_dense(2, [[1, 1]])
+    a = FieldMatrix(2, [[1, 0], [0, 1]])
+    b = FieldMatrix(2, [[1, 1]])
     s = a.stack(b)
-    assert np.array_equal(s.to_dense(), [[1, 0], [0, 1], [1, 1]])
+    assert np.array_equal(s.dense, [[1, 0], [0, 1], [1, 1]])
     with pytest.raises(FieldError):
-        a.stack(FieldMatrix.from_dense(2, [[1, 1, 1]]))
+        a.stack(FieldMatrix(2, [[1, 1, 1]]))
 
 
 def test_rref_and_rank():
-    m = FieldMatrix.from_dense(2, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    m = FieldMatrix(2, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert rank(m) == 2
-    r, pivots = rref(m.to_dense(), 2)
+    r, pivots = rref(m.dense, 2)
     assert pivots == [0, 2]
     assert rank(FieldMatrix.zeros(3, 0, 2)) == 0
 
@@ -80,7 +101,7 @@ def test_enumerate_image_exhaustive():
         for rows in (3, 0):
             for _ in range(10):
                 dense = rng.integers(0, q, size=(rows, 3))
-                m = FieldMatrix.from_dense(q, dense) if rows else FieldMatrix.zeros(q, 0, 3)
+                m = FieldMatrix(q, dense) if rows else FieldMatrix.zeros(q, 0, 3)
                 words = itertools.product(range(q), repeat=3)
                 expected = sorted({tuple(int(v) for v in dense @ u % q) for u in words})
                 assert enumerate_image(m) == expected
@@ -90,7 +111,7 @@ def test_enumerate_image_exhaustive():
 
 
 def test_coset_lexicographic_and_complete():
-    m = FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])
+    m = FieldMatrix(2, [[1, 1, 0], [0, 1, 1]])
     members = list(solve_affine(m, (1, 0)))
     brute = sorted(
         u for u in itertools.product(range(2), repeat=3) if m.matvec(u) == (1, 0)
@@ -101,7 +122,7 @@ def test_coset_lexicographic_and_complete():
 
 
 def test_coset_empty_outside_image():
-    m = FieldMatrix.from_dense(2, [[1, 1], [1, 1]])
+    m = FieldMatrix(2, [[1, 1], [1, 1]])
     assert coset_array(m, (1, 0)).shape == (0, 2)
     assert list(solve_affine(m, (1, 1))) == [(0, 1), (1, 0)]
 
@@ -120,7 +141,7 @@ def test_coset_array_matches_brute_force():
                 dense = rng.integers(0, q, size=(rows, n))
                 if rows >= 2:
                     dense[-1] = (2 * dense[0]) % q  # rank-deficient
-                m = FieldMatrix.from_dense(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
+                m = FieldMatrix(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
                 for syndrome in itertools.product(range(q), repeat=rows):
                     got = coset_array(m, syndrome)
                     assert got.dtype == np.int64 and got.shape[1] == n
@@ -138,7 +159,7 @@ def test_coset_array_edge_cases():
     eye = FieldMatrix.identity(5, 3)
     assert coset_array(eye, (4, 0, 2)).tolist() == [[4, 0, 2]]
     assert coset_size(eye) == 1
-    dup = FieldMatrix.from_dense(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
+    dup = FieldMatrix(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
     empty = coset_array(dup, (1, 1))
     assert empty.shape == (0, 3) and empty.dtype == np.int64
     assert list(solve_affine(dup, (1, 1))) == []
@@ -167,7 +188,7 @@ def test_coset_batch_matches_coset_array():
         dense = rng.integers(0, q, size=(rows, n))
         if rows >= 2:
             dense[-1] = dense[0]  # rank-deficient: some syndromes lie outside
-        m = FieldMatrix.from_dense(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
+        m = FieldMatrix(q, dense) if rows else FieldMatrix.zeros(q, 0, n)
         syndromes = np.array(list(itertools.product(range(q), repeat=rows)),
                              dtype=np.int64).reshape(q ** rows, rows)
         members, outside = coset_batch(m, syndromes)

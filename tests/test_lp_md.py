@@ -127,7 +127,7 @@ def test_type_constraints_integral_points():
 def test_parity_constraints_cut_exactly_wrong_vectors():
     dense = np.array([[1, 1, 0], [0, 1, 1]])
     a = (1, 0)
-    cons = build_parity_constraints(FieldMatrix.from_dense(2, dense), a)
+    cons = build_parity_constraints(FieldMatrix(2, dense), a)
     # the coset by brute force: every word of GF(2)^3 with the syndrome
     members = {u for u in itertools.product((0, 1), repeat=3)
                if (dense @ u % 2 == a).all()}
@@ -141,12 +141,12 @@ def test_parity_constraints_cut_exactly_wrong_vectors():
 
 def test_parity_constraints_guards():
     with pytest.raises(LpError):
-        build_parity_constraints(FieldMatrix.from_dense(3, [[1]]), (0,))
+        build_parity_constraints(FieldMatrix(3, [[1]]), (0,))
     with pytest.raises(LpError):
-        build_parity_constraints(FieldMatrix.from_dense(2, [[1, 1]]), (0, 1))
+        build_parity_constraints(FieldMatrix(2, [[1, 1]]), (0, 1))
     with pytest.raises(LpError, match="0 or 1"):
-        build_parity_constraints(FieldMatrix.from_dense(2, [[1, 1]]), (2,))
-    wide = FieldMatrix.from_dense(2, [[1] * 13])
+        build_parity_constraints(FieldMatrix(2, [[1, 1]]), (2,))
+    wide = FieldMatrix(2, [[1] * 13])
     with pytest.raises(LpError):
         build_parity_constraints(wide, (0,))
 
@@ -160,7 +160,7 @@ def test_md_via_lp_matches_exhaustive_when_integral():
     for _ in range(12):
         n = int(rng.integers(2, 5))
         mats = tuple(
-            FieldMatrix.from_dense(2, rng.integers(0, 2, size=(n - 1, n)))
+            FieldMatrix(2, rng.integers(0, 2, size=(n - 1, n)))
             for _ in range(2)
         )
         x = tuple(int(v) for v in rng.integers(0, 2, size=n))
@@ -205,7 +205,7 @@ def _warm_start_instances():
         elif idx % 5 == 3:
             dense[0] = np.vstack([dense[0], dense[0][:1]])
             syns[0] += (1 - syns[0][0],)
-        out.append((tuple(FieldMatrix.from_dense(2, d) for d in dense), tuple(syns)))
+        out.append((tuple(FieldMatrix(2, d) for d in dense), tuple(syns)))
     return out
 
 
@@ -265,7 +265,7 @@ def test_md_via_lp_warm_start_matches_cold_solver():
             seen["integral"] += 1
             u = np.rint(point[:k * n]).astype(np.int64).reshape(k, n)
             for m, a, uj in zip(mats, syns, u):
-                assert tuple(int(v) for v in m.to_dense() @ uj % 2) == a
+                assert tuple(int(v) for v in m.dense @ uj % 2) == a
             counts = np.asarray(joint_type([tuple(r) for r in u], (2,) * k).counts)
             assert tuple(counts.reshape(-1)) == entry["type"]
         if all(e["status"] == "infeasible" for e in full):
@@ -416,8 +416,8 @@ def test_md_via_lp_decides_the_whole_tie_group():
     that solves the whole group, by TIE_TOL, returns the exhaustive
     decoder's member."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
-    mats = (FieldMatrix.from_dense(2, [[1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 1]]),
-            FieldMatrix.from_dense(2, [[0, 1, 0, 0], [1, 0, 0, 0]]))
+    mats = (FieldMatrix(2, [[1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 1]]),
+            FieldMatrix(2, [[0, 1, 0, 0], [1, 0, 0, 0]]))
     syns = ((1, 1, 1), (1, 0))
     ref = sw_decode_md(SwCode(mats, mu), syns).x_hat
     integral = [e for e in _full_sweep(mats, syns, mu) if e["integral"]]
@@ -503,7 +503,7 @@ def test_md_via_lp_cap_counts_members_built():
     """The final coset-product pass checks q^(n - rank) against fallback_cap
     before building a coset."""
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
-    row = FieldMatrix.from_dense(2, [[1, 1, 0]])
+    row = FieldMatrix(2, [[1, 1, 0]])
     with pytest.raises(LpError, match="exceeds cap"):
         md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=15)
     res = md_via_lp((row, row), ((0,), (0,)), mu, fallback="exhaustive", fallback_cap=16)
@@ -533,7 +533,7 @@ def test_first_member_with_type_three_sources(monkeypatch, chunk):
         candidates = list(itertools.product(*sides))
         seen = {flat_type(c) for c in candidates}
         wanted = {flat_type(candidates[i]) for i in rng.integers(0, len(candidates), size=2)}
-        mats = [FieldMatrix.from_dense(2, d) for d in dense]
+        mats = [FieldMatrix(2, d) for d in dense]
         expected = next(c for c in candidates if flat_type(c) in wanted)
         coset = _CosetTypes(mats, syns, 1 << 20)
         assert coset.first_member({row_of[t] for t in wanted}) == expected

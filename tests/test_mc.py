@@ -105,7 +105,7 @@ def _sw_replay(code: SwCode, decoder: str, trials: int, seed: int, gamma: float 
 
 
 def _dense(rng, q: int, rows: int, n: int) -> FieldMatrix:
-    return FieldMatrix.from_dense(q, rng.integers(0, q, size=(rows, n)))
+    return FieldMatrix(q, rng.integers(0, q, size=(rows, n)))
 
 
 def test_sw_engine_matches_replay_md_across_blocks():
@@ -164,7 +164,7 @@ def _bc_code(seed: int, n: int = 5) -> BcCode:
         a = rng.integers(0, 2, size=(2, n))
         a[0, 0] = 1
         ap = a[:1] if j == 1 else rng.integers(0, 2, size=(1, n))
-        pairs.append((FieldMatrix.from_dense(2, a), FieldMatrix.from_dense(2, ap)))
+        pairs.append((FieldMatrix(2, a), FieldMatrix(2, ap)))
         syndromes.append(tuple(int(v) for v in a @ rng.integers(0, 2, size=n) % 2))
     return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))
 

@@ -30,17 +30,17 @@ THREE_BY_TWO = Distribution([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]])
 
 
 def _dsbs_code():
-    a = FieldMatrix.from_dense(2, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-    b = FieldMatrix.from_dense(2, [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]])
+    a = FieldMatrix(2, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+    b = FieldMatrix(2, [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]])
     return SwCode((a, b), DSBS)
 
 
 def test_code_validation():
-    a = FieldMatrix.from_dense(2, [[1, 0]])
+    a = FieldMatrix(2, [[1, 0]])
     with pytest.raises(SwError):
         SwCode((a,), DSBS)  # one matrix for two sources
     with pytest.raises(SwError):
-        SwCode((a, FieldMatrix.from_dense(2, [[1, 0, 1]])), DSBS)  # n mismatch
+        SwCode((a, FieldMatrix(2, [[1, 0, 1]])), DSBS)  # n mismatch
     with pytest.raises(SwError):
         SwCode((a, a), Distribution(np.full((3, 3), 1 / 9)))  # alphabet > q
 
@@ -80,7 +80,7 @@ def test_decode_md_brute_force_oracle():
         lb = int(rng.integers(1, n + 1))
         da = rng.integers(0, 2, size=(la, n))
         db = rng.integers(0, 2, size=(lb, n))
-        code = SwCode((FieldMatrix.from_dense(2, da), FieldMatrix.from_dense(2, db)), DSBS)
+        code = SwCode((FieldMatrix(2, da), FieldMatrix(2, db)), DSBS)
         x = tuple(int(v) for v in rng.integers(0, 2, size=n))
         y = tuple(int(v) for v in rng.integers(0, 2, size=n))
         syn = sw_encode(code, (x, y))
@@ -101,7 +101,7 @@ def test_decode_md_tie_break_is_lexicographic():
 
 def test_decode_md_all_infinite_flag():
     mu = Distribution([[0.5, 0.0], [0.0, 0.5]])
-    z = FieldMatrix.from_dense(2, [[1, 0], [0, 1]])
+    z = FieldMatrix(2, [[1, 0], [0, 1]])
     code = SwCode((z, FieldMatrix.zeros(2, 0, 2)), mu)
     # force x = (0, 1); y free: every candidate pair has a mixed cell
     res = sw_decode_md(code, ((0, 1), ()))
@@ -112,7 +112,7 @@ def test_decode_md_all_infinite_flag():
 
 def test_decode_md_rejects_bad_syndrome():
     code = _dsbs_code()
-    a = FieldMatrix.from_dense(2, [[1, 1], [1, 1]])
+    a = FieldMatrix(2, [[1, 1], [1, 1]])
     code2 = SwCode((a, a), DSBS)
     with pytest.raises(SwError):
         sw_decode_md(code2, ((1, 0), (0, 0)))
@@ -146,8 +146,8 @@ def test_error_exact_fast_path_matches_generic():
     failures = 0
     for _ in range(6):
         n = int(rng.integers(2, 4))
-        a = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))
-        b = FieldMatrix.from_dense(2, rng.integers(0, 2, size=(2, n)))
+        a = FieldMatrix(2, rng.integers(0, 2, size=(2, n)))
+        b = FieldMatrix(2, rng.integers(0, 2, size=(2, n)))
         code = SwCode((a, b), DSBS)
         for decoder, gamma in DECODERS:
             expected, failed = oracles.sw_error(code, decoder, gamma)
@@ -167,33 +167,33 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
     three = np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24
     codes = [
         # GF(3) and GF(5) checks over binary alphabets
-        SwCode((FieldMatrix.from_dense(3, [[1, 2, 0], [0, 1, 1]]),
-                FieldMatrix.from_dense(2, [[1, 0, 1]])), DSBS),
-        SwCode((FieldMatrix.from_dense(5, [[1, 3, 4, 1]]),
-                FieldMatrix.from_dense(3, [[2, 1, 0, 1], [0, 0, 1, 1]])), DSBS),
+        SwCode((FieldMatrix(3, [[1, 2, 0], [0, 1, 1]]),
+                FieldMatrix(2, [[1, 0, 1]])), DSBS),
+        SwCode((FieldMatrix(5, [[1, 3, 4, 1]]),
+                FieldMatrix(3, [[2, 1, 0, 1], [0, 0, 1, 1]])), DSBS),
         # x is known exactly; every y coset missing x is an all-infinite block
         SwCode((FieldMatrix.identity(2, 3),
-                FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])), diag),
-        SwCode((FieldMatrix.from_dense(2, [[1, 0, 1]]),
-                FieldMatrix.from_dense(2, [[0, 1, 1]])), ZERO_MASS),
+                FieldMatrix(2, [[1, 1, 0], [0, 1, 1]])), diag),
+        SwCode((FieldMatrix(2, [[1, 0, 1]]),
+                FieldMatrix(2, [[0, 1, 1]])), ZERO_MASS),
         # skewed marginals: only some cosets hold a typical member
-        SwCode((FieldMatrix.from_dense(2, [[1, 1, 0, 0], [0, 0, 1, 1]]),
-                FieldMatrix.from_dense(3, [[1, 0, 1, 0]])), skew),
+        SwCode((FieldMatrix(2, [[1, 1, 0, 0], [0, 0, 1, 1]]),
+                FieldMatrix(3, [[1, 0, 1, 0]])), skew),
         # 3 x 2 and 2 x 3 alphabets
-        SwCode((FieldMatrix.from_dense(3, [[1, 2, 0], [0, 1, 1]]),
-                FieldMatrix.from_dense(2, [[1, 1, 0]])), THREE_BY_TWO),
-        SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
-                FieldMatrix.from_dense(5, [[1, 2, 3]])), rect),
+        SwCode((FieldMatrix(3, [[1, 2, 0], [0, 1, 1]]),
+                FieldMatrix(2, [[1, 1, 0]])), THREE_BY_TWO),
+        SwCode((FieldMatrix(2, [[1, 1, 0]]),
+                FieldMatrix(5, [[1, 2, 3]])), rect),
         # l = 0 on either side
         SwCode((FieldMatrix.zeros(2, 0, 3),
-                FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]])), DSBS),
-        SwCode((FieldMatrix.from_dense(3, [[1, 1, 1], [0, 1, 2]]),
+                FieldMatrix(2, [[1, 1, 0], [0, 1, 1]])), DSBS),
+        SwCode((FieldMatrix(3, [[1, 1, 1], [0, 1, 2]]),
                 FieldMatrix.zeros(2, 0, 3)), THREE_BY_TWO),
         # 16 cells at n = 2 and 9 cells at n = 4: 3^15 and 5^8 type keys
-        SwCode((FieldMatrix.from_dense(5, [[1, 2]]),
-                FieldMatrix.from_dense(5, [[1, 3]])), Distribution(four)),
-        SwCode((FieldMatrix.from_dense(3, [[1, 2, 0, 1], [0, 1, 1, 2]]),
-                FieldMatrix.from_dense(3, [[1, 0, 2, 2], [1, 1, 0, 1]])), Distribution(three)),
+        SwCode((FieldMatrix(5, [[1, 2]]),
+                FieldMatrix(5, [[1, 3]])), Distribution(four)),
+        SwCode((FieldMatrix(3, [[1, 2, 0, 1], [0, 1, 1, 2]]),
+                FieldMatrix(3, [[1, 0, 2, 2], [1, 1, 0, 1]])), Distribution(three)),
     ]
     failures = 0
     for code in codes:
@@ -204,18 +204,18 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
     assert failures > 0
     # one source, and three sources: with a zero-mass cell, and binary at
     # n = 2 and 3, where ML admits a tuple when every source is typical
-    one = SwCode((FieldMatrix.from_dense(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
+    one = SwCode((FieldMatrix(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
                  Distribution([0.6, 0.3, 0.1]))
     law = np.array([0.3, 0.1, 0.05, 0.0, 0.05, 0.1, 0.1, 0.3]).reshape(2, 2, 2)
-    three = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
-                    FieldMatrix.from_dense(3, [[1, 0, 2]]),
+    three = SwCode((FieldMatrix(2, [[1, 1, 0]]),
+                    FieldMatrix(3, [[1, 0, 2]]),
                     FieldMatrix.zeros(2, 0, 3)), Distribution(law))
     cube = Distribution(np.array([9, 2, 1, 2, 2, 1, 2, 9]).reshape(2, 2, 2) / 28)
-    three_n2 = SwCode((FieldMatrix.from_dense(2, [[1, 1]]), FieldMatrix.from_dense(2, [[1, 0]]),
+    three_n2 = SwCode((FieldMatrix(2, [[1, 1]]), FieldMatrix(2, [[1, 0]]),
                        FieldMatrix.zeros(2, 0, 2)), cube)
-    three_n3 = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0], [0, 1, 1]]),
-                       FieldMatrix.from_dense(2, [[1, 0, 1]]),
-                       FieldMatrix.from_dense(2, [[0, 1, 1]])), cube)
+    three_n3 = SwCode((FieldMatrix(2, [[1, 1, 0], [0, 1, 1]]),
+                       FieldMatrix(2, [[1, 0, 1]]),
+                       FieldMatrix(2, [[0, 1, 1]])), cube)
     cases = [(code, decoder, gamma) for code in (one, three) for decoder, gamma in DECODERS]
     cases += [(code, decoder, gamma) for code in (three_n2, three_n3)
               for decoder, gamma in (("ml", 0.3), ("ml_unconstrained", 0.0))]
@@ -227,11 +227,21 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
     assert failures > 0
 
 
+def test_exact_error_of_a_check_whose_syndromes_pass_int64():
+    """65 binary rows: 2^65 syndromes do not fit one int64 key, and the
+    cosets of rows 0 and 64 must stay apart, as they do with 63 or 64 rows."""
+    for rows in (63, 64, 65):
+        dense = np.zeros((rows, 4), dtype=np.int64)
+        dense[0, 0] = dense[rows - 1, 1] = 1
+        code = SwCode((FieldMatrix(2, dense),), Distribution([0.9, 0.1]))
+        assert sw_error_exact(code) == pytest.approx(oracles.sw_error(code)[0], abs=1e-12)
+
+
 def test_field_larger_than_alphabet_decodes_over_alphabet():
     """q > |alphabet|: coset members outside the alphabet are never returned,
     by any decoder, and a coset with no member inside it is an SwError."""
-    code = SwCode((FieldMatrix.from_dense(3, [[1, 1, 0]]),
-                   FieldMatrix.from_dense(2, [[1, 0, 1]])), DSBS)
+    code = SwCode((FieldMatrix(3, [[1, 1, 0]]),
+                   FieldMatrix(2, [[1, 0, 1]])), DSBS)
     x, y = (1, 1, 0), (1, 0, 0)
     syn = sw_encode(code, (x, y))
     for res in (sw_decode_md(code, syn),
@@ -242,7 +252,7 @@ def test_field_larger_than_alphabet_decodes_over_alphabet():
     assert est.ci_lo <= sw_error_exact(code) <= est.ci_hi
     assert sw_error_exact(code, decoder="ml_unconstrained") == pytest.approx(
         oracles.sw_error(code, "ml_unconstrained")[0], abs=1e-12)
-    one = SwCode((FieldMatrix.from_dense(3, [[1]]), FieldMatrix.from_dense(2, [[1]])),
+    one = SwCode((FieldMatrix(3, [[1]]), FieldMatrix(2, [[1]])),
                  DSBS)
     with pytest.raises(SwError):
         sw_decode_md(one, ((2,), (0,)))  # only u = (2,) has syndrome 2
@@ -317,7 +327,7 @@ PINNED_EXACT = [
 def _matrix(spec):
     if len(spec) == 3:
         return FieldMatrix.zeros(*spec)
-    return FieldMatrix.from_dense(*spec)
+    return FieldMatrix(*spec)
 
 
 @pytest.mark.parametrize("mu,ma,mb,expected", PINNED_EXACT, ids=[
@@ -346,8 +356,8 @@ def test_error_exact_tallies_types_across_lookup_groups():
     at gamma = 0.3 with blocks that admit no tuple."""
     law = Distribution(np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24)
     assert len(types.type_key_groups(law.table.size, 4)) > 1
-    code = SwCode((FieldMatrix.from_dense(3, [[1, 2, 0, 1], [0, 1, 1, 2], [1, 1, 1, 0]]),
-                   FieldMatrix.from_dense(3, [[1, 0, 2, 2]])), law)
+    code = SwCode((FieldMatrix(3, [[1, 2, 0, 1], [0, 1, 1, 2], [1, 1, 1, 0]]),
+                   FieldMatrix(3, [[1, 0, 2, 2]])), law)
     failures = 0
     for decoder, gamma in (("md", 0.0), ("ml", 0.3), ("ml_unconstrained", 0.0)):
         expected, failed = oracles.sw_error(code, decoder, gamma)
@@ -360,10 +370,10 @@ def test_error_exact_tallies_types_across_lookup_groups():
 @pytest.mark.parametrize("code", [
     _dsbs_code(),
     # 3^4 = 81 source tuples, fewer than the 3^8 keys of the decoders' one group
-    SwCode((FieldMatrix.from_dense(3, [[1, 2]]), FieldMatrix.from_dense(3, [[1, 1]])),
+    SwCode((FieldMatrix(3, [[1, 2]]), FieldMatrix(3, [[1, 1]])),
            Distribution(np.array([[6, 1, 1], [1, 5, 0], [1, 2, 7]]) / 24)),
     # 4 x 4 at n = 4: several lookup groups
-    SwCode((FieldMatrix.from_dense(5, [[1, 2, 0, 1]]), FieldMatrix.from_dense(5, [[1, 0, 2, 3]])),
+    SwCode((FieldMatrix(5, [[1, 2, 0, 1]]), FieldMatrix(5, [[1, 0, 2, 3]])),
            Distribution(np.arange(1, 17).reshape(4, 4) / 136)),
 ], ids=["dsbs_n4", "3x3_n2", "4x4_n4"])
 def test_error_exact_reads_the_decoders_type_tables(code):
@@ -386,7 +396,7 @@ def test_error_exact_n12_memory():
           "000001100100", "100010010000", "001000001100", "000000001000"]
     mb = ["011100000011", "000000001100", "100100011000", "001000000000", "000011100001",
           "000001100010", "010000000000", "000000000100", "100010010000"]
-    code = SwCode(tuple(FieldMatrix.from_dense(2, [[int(c) for c in row] for row in rows])
+    code = SwCode(tuple(FieldMatrix(2, [[int(c) for c in row] for row in rows])
                         for rows in (ma, mb)), DSBS)
     tracemalloc.start()
     try:
@@ -403,11 +413,11 @@ def test_error_exact_chunks_do_not_change_values(monkeypatch, chunk):
     """Chunk sizes that split the cosets of the last axis, the rows of the
     error sum and the type keys give the same values bit for bit: at 2, one
     block or two tuples per chunk and every cell looked up alone."""
-    three = SwCode((FieldMatrix.from_dense(2, [[1, 1, 0]]),
-                    FieldMatrix.from_dense(3, [[1, 0, 2]]),
+    three = SwCode((FieldMatrix(2, [[1, 1, 0]]),
+                    FieldMatrix(3, [[1, 0, 2]]),
                     FieldMatrix.zeros(2, 0, 3)),
                    Distribution(np.array([0.3, 0.1, 0.05, 0.0, 0.05, 0.1, 0.1, 0.3]).reshape(2, 2, 2)))
-    one = SwCode((FieldMatrix.from_dense(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
+    one = SwCode((FieldMatrix(5, [[1, 2, 4, 0], [0, 1, 1, 3]]),),
                  Distribution([0.6, 0.3, 0.1]))
     codes = [SwCode((_matrix(ma), _matrix(mb)), mu) for mu, ma, mb, _ in PINNED_EXACT]
     # every decoder at n = 4; at n = 6, GF(3) padding, a zero-mass cell and l = 0
@@ -429,7 +439,7 @@ def _ml_ties_against_oracle(laws, trials: int, seed: int, low: int, slack: int) 
         mu = laws[trial % len(laws)]
         n = int(rng.integers(low, low + 5))
         dense = [rng.integers(0, 2, size=(int(rng.integers(n - slack, n)), n)) for _ in mu.shape]
-        code = SwCode(tuple(FieldMatrix.from_dense(2, d) if len(d) else FieldMatrix.zeros(2, 0, n)
+        code = SwCode(tuple(FieldMatrix(2, d) if len(d) else FieldMatrix.zeros(2, 0, n)
                             for d in dense), mu)
         cells = rng.choice(mu.table.size, size=n, p=mu.table.reshape(-1))
         x_K = tuple(tuple(int(v) for v in col) for col in np.unravel_index(cells, mu.shape))
@@ -464,8 +474,8 @@ def test_field_larger_than_alphabet_matches_oracle():
     for _ in range(4):
         dense_x = rng.integers(1, 5, size=(1, 8))
         dense_y = rng.integers(0, 2, size=(4, 8))
-        code = SwCode((FieldMatrix.from_dense(5, dense_x),
-                       FieldMatrix.from_dense(2, dense_y)), DSBS)
+        code = SwCode((FieldMatrix(5, dense_x),
+                       FieldMatrix(2, dense_y)), DSBS)
         x = tuple(int(v) for v in rng.integers(0, 2, size=8))
         y = tuple(int(v) for v in rng.integers(0, 2, size=8))
         syn = sw_encode(code, (x, y))
@@ -474,15 +484,15 @@ def test_field_larger_than_alphabet_matches_oracle():
 
 def test_cap_counts_members_built():
     """The cap is checked against q^(n - rank) before a coset is built."""
-    gf5 = FieldMatrix.from_dense(5, [[1, 2, 3, 4, 1, 2, 3, 4]])
-    code = SwCode((gf5, FieldMatrix.from_dense(2, [[1] * 8])), DSBS)
+    gf5 = FieldMatrix(5, [[1, 2, 3, 4, 1, 2, 3, 4]])
+    code = SwCode((gf5, FieldMatrix(2, [[1] * 8])), DSBS)
     syn = sw_encode(code, ((0,) * 8, (0,) * 8))
     # 5^7 = 78125 members would be built, though at most 2^7 are kept
     with pytest.raises(SwError, match="78125"):
         sw_decode_md(code, syn, cap=60_000)
     assert sw_decode_md(code, syn, cap=80_000).x_hat == oracles.sw_decode(code, syn)
     # 2^39 members: only an up-front check can return at once
-    wide = FieldMatrix.from_dense(2, [[1] * 40])
+    wide = FieldMatrix(2, [[1] * 40])
     code = SwCode((wide, wide), DSBS)
     for decode in (lambda: sw_decode_md(code, ((0,), (0,))),
                    lambda: sw_decode_ml_typical(code, ((0,), (0,)), gamma=1.0)):
@@ -514,7 +524,7 @@ def _batch_cases():
             (ZERO_MASS, ((2, 3, 4), (2, 2, 4))),
             (Distribution([[0.45, 0.0], [0.0, 0.55]]), ((2, 3, 4), (2, 3, 4))),
             (Distribution(three / three.sum()), ((2, 1, 3), (3, 2, 3), (2, 2, 3)))]
-    return [SwCode(tuple(FieldMatrix.from_dense(shape[0], dense(*shape)) for shape in shapes), mu)
+    return [SwCode(tuple(FieldMatrix(shape[0], dense(*shape)) for shape in shapes), mu)
             for mu, shapes in laws]
 
 
@@ -572,7 +582,7 @@ def test_batch_cap_raises_before_building(monkeypatch):
     # when one of its rows would alone.
     mats = [[[2, 1, 1, 0], [0, 0, 0, 0]], [[0, 2, 1, 2], [1, 1, 2, 2]],
             [[1, 1, 1, 2], [0, 2, 2, 0]]]
-    code = SwCode(tuple(FieldMatrix.from_dense(3, m) for m in mats),
+    code = SwCode(tuple(FieldMatrix(3, m) for m in mats),
                   Distribution(np.full((2, 2, 2), 1 / 8)))
     rows = [sw_encode(code, (x,) * 3) for x in ((0, 0, 0, 0), (0, 1, 1, 1))]
     batch = [np.array([row[j] for row in rows]) for j in range(3)]
@@ -592,7 +602,7 @@ def _pinned_sw_codes():
     rng = np.random.default_rng(404)
 
     def dense(q, rows, n):
-        return FieldMatrix.from_dense(q, rng.integers(0, q, size=(rows, n)))
+        return FieldMatrix(q, rng.integers(0, q, size=(rows, n)))
 
     return [
         SwCode((dense(2, 5, 8), dense(2, 5, 8)), DSBS),

@@ -47,6 +47,15 @@ def test_distribution_validation():
         Distribution([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_masses_are_refused(bad):
+    """A NaN fails every comparison, so it needs its own check."""
+    with pytest.raises(DistributionError, match="non-finite"):
+        Distribution([bad, 1.0])
+    with pytest.raises(DistributionError, match="non-finite"):
+        CondDistribution([[bad, 0.5], [1.0, 0.5]])
+
+
 def test_marginal_and_conditional():
     joint = Distribution([[0.4, 0.1], [0.2, 0.3]])
     assert np.allclose(joint.marginal((0,)).table, [0.5, 0.5])
