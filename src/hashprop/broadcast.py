@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import FieldMatrix, coset_factor_batch, coset_size, enumerate_image, in_image
-from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
+from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks, stream
 from .types import (
     CondDistribution,
     Distribution,
@@ -506,7 +506,7 @@ def bc_code_search(p: BcProblem, params: RateParams, ensembles, tries: int,
         raise BcError("tries must be >= 1")
     if len(ensembles) != p.k or len(params.pairs) != p.k:
         raise BcError("one ensemble pair and one rate pair per receiver")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     best = None
     history = []
     for t in range(tries):

@@ -23,6 +23,7 @@ import numpy as np
 from . import broadcast, ensemble as ens_mod, formats, lp_md, slepian_wolf as sw_mod
 from .formats import ParseError
 from .gf import FieldMatrix
+from .mc import stream
 from .types import type_classes
 
 CONFIG_EXIT = 2
@@ -52,8 +53,7 @@ def _build_ensemble(args) -> tuple[ens_mod.Ensemble, ens_mod.TypeFilter]:
 
 def cmd_gen_matrix(args) -> None:
     ens = ens_mod.Ensemble.sparse(args.q, args.rows, args.cols, args.tau)
-    rng = np.random.default_rng(args.seed)
-    m = ens.sample(rng)
+    m = ens.sample(stream(args.seed))
     text = formats.emit_matrix(m)
     if args.out:
         with open(args.out, "w") as fh:
@@ -246,14 +246,15 @@ def _parse_grid(spec: str) -> list[float]:
     return out
 
 
-def _sweep_point(mu, r_x, r_y, n, tau, tries, mode, trials, seed_seq):
-    """Best-of-tries sparse code at one grid point."""
+def _sweep_point(mu, r_x, r_y, n, tau, tries, mode, trials, seed):
+    """Best-of-tries sparse code at one grid point, drawn from ``stream(seed, 0)``
+    as every point is; the MC seed is that stream's first seed-sequence word."""
     l_x = broadcast.rows_for_rate(r_x, n, 2)
     l_y = broadcast.rows_for_rate(r_y, n, 2)
     ens_x = ens_mod.Ensemble.sparse(2, l_x, n, tau) if l_x else None
     ens_y = ens_mod.Ensemble.sparse(2, l_y, n, tau) if l_y else None
-    rng = np.random.default_rng(seed_seq)
-    mc_seed = int(seed_seq.generate_state(1)[0])
+    rng = stream(seed, 0)
+    mc_seed = int(rng.bit_generator.seed_seq.generate_state(1)[0])
     best = None
     for _ in range(tries):
         a = ens_x.sample(rng) if ens_x else FieldMatrix.zeros(2, 0, n)
@@ -278,8 +279,7 @@ def cmd_sweep(args) -> None:
     mu = formats.load_distribution(args.dist)
     grid = _parse_grid(args.rates)
     # one stream for every point, so a row does not depend on the rest of the grid
-    seed_seq = np.random.SeedSequence(args.seed, spawn_key=(0,))
-    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode, trials, seed_seq)
+    records = [_sweep_point(mu, rx, ry, n, args.tau, args.tries, args.mode, trials, args.seed)
                for rx in grid for ry in grid for n in args.n_list]
 
     buf = io.StringIO()

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, check_prime
+from .gf import MAX_MATRIX_ENTRIES, FieldMatrix, check_prime
 from .types import row_groups, type_classes
 
 
@@ -131,14 +131,31 @@ class Ensemble:
             return self.parts[0].support_size() * self.parts[1].support_size()
         raise EnsembleError(self.family)
 
+    def support_bits(self) -> float:
+        """log2 of ``support_size()`` from logarithms alone, so it costs
+        nothing at any n; inf past the float range."""
+        if self.family == "product":
+            return self.parts[0].support_bits() + self.parts[1].support_bits()
+        try:
+            if self.family == "uniform":
+                return self.l * self.n * math.log2(self.q)
+            if self.family == "sparse":
+                return self.tau * self.n * math.log2(self.l * (self.q - 1))
+            if self.family == "binning":  # bins^(q^n)
+                return math.log2(self.bins) * 2.0 ** (self.n * math.log2(self.q))
+        except OverflowError:
+            return math.inf
+        raise EnsembleError(self.family)
+
     # --- exact support enumeration -----------------------------------------
 
     def enumerate_support(self, cap: int = 200_000) -> list[tuple[object, Fraction]]:
-        """Exact (function, probability) support with merged duplicates."""
-        if self.support_size() > cap:
+        """Exact (function, probability) support with merged duplicates; the
+        size meets the cap in the log domain first, so no huge power is built."""
+        bits = self.support_bits()
+        if cap < 1 or bits > math.log2(cap) + 1 or self.support_size() > cap:
             raise EnsembleError(
-                f"support of {self.support_size()} elementary outcomes exceeds cap {cap}"
-            )
+                f"support of 2^{bits:.4g} elementary outcomes exceeds cap {cap}")
         if self.family == "uniform":
             prob = Fraction(1, self.support_size())
             out = []
@@ -173,7 +190,10 @@ class Ensemble:
 
     def sample(self, rng: np.random.Generator) -> FieldMatrix:
         """Draw one matrix; each column consumes exactly 2*tau RNG outputs for
-        the sparse family so generation is reproducible from the seed."""
+        the sparse family so generation is reproducible from the seed; a
+        shape past ``MAX_MATRIX_ENTRIES`` entries is refused before allocating."""
+        if self.l * self.n > MAX_MATRIX_ENTRIES:
+            raise EnsembleError(f"{self.l}x{self.n} matrix exceeds {MAX_MATRIX_ENTRIES} entries")
         if self.family == "uniform":
             dense = rng.integers(0, self.q, size=(self.l, self.n))
             return FieldMatrix(self.q, dense)
@@ -255,13 +275,6 @@ def collision_prob(e: Ensemble, u: Sequence[int], u2: Sequence[int],
     """p_A({A : Au = Au'}), exactly."""
     den, chunks = _table([e], [support], [(tuple(u),), (tuple(u2),)])
     return Fraction(sum(int(w @ (h[:, 0] == h[:, 1])) for w, h in chunks), den)
-
-
-def spectrum(e: Ensemble, t, support=None) -> Fraction:
-    """S(p_A, t): expected number of kernel vectors of the type whose counts
-    t gives, as a nested or flat count array."""
-    key = tuple(np.asarray(t).reshape(-1).tolist())
-    return spectrum_table(e, support=support).get(key, Fraction(0))
 
 
 def _linear(e: Ensemble) -> bool:

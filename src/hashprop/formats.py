@@ -11,7 +11,7 @@ import numpy as np
 
 from .broadcast import BcCode, BcProblem
 from .ensemble import Ensemble, TypeFilter
-from .gf import FieldError, FieldMatrix, check_prime
+from .gf import MAX_MATRIX_ENTRIES, FieldError, FieldMatrix, check_prime
 from .types import CondDistribution, Distribution
 
 
@@ -47,11 +47,6 @@ def _list_field(obj: dict, name: str, what: str, ok, length: int | None = None) 
 # --- matrix text format -----------------------------------------------------
 # First line "q l n"; each following line "r c v" (0-based row, col, nonzero
 # value); entries sorted by (r, c); unlisted entries are zero.
-
-# A matrix is held as its dense l x n array, so the header alone sizes the
-# allocation; this is far past the n <= 24 the workbench targets.
-MAX_MATRIX_ENTRIES = 1 << 24
-
 
 def parse_matrix(text: str) -> FieldMatrix:
     lines = [ln for ln in text.splitlines()]
@@ -234,6 +229,9 @@ def bc_code_from_obj(obj, base_dir: str = ".") -> BcCode:
             raise ParseError(f"receiver {i}: 'syndrome' must be a list of ints, got {syn!r}")
         pairs.append((load_matrix(os.path.join(base_dir, rec["A"])),
                       load_matrix(os.path.join(base_dir, rec["A_prime"]))))
+        q = pairs[-1][0].q
+        if not all(0 <= v < q for v in syn):
+            raise ParseError(f"receiver {i}: 'syndrome' entries must lie in [0, {q}), got {syn!r}")
         syndromes.append(tuple(syn))
     try:
         return BcCode(pairs=tuple(pairs), syndromes=tuple(syndromes))

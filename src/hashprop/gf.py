@@ -46,6 +46,11 @@ def finv(x: int, q: int) -> int:
     return pow(x, q - 2, q)
 
 
+# A matrix is its dense l x n array, so the shape alone sizes the allocation:
+# matrix files and ensemble draws past this (far past n <= 24) are refused first.
+MAX_MATRIX_ENTRIES = 1 << 24
+
+
 @dataclass(frozen=True, eq=False)
 class FieldMatrix:
     """An l x n matrix over GF(q): its residues as one read-only int64 array.
@@ -90,10 +95,6 @@ class FieldMatrix:
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(q, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "FieldMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
 
     def matvec(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.cols:

@@ -1,7 +1,8 @@
 """Linear-programming realization of minimum-divergence decoding over binary
 coset products: per-type constraint systems, parity-check (coset membership)
 inequalities, a small simplex solver, and the single-position polytope
-audit.
+audit.  The builders give rows (coeffs dict, relation, rhs), and
+``program_arrays`` turns them into the arrays every solve reads.
 
 The per-position system couples an indicator s_i(b^k) with the k sequence
 bits u_{1,i}..u_{k,i}: on integral points, s_i(b^k) = 1 exactly when position
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,42 +61,25 @@ class LpError(ValueError):
     """Malformed program or solver iteration cap exceeded."""
 
 
-@dataclass
-class LinearProgram:
-    """min/max c.x over x >= 0 subject to rows of (coeffs, relation, rhs)."""
-
-    num_vars: int
-    objective: np.ndarray
-    constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    maximize: bool = False
-
-    def add(self, coeffs, rel: str, rhs: float) -> None:
-        row = np.zeros(self.num_vars)
-        for idx, v in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
-            if not 0 <= idx < self.num_vars:
-                raise LpError(f"variable index {idx} out of range")
-            row[idx] = v
-        if rel not in (REL_LE, REL_EQ, REL_GE):
-            raise LpError(f"unknown relation {rel!r}")
-        self.constraints.append((row, rel, float(rhs)))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as one (m, num_vars) matrix, relations and right-hand sides."""
-        rows = np.array([r for r, _, _ in self.constraints], dtype=np.float64)
-        return (rows.reshape(len(self.constraints), self.num_vars),
-                np.array([rel for _, rel, _ in self.constraints]),
-                np.array([rhs for _, _, rhs in self.constraints], dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    values: np.ndarray | None
-    objective: float | None
-    integral: bool
-
-    def check_feasible(self, lp: LinearProgram, tol: float = CHECK_TOL) -> bool:
-        return self.values is not None and _rows_hold(*lp.arrays(), self.values, tol)
+def program_arrays(rows, num_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (coeffs, relation, rhs) of a program over variables
+    0..num_vars-1, coeffs a {variable: coefficient} dict as the builders
+    give it, as one (m, num_vars) float matrix, the relations and the
+    right-hand sides, in row order."""
+    unknown = [rel for _, rel, _ in rows if rel not in (REL_LE, REL_EQ, REL_GE)]
+    if unknown:
+        raise LpError(f"unknown relation {unknown[0]!r}")
+    which = np.repeat(np.arange(len(rows)), [len(coeffs) for coeffs, _, _ in rows])
+    index = np.fromiter((i for coeffs, _, _ in rows for i in coeffs), dtype=np.int64,
+                        count=which.size)
+    outside = index[(index < 0) | (index >= num_vars)]
+    if outside.size:
+        raise LpError(f"variable index {outside[0]} out of range")
+    coeffs = np.zeros((len(rows), num_vars))
+    coeffs[which, index] = np.fromiter((v for c, _, _ in rows for v in c.values()),
+                                       dtype=np.float64, count=which.size)
+    return (coeffs, np.array([rel for _, rel, _ in rows]),
+            np.array([rhs for _, _, rhs in rows], dtype=np.float64))
 
 
 def _rows_hold(rows: np.ndarray, rels: np.ndarray, rhs: np.ndarray, x: np.ndarray,
@@ -223,29 +207,32 @@ class _Tableau:
             self.pivot(leave, enter)
         raise LpError("simplex iteration cap exceeded")
 
-    def solution(self, objective: np.ndarray) -> LpSolution:
+    def solution(self) -> np.ndarray:
         """The basic point, checked against the original rows."""
         x = np.zeros(self.n)
         structural = self.basis < self.n
         x[self.basis[structural]] = self.T[structural, -1]
         if not _rows_hold(self.rows, self.rels, self.rhs, x, CHECK_TOL):
             raise LpError("simplex point violates the program's rows")
-        integral = bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))
-        return LpSolution("optimal", x, float(objective @ x), integral)
+        return x
 
 
-def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """The dual simplex on a zero objective reaches a feasible basis, then
-    the primal simplex minimizes the objective, both under Bland's rule on
-    one slack-only tableau and each bounded by MAX_ITER pivots."""
-    tab = _Tableau(*lp.arrays())
+def simplex_solve(rows, num_vars: int,
+                  cost: np.ndarray | None = None) -> tuple[str, np.ndarray | None]:
+    """The program of ``program_arrays(rows, num_vars)`` over x >= 0, from a
+    cold start: a dual simplex reaches a feasible basis, then, given a cost
+    (one entry per variable; negate it to maximize), the primal simplex
+    minimizes cost . x, both under Bland's rule, each within MAX_ITER pivots.
+    Returns (status, the checked basic point or None)."""
+    tab = _Tableau(*program_arrays(rows, num_vars))
     if tab.dual()[0] == "infeasible":
-        return LpSolution("infeasible", None, None, False)
-    cost = np.zeros(tab.where.size)
-    cost[:lp.num_vars] = -lp.objective if lp.maximize else lp.objective
-    if tab.primal(cost)[0] == "unbounded":
-        return LpSolution("unbounded", None, None, False)
-    return tab.solution(lp.objective)
+        return "infeasible", None
+    if cost is not None:
+        full = np.zeros(tab.where.size)
+        full[:num_vars] = cost
+        if tab.primal(full)[0] == "unbounded":
+            return "unbounded", None
+    return "optimal", tab.solution()
 
 
 # --- constraint builders ----------------------------------------------------
@@ -417,14 +404,10 @@ def _type_sweep(matrices, syndromes, order):
     """
     n, k = matrices[0].cols, len(matrices)
     counts = type_classes(n, 1 << k).counts
-    nv = num_vars(n, k)
-    parity = []
+    rows = build_type_constraints(counts[order[0][0]], n, k)
     for j, (m, a) in enumerate(zip(matrices, syndromes)):
-        parity += build_parity_constraints(m, a, var_offset=j * n)
-    lp = LinearProgram(num_vars=nv, objective=np.zeros(nv))
-    for row, rel, rhs in build_type_constraints(counts[order[0][0]], n, k) + parity:
-        lp.add(row, rel, rhs)
-    tab = _Tableau(*lp.arrays())
+        rows += build_parity_constraints(m, a, var_offset=j * n)
+    tab = _Tableau(*program_arrays(rows, num_vars(n, k)))
     count_rows = np.flatnonzero(tab.rels == REL_EQ)  # one per pattern, in order
     for type_row, d in order:
         t = counts[type_row]
@@ -433,9 +416,9 @@ def _type_sweep(matrices, syndromes, order):
         entry = {"type": tuple(t.tolist()), "divergence": d, "status": status,
                  "integral": False, "pivots": pivots}
         if status == "optimal":
-            sol = tab.solution(lp.objective)
-            entry["integral"] = sol.integral
-            entry["point"] = tuple(sol.values.tolist())
+            x = tab.solution()
+            entry["integral"] = bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))
+            entry["point"] = tuple(x.tolist())
         yield entry
 
 
@@ -492,10 +475,7 @@ def polytope_vertex_audit(b) -> dict:
     if k > 4:
         raise LpError("audit supports k <= 4")
     dim = k + 1
-    lp = LinearProgram(num_vars=dim, objective=np.zeros(dim))
-    for row in position_rows(b, 0, range(1, dim)):  # variables (s, u_1..u_k)
-        lp.add(*row)
-    rows, rels, rhs = lp.arrays()
+    rows, rels, rhs = program_arrays(position_rows(b, 0, range(1, dim)), dim)  # (s, u_1..u_k)
     vertices = set()
     for subset in itertools.combinations(range(len(rows)), dim):
         M, r = rows[list(subset)], rhs[list(subset)]

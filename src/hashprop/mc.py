@@ -1,5 +1,5 @@
-"""Shared Monte Carlo plumbing: Wilson intervals, seed streams, the block
-engine and the distinct rows of a block."""
+"""Shared Monte Carlo plumbing: Wilson intervals, the keyed random streams,
+the block engine and the distinct rows of a block."""
 
 from __future__ import annotations
 
@@ -43,11 +43,16 @@ class McEstimate:
                    ci_lo=lo, ci_hi=hi)
 
 
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator on ``SeedSequence(seed, spawn_key=key)``, the package's one
+    maker of random streams; the empty key is ``default_rng(seed)``'s stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent generators from ``seed``; generator i depends only
-    on (seed, i), so block i of a run draws the same stream at any trial count."""
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in ss.spawn(count)]
+    """``count`` independent generators from ``seed``; generator i is ``stream(seed,
+    i)``, so block i of a run draws the same stream at any trial count."""
+    return [stream(seed, i) for i in range(count)]
 
 
 def run_blocks(seed: int, trials: int, block_errors: Callable) -> McEstimate:

@@ -172,8 +172,9 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     restricted to per-source typical sequences (divergence < gamma): the
     one-row case of ``sw_decode_batch``.
 
-    Whether the typicality restriction is actually necessary is open; the
-    unconstrained variant is provided for experimentation.
+    For a fixed code the typicality restriction can only raise the error: the
+    unconstrained variant's, a largest-mass tuple per coset-product block, is
+    the least any decoder reaches.  The restriction serves the paper's proof.
     """
     decoder = "ml" if constrained else "ml_unconstrained"
     x_hat, failure, _ = sw_decode_batch(code, _one_row(syndromes), decoder, gamma, cap)

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, JSON/CSV output, file plumbing."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +84,44 @@ def test_gen_matrix_bad_params_exit_3(capsys):
                            "--cols", "2", "--tau", "3", "--seed", "0")
     assert code == 3  # odd tau is a compute-side ValueError
     assert "compute error" in err
+
+
+def _run_small(capsys, *argv):
+    """run_cli, and the seconds and peak traced bytes the call took."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        result = run_cli(capsys, *argv)
+        return result, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_matrix_past_the_size_bound_exit_3(capsys):
+    """A draw past MAX_MATRIX_ENTRIES is refused before its array exists:
+    a 10^5 x 10^5 matrix would take 80 GB."""
+    (code, out, err), seconds, peak = _run_small(
+        capsys, "gen-matrix", "--q", "2", "--rows", "100000", "--cols", "100000",
+        "--tau", "2", "--seed", "1")
+    assert code == 3 and not out
+    assert "100000x100000 matrix exceeds 16777216 entries" in err and "Traceback" not in err
+    assert seconds < 1 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("hash-audit", "--family", "uniform", "--q", "2", "--l", "2", "--n", str(2 ** 70)),
+     "2^2.361e+21"),
+    (("spectrum", "--family", "sparse", "--q", "2", "--l", "2", "--tau", "2", "--n", "1000000"),
+     "2^2e+06"),
+    (("hash-audit", "--family", "uniform", "--q", "2", "--l", "2", "--n", "2000"), "2^4000"),
+], ids=["n-2^70", "n-10^6", "n-2000"])
+def test_support_past_the_cap_exit_3_at_any_n(capsys, argv, size):
+    """The support size is compared with the cap in the log domain, before
+    any power is computed, and printed as a power of two."""
+    (code, out, err), seconds, peak = _run_small(capsys, *argv)
+    assert code == 3 and not out
+    assert f"support of {size} elementary outcomes exceeds cap 200000" in err
+    assert seconds < 1 and peak < 1 << 20
 
 
 def test_hash_audit_exact_profile(capsys):
@@ -330,15 +370,20 @@ def _write_bc_fixture(tmp_path):
     return str(prob), str(codef)
 
 
-@pytest.mark.parametrize("flag, obj", [
-    ("--dist", {"sizes": ["2", "2"], "probs": [0.25] * 4}),
-    ("--dist", {"sizes": [2], "probs": 0.5}),
-    ("--code", {"receivers": 3}),
-    ("--code", {"receivers": [{"A": "a.txt", "A_prime": "ap.txt", "syndrome": ["x"]}]}),
-], ids=["sizes-strings", "probs-number", "receivers-int", "syndrome-strings"])
-def test_malformed_json_field_exit_2(tmp_path, capsys, flag, obj):
-    """A JSON input whose field has the wrong kind of value is an input
-    error: exit 2 with a message, no traceback."""
+@pytest.mark.parametrize("flag, obj, field", [
+    ("--dist", {"sizes": ["2", "2"], "probs": [0.25] * 4}, "'sizes'"),
+    ("--dist", {"sizes": [2], "probs": 0.5}, "'probs'"),
+    ("--code", {"receivers": 3}, "'receivers'"),
+    ("--code", {"receivers": [{"A": "a.txt", "A_prime": "ap.txt", "syndrome": ["x"]}]},
+     "'syndrome'"),
+    ("--code", {"receivers": [{"A": "a.txt", "A_prime": "ap.txt", "syndrome": [0]},
+                              {"A": "a.txt", "A_prime": "ap.txt", "syndrome": [2 ** 70]}]},
+     "receiver 1: 'syndrome'"),
+], ids=["sizes-strings", "probs-number", "receivers-int", "syndrome-strings", "syndrome-2^70"])
+def test_malformed_json_field_exit_2(tmp_path, capsys, flag, obj, field):
+    """A JSON input whose field has the wrong kind of value, or a syndrome
+    entry outside its field, is an input error: exit 2 with a message that
+    names the field, no traceback."""
     prob, codef = _write_bc_fixture(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -349,7 +394,7 @@ def test_malformed_json_field_exit_2(tmp_path, capsys, flag, obj):
         argv = ("bc-sim", "--problem", prob, "--code", str(bad))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err and field in err
 
 
 @pytest.mark.parametrize("field, value", [("f", [0, 1, 2]), ("y_sizes", ["2", "2"])],

@@ -18,7 +18,6 @@ from hashprop.ensemble import (
     alpha_beta_from_spectrum,
     bound_lem_E,
     collision_prob,
-    spectrum,
     spectrum_table,
     universal_profile,
     verify_bound,
@@ -62,6 +61,27 @@ def test_support_sizes():
 def test_enumerate_support_cap():
     with pytest.raises(EnsembleError):
         Ensemble.uniform_all(2, 4, 5).enumerate_support(cap=100)
+    # a support exactly at the cap is enumerated, one past it is not
+    assert len(Ensemble.uniform_all(2, 2, 3).enumerate_support(cap=64)) == 64
+    for cap in (63, 0):
+        with pytest.raises(EnsembleError, match=f"2\\^6 elementary outcomes exceeds cap {cap}"):
+            Ensemble.uniform_all(2, 2, 3).enumerate_support(cap=cap)
+
+
+def test_support_bits_without_the_power():
+    """support_bits is log2 of support_size, from logarithms alone, so a
+    support of 2^(2^71) outcomes is refused at once and its size printed as
+    a power of two."""
+    prod = Ensemble.product(Ensemble.uniform_all(3, 1, 2), Ensemble.sparse(3, 2, 2, 2))
+    for e in (Ensemble.uniform_all(2, 2, 3), Ensemble.sparse(3, 2, 2, 2),
+              Ensemble.sparse(2, 1, 3, 2), Ensemble.binning(2, 2, 3), Ensemble.binning(3, 2, 1),
+              prod):
+        assert e.support_bits() == pytest.approx(math.log2(e.support_size()), abs=1e-12)
+    assert Ensemble.binning(2, 5000, 2).support_bits() == math.inf
+    with pytest.raises(EnsembleError, match=r"support of 2\^2.361e\+21 elementary outcomes"):
+        Ensemble.uniform_all(2, 2, 2 ** 70).enumerate_support()
+    with pytest.raises(EnsembleError, match=r"support of 2\^inf elementary outcomes"):
+        Ensemble.binning(2, 5000, 2).enumerate_support()
 
 
 def test_hash_values_beyond_int64_refused():
@@ -105,7 +125,7 @@ def test_uniform_spectrum_matches_type_class():
     sizes = {(2, 1): 3, (1, 2): 3, (0, 3): 1}
     for t, c in sizes.items():
         assert table[t] == Fraction(c, 4)
-    assert spectrum(e, (2, 1)) == Fraction(3, 4)
+    assert (3, 0) not in table  # the zero type
     with pytest.raises(EnsembleError):
         spectrum_table(Ensemble.binning(2, 2, 2))
 
@@ -204,6 +224,20 @@ def test_sampling_reproducible():
         [[2, 0, 1, 1], [0, 0, 0, 1], [2, 0, 1, 0]]
     with pytest.raises(EnsembleError):
         Ensemble.binning(2, 2, 2).sample(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("e", [Ensemble.uniform_all(2, 1 << 12, (1 << 12) + 1),
+                               Ensemble.sparse(2, 1, (1 << 24) + 1, 2)], ids=["uniform", "sparse"])
+def test_sample_past_the_matrix_bound_is_refused(e):
+    """A draw of more than MAX_MATRIX_ENTRIES entries is refused before
+    its array is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnsembleError, match="matrix exceeds 16777216 entries"):
+            e.sample(np.random.default_rng(0))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_uniform_sample_golden():

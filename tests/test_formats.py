@@ -229,8 +229,13 @@ def _receiver(**fields):
     ({"receivers": [_receiver(syndrome=[True])]}, "receiver 0: 'syndrome' must be a list of ints"),
     ({"receivers": [_receiver(A=5)]}, "receiver 0: 'A' and 'A_prime' must be file paths"),
     ({"receivers": [{"A": "a.txt", "syndrome": [0]}]}, "receiver 0: missing field 'A_prime'"),
+    ({"receivers": [_receiver(), _receiver(syndrome=[2 ** 70])]},
+     r"receiver 1: 'syndrome' entries must lie in \[0, 2\)"),
+    ({"receivers": [_receiver(syndrome=[-1])]}, r"receiver 0: 'syndrome' entries must lie in"),
+    ({"receivers": [_receiver(syndrome=[2])]}, r"receiver 0: 'syndrome' entries must lie in"),
 ], ids=["receivers-int", "receiver-int", "syndrome-strings", "syndrome-int", "syndrome-float",
-        "syndrome-bool", "A-int", "A_prime-missing"])
+        "syndrome-bool", "A-int", "A_prime-missing", "syndrome-2^70", "syndrome-negative",
+        "syndrome-q"])
 def test_bc_code_json_malformed_field_names_it(tmp_path, obj, message):
     (tmp_path / "a.txt").write_text(emit_matrix(FieldMatrix(2, [[1, 0]])))
     (tmp_path / "ap.txt").write_text(emit_matrix(FieldMatrix(2, [[1, 1]])))

@@ -11,16 +11,16 @@ from hashprop import types
 from hashprop.ensemble import Ensemble
 from hashprop.gf import FieldMatrix
 from hashprop.lp_md import (
+    CHECK_TOL,
     FEAS_TOL,
     INT_TOL,
     REL_EQ,
     REL_GE,
     REL_LE,
-    LinearProgram,
     LpError,
-    LpSolution,
     _CosetTypes,
     _divergence_order,
+    _rows_hold,
     _type_sweep,
     build_parity_constraints,
     build_type_constraints,
@@ -28,6 +28,7 @@ from hashprop.lp_md import (
     num_vars,
     patterns,
     polytope_vertex_audit,
+    program_arrays,
     simplex_solve,
     var_s,
     var_u,
@@ -36,51 +37,60 @@ from hashprop.slepian_wolf import SwCode, sw_decode_md, sw_encode
 from hashprop.types import Distribution, joint_type
 
 
+def _holds(rows, num_vars, point):
+    """Whether point satisfies every row within the solver's CHECK_TOL."""
+    return point is not None and _rows_hold(*program_arrays(rows, num_vars), point, CHECK_TOL)
+
+
 def test_simplex_textbook_maximization():
     # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), obj 36
-    lp = LinearProgram(num_vars=2, objective=np.array([3.0, 5.0]), maximize=True)
-    lp.add([1, 0], REL_LE, 4)
-    lp.add([0, 2], REL_LE, 12)
-    lp.add([3, 2], REL_LE, 18)
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.values == pytest.approx([2.0, 6.0])
-    assert sol.objective == pytest.approx(36.0)
-    assert sol.check_feasible(lp)
+    rows = [({0: 1}, REL_LE, 4), ({1: 2}, REL_LE, 12), ({0: 3, 1: 2}, REL_LE, 18)]
+    objective = np.array([3.0, 5.0])
+    status, point = simplex_solve(rows, 2, cost=-objective)
+    assert status == "optimal"
+    assert point == pytest.approx([2.0, 6.0])
+    assert objective @ point == pytest.approx(36.0)
+    assert _holds(rows, 2, point)
 
 
 def test_simplex_minimization_with_equality():
     # min x + y s.t. x + y = 2, x >= 0.5
-    lp = LinearProgram(num_vars=2, objective=np.array([1.0, 1.0]))
-    lp.add([1, 1], REL_EQ, 2)
-    lp.add([1, 0], REL_GE, 0.5)
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal" and sol.objective == pytest.approx(2.0)
+    rows = [({0: 1, 1: 1}, REL_EQ, 2), ({0: 1}, REL_GE, 0.5)]
+    status, point = simplex_solve(rows, 2, cost=np.array([1.0, 1.0]))
+    assert status == "optimal" and point.sum() == pytest.approx(2.0)
 
 
 def test_simplex_infeasible_and_unbounded():
-    lp = LinearProgram(num_vars=1, objective=np.array([1.0]))
-    lp.add([1], REL_LE, 1)
-    lp.add([1], REL_GE, 2)
-    assert simplex_solve(lp).status == "infeasible"
-    lp2 = LinearProgram(num_vars=1, objective=np.array([1.0]), maximize=True)
-    lp2.add([-1], REL_LE, 0)
-    assert simplex_solve(lp2).status == "unbounded"
+    assert simplex_solve([({0: 1}, REL_LE, 1), ({0: 1}, REL_GE, 2)], 1) == ("infeasible", None)
+    # max x s.t. -x <= 0
+    assert simplex_solve([({0: -1}, REL_LE, 0)], 1, cost=np.array([-1.0])) == ("unbounded", None)
 
 
 def test_simplex_negative_rhs_normalization():
-    lp = LinearProgram(num_vars=1, objective=np.array([1.0]))
-    lp.add([-1], REL_LE, -2)  # means x >= 2
-    sol = simplex_solve(lp)
-    assert sol.status == "optimal" and sol.values == pytest.approx([2.0])
+    status, point = simplex_solve([({0: -1}, REL_LE, -2)], 1, cost=np.array([1.0]))  # x >= 2
+    assert status == "optimal" and point == pytest.approx([2.0])
+
+
+def test_program_arrays_match_a_row_loop():
+    """The bulk conversion gives what filling one zero row per program row
+    gives, bit for bit, on a type LP with parity rows."""
+    mats = (FieldMatrix(2, [[1, 1, 0, 1], [0, 1, 1, 1]]), FieldMatrix(2, [[1, 0, 1, 1]]))
+    rows, nv = _cold_program((1, 0, 2, 1), mats, ((1, 0), (1,)))
+    loop = np.zeros((len(rows), nv))
+    for r, (coeffs, _, _) in enumerate(rows):
+        for i, v in coeffs.items():
+            loop[r, i] = v
+    coeffs, rels, rhs = program_arrays(rows, nv)
+    assert coeffs.tobytes() == loop.tobytes() and coeffs.shape == loop.shape
+    assert rels.tolist() == [rel for _, rel, _ in rows]
+    assert rhs.tolist() == [float(v) for _, _, v in rows]
 
 
 def test_program_validation():
-    lp = LinearProgram(num_vars=2, objective=np.zeros(2))
-    with pytest.raises(LpError):
-        lp.add({5: 1.0}, REL_LE, 0)
-    with pytest.raises(LpError):
-        lp.add([1, 0], "<", 0)
+    with pytest.raises(LpError, match="index 5 out of range"):
+        program_arrays([({5: 1.0}, REL_LE, 0)], 2)
+    with pytest.raises(LpError, match="unknown relation"):
+        program_arrays([({0: 1}, "<", 0)], 2)
 
 
 def test_variable_indexing():
@@ -177,14 +187,12 @@ def test_md_via_lp_matches_exhaustive_when_integral():
 
 
 def _cold_program(t, mats, syns):
+    """The rows of type t's LP and its variable count."""
     n, k = mats[0].cols, len(mats)
-    lp = LinearProgram(num_vars=num_vars(n, k), objective=np.zeros(num_vars(n, k)))
     rows = build_type_constraints(t, n, k)
     for j, (m, a) in enumerate(zip(mats, syns)):
         rows += build_parity_constraints(m, a, var_offset=j * n)
-    for row, rel, rhs in rows:
-        lp.add(row, rel, rhs)
-    return lp
+    return rows, num_vars(n, k)
 
 
 def _warm_start_instances():
@@ -251,14 +259,14 @@ def test_md_via_lp_warm_start_matches_cold_solver():
         assert [(e["divergence"], sweep.index(e["type"])) for e in full] == sorted(
             (divs[i], i) for i in range(len(sweep)))
         for entry in full:
-            lp = _cold_program(entry["type"], mats, syns)
-            assert entry["status"] == simplex_solve(lp).status, entry["type"]
+            program = _cold_program(entry["type"], mats, syns)
+            assert entry["status"] == simplex_solve(*program)[0], entry["type"]
             seen[entry["status"]] += 1
             assert isinstance(entry["pivots"], int) and entry["pivots"] >= 0
             if entry["status"] != "optimal":
                 continue
             point = np.array(entry["point"])
-            assert LpSolution("optimal", point, 0.0, entry["integral"]).check_feasible(lp)
+            assert _holds(*program, point)
             if not entry["integral"]:
                 seen["fractional"] += 1
                 continue
@@ -274,13 +282,13 @@ def test_md_via_lp_warm_start_matches_cold_solver():
     assert all(v > 0 for v in seen.values()), seen
 
 
-def _highs_status(lp):
+def _highs_status(rows, num_vars):
     """The status scipy's HiGHS gives the program, in this module's names."""
     from scipy.optimize import linprog
 
-    rows, rels, rhs = lp.arrays()
+    rows, rels, rhs = program_arrays(rows, num_vars)
     le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
-    res = linprog(np.zeros(lp.num_vars), A_ub=np.vstack([rows[le], -rows[ge]]),
+    res = linprog(np.zeros(num_vars), A_ub=np.vstack([rows[le], -rows[ge]]),
                   b_ub=np.concatenate([rhs[le], -rhs[ge]]), A_eq=rows[eq], b_eq=rhs[eq],
                   bounds=(0, None), method="highs")
     return {0: "optimal", 2: "infeasible"}[res.status]
@@ -297,8 +305,8 @@ def test_md_via_lp_statuses_match_highs():
         full = _full_sweep(mats, syns, mu)
         _assert_prefix(md_via_lp(mats, syns, mu).type_log, full)
         for entry in full:
-            lp = _cold_program(entry["type"], mats, syns)
-            assert entry["status"] == _highs_status(lp), entry["type"]
+            assert entry["status"] == _highs_status(*_cold_program(entry["type"], mats, syns)), \
+                entry["type"]
             seen[entry["status"]] += 1
     assert all(v > 0 for v in seen.values()), seen
 
@@ -314,7 +322,7 @@ def _dense_sweep(mats, syns, sweep):
     A_ic A_rj never matters and einsum forms the rank-1 terms.  The sign of
     a zero changes no nonzero value, so statuses, pivots and nonzero point
     entries are the full tableau's bit for bit, and every zero is +0.0."""
-    rows, rels, rhs = _cold_program(sweep[0], mats, syns).arrays()
+    rows, rels, rhs = program_arrays(*_cold_program(sweep[0], mats, syns))
     implied = ((rels == REL_GE) & (rhs <= 0) & ((rows != 0).sum(axis=1) == 1)
                & (rows.sum(axis=1) > 0))
     le, ge = np.flatnonzero(rels != REL_GE), np.flatnonzero((rels != REL_LE) & ~implied)
@@ -442,27 +450,26 @@ def test_simplex_solve_objective_matches_highs():
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(30):
         nv = int(rng.integers(2, 6))
-        lp = LinearProgram(num_vars=nv, objective=rng.integers(-4, 5, size=nv).astype(float),
-                           maximize=bool(rng.integers(0, 2)))
-        for i in np.flatnonzero(rng.random(nv) < 0.8):  # box rows x_i <= u_i
-            lp.add({int(i): 1.0}, REL_LE, float(rng.integers(1, 6)))
+        objective = rng.integers(-4, 5, size=nv).astype(float)
+        cost = -objective if rng.integers(0, 2) else objective  # maximize or minimize
+        program = [({int(i): 1.0}, REL_LE, float(rng.integers(1, 6)))  # box rows x_i <= u_i
+                   for i in np.flatnonzero(rng.random(nv) < 0.8)]
         for _ in range(int(rng.integers(1, 5))):
-            lp.add(rng.integers(-3, 4, size=nv), (REL_LE, REL_EQ, REL_GE)[rng.integers(0, 3)],
-                   float(rng.integers(-4, 8)))
-        rows, rels, rhs = lp.arrays()
+            program.append((dict(enumerate(rng.integers(-3, 4, size=nv).tolist())),
+                            (REL_LE, REL_EQ, REL_GE)[rng.integers(0, 3)],
+                            float(rng.integers(-4, 8))))
+        rows, rels, rhs = program_arrays(program, nv)
         le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
-        ref = linprog(-lp.objective if lp.maximize else lp.objective,
-                      A_ub=np.vstack([rows[le], -rows[ge]]),
+        ref = linprog(cost, A_ub=np.vstack([rows[le], -rows[ge]]),
                       b_ub=np.concatenate([rhs[le], -rhs[ge]]),
                       A_eq=rows[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
                       bounds=(0, None), method="highs")
-        sol = simplex_solve(lp)
-        assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
-        seen[sol.status] += 1
-        if sol.status == "optimal":
-            assert sol.check_feasible(lp)
-            assert sol.objective == pytest.approx(-ref.fun if lp.maximize else ref.fun,
-                                                  abs=1e-7)
+        status, point = simplex_solve(program, nv, cost=cost)
+        assert status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        seen[status] += 1
+        if status == "optimal":
+            assert _holds(program, nv, point)
+            assert cost @ point == pytest.approx(ref.fun, abs=1e-7)
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -471,7 +478,7 @@ def test_md_via_lp_raises_on_a_point_outside_its_rows(monkeypatch):
     import hashprop.lp_md as lp_md
 
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
-    eye = FieldMatrix.identity(2, 2)
+    eye = FieldMatrix(2, np.eye(2, dtype=np.int64))
     monkeypatch.setattr(lp_md, "CHECK_TOL", -1.0)
     with pytest.raises(LpError, match="violates"):
         md_via_lp((eye, eye), ((0, 1), (0, 1)), mu)
@@ -480,15 +487,15 @@ def test_md_via_lp_raises_on_a_point_outside_its_rows(monkeypatch):
 def test_md_via_lp_validation():
     mu = Distribution([[0.5, 0.5]])
     with pytest.raises(LpError):
-        md_via_lp((FieldMatrix.identity(2, 2),), ((0, 0),), mu)
+        md_via_lp((FieldMatrix(2, np.eye(2, dtype=np.int64)),), ((0, 0),), mu)
     mu3 = Distribution(np.full((3, 3), 1 / 9))
     with pytest.raises(LpError):
-        md_via_lp((FieldMatrix.identity(3, 2),) * 2, ((0, 0),) * 2, mu3)
+        md_via_lp((FieldMatrix(3, np.eye(2, dtype=np.int64)),) * 2, ((0, 0),) * 2, mu3)
 
 
 def test_md_via_lp_type_log():
     mu = Distribution([[0.475, 0.025], [0.025, 0.475]])
-    eye = FieldMatrix.identity(2, 2)
+    eye = FieldMatrix(2, np.eye(2, dtype=np.int64))
     res = md_via_lp((eye, eye), ((0, 1), (0, 1)), mu)
     assert res.x_hat == ((0, 1), (0, 1))
     assert not res.error

@@ -172,7 +172,7 @@ def test_error_exact_fast_path_matches_generic_edge_cases():
         SwCode((FieldMatrix(5, [[1, 3, 4, 1]]),
                 FieldMatrix(3, [[2, 1, 0, 1], [0, 0, 1, 1]])), DSBS),
         # x is known exactly; every y coset missing x is an all-infinite block
-        SwCode((FieldMatrix.identity(2, 3),
+        SwCode((FieldMatrix(2, np.eye(3, dtype=np.int64)),
                 FieldMatrix(2, [[1, 1, 0], [0, 1, 1]])), diag),
         SwCode((FieldMatrix(2, [[1, 0, 1]]),
                 FieldMatrix(2, [[0, 1, 1]])), ZERO_MASS),
@@ -648,7 +648,7 @@ def test_pinned_sw_decisions():
 
 
 def test_error_exact_identity_code_is_zero():
-    eye = FieldMatrix.identity(2, 3)
+    eye = FieldMatrix(2, np.eye(3, dtype=np.int64))
     code = SwCode((eye, eye), DSBS)
     assert sw_error_exact(code) == 0.0
     assert sw_error_exact(code, decoder="ml", gamma=10.0) == 0.0
@@ -681,3 +681,38 @@ def test_rate_check():
     assert not boundary["inside"]  # strict inequalities
     with pytest.raises(SwError):
         sw_rate_check(SwRates((0.5,)), DSBS)
+
+
+def _map_bound_codes(count: int, seed: int):
+    """Seeded random codes with uniform GF(q) checks of 1 to n - 1 rows:
+    one, two and three sources, binary sources under GF(3) checks, and a
+    3 x 3 law."""
+    skew = Distribution([[0.6, 0.1], [0.05, 0.25]])
+    three = Distribution([[0.3, 0.03, 0.02], [0.04, 0.2, 0.06], [0.01, 0.09, 0.25]])
+    triple = Distribution(np.array([0.4, 0.05, 0.05, 0.02, 0.03, 0.05, 0.05, 0.35]).reshape(2, 2, 2))
+    # (law, field of each source, largest n)
+    setups = [(Distribution([0.8, 0.2]), (2,), 10), (Distribution([0.8, 0.2]), (3,), 7),
+              (DSBS, (2, 2), 7), (skew, (3, 2), 5), (THREE_BY_TWO, (3, 3), 4),
+              (three, (3, 3), 4), (triple, (2, 2, 2), 4)]
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mu, fields, top = setups[i % len(setups)]
+        n = int(rng.integers(2, top + 1))
+        yield SwCode(tuple(FieldMatrix(q, rng.integers(0, q, size=(int(rng.integers(1, n)), n)))
+                           for q in fields), mu)
+
+
+def test_map_error_bounds_every_decoder():
+    """ml_unconstrained picks a tuple of the largest mass in every coset-
+    product block, so its exact error is the least any decoder reaches with
+    the same code: MD's and the typicality-constrained ML's at every gamma
+    are at least as large.  No oracle is needed; 1e-12 covers tied types
+    whose tallies round differently (seen up to 1.1e-16)."""
+    worse = 0
+    for code in _map_bound_codes(210, seed=18):
+        best = sw_error_exact(code, "ml_unconstrained")
+        for decoder, gamma in (("md", 0.0), ("ml", 0.05), ("ml", 0.3), ("ml", 1.0)):
+            err = sw_error_exact(code, decoder, gamma)
+            assert best <= err + 1e-12, (code, decoder, gamma)
+            worse += err > best + 1e-12
+    assert worse > 0  # the bound is strict on some codes
