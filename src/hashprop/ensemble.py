@@ -49,7 +49,7 @@ class TypeFilter:
 
     @classmethod
     def default(cls, n: int) -> "TypeFilter":
-        return cls(w_min=max(1, math.ceil(n / 10)))
+        return cls(w_min=max(1, -(-n // 10)))
 
     def contains(self, t: Sequence[int]) -> bool:
         n = sum(t)
@@ -189,21 +189,27 @@ class Ensemble:
     # --- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> FieldMatrix:
-        """Draw one matrix; each column consumes exactly 2*tau RNG outputs for
-        the sparse family so generation is reproducible from the seed; a
-        shape past ``MAX_MATRIX_ENTRIES`` entries is refused before allocating."""
+        """Draw one matrix, reproducibly from the generator's state.  A
+        uniform matrix is one ``rng.integers`` call over its l x n entries.
+        A sparse column i takes tau draws, each a row in [0, l) and then a
+        nonzero scale in [1, q) added to entry (row, i) mod q; all 2*tau*n
+        bounded draws are one ``rng.integers`` call, in that order, and each
+        consumes what a scalar call with its bounds would (none for a bound
+        of one value: a row when l = 1, a scale over GF(2)).  A shape past
+        ``MAX_MATRIX_ENTRIES`` entries, or past that many draws, is refused
+        before allocating."""
         if self.l * self.n > MAX_MATRIX_ENTRIES:
             raise EnsembleError(f"{self.l}x{self.n} matrix exceeds {MAX_MATRIX_ENTRIES} entries")
         if self.family == "uniform":
             dense = rng.integers(0, self.q, size=(self.l, self.n))
             return FieldMatrix(self.q, dense)
         if self.family == "sparse":
+            draws = self.tau * self.n
+            if 2 * draws > MAX_MATRIX_ENTRIES:
+                raise EnsembleError(f"{2 * draws} sparse draws exceed {MAX_MATRIX_ENTRIES}")
+            row, scale = rng.integers([0, 1], [self.l, self.q], size=(draws, 2)).T
             dense = np.zeros((self.l, self.n), dtype=np.int64)
-            for i in range(self.n):
-                for _ in range(self.tau):
-                    j = int(rng.integers(0, self.l))
-                    a = int(rng.integers(1, self.q))
-                    dense[j, i] = (dense[j, i] + a) % self.q
+            np.add.at(dense, (row, np.arange(self.n).repeat(self.tau)), scale)
             return FieldMatrix(self.q, dense)
         raise EnsembleError(f"sampling is not defined for family {self.family!r}")
 

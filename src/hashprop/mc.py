@@ -71,15 +71,21 @@ def inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
 
 
+def row_keys(rows: np.ndarray, bases) -> np.ndarray:
+    """One int64 per row of a 2-D integer array whose column i holds
+    symbols in [0, bases[i]): equal for equal rows and ordered as the rows
+    are lexicographically.  It is the row's mixed-radix value when the
+    product of the bases fits, else its rank among the distinct rows."""
+    if math.prod(bases) >= 1 << 63:
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    weights = np.array([math.prod(bases[i + 1:]) for i in range(len(bases))], dtype=np.int64)
+    return rows @ weights
+
+
 def distinct_rows(rows: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` for a 2-D integer array whose column i holds
     symbols in [0, bases[i]): the index of one row per distinct row, and
-    per row the position of its distinct row in ``first``.  Rows are keyed
-    by one mixed-radix int64 when the product of the bases fits, else
-    compared whole."""
-    if math.prod(bases) >= 1 << 63:
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        return first, inverse.reshape(-1)
-    weights = np.array([math.prod(bases[i + 1:]) for i in range(len(bases))], dtype=np.int64)
-    _, first, inverse = np.unique(rows @ weights, return_index=True, return_inverse=True)
+    per row the position of its distinct row in ``first``, from the
+    ``row_keys``."""
+    _, first, inverse = np.unique(row_keys(rows, bases), return_index=True, return_inverse=True)
     return first, inverse

@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import types
 from .gf import FieldMatrix, coset_factor_batch, coset_size
-from .mc import McEstimate, distinct_rows, inverse_cdf, run_blocks
+from .mc import McEstimate, distinct_rows, inverse_cdf, row_keys, run_blocks
 from .types import (
     Distribution,
     TypicalityParams,
@@ -31,6 +32,7 @@ from .types import (
     product_log_masses,
     product_valid,
     row_groups,
+    tie_classes,
     type_classes,
     type_log_masses,
     type_rows,
@@ -183,24 +185,50 @@ def sw_decode_ml_typical(code: SwCode, syndromes, gamma: float,
     return SwDecodeResult(x_hat=_as_tuples(x_hat[0]))
 
 
+@lru_cache(maxsize=8)
+def _sequences(size: int, n: int) -> np.ndarray:
+    """Every alphabet sequence of length n, in lexicographic order: a
+    read-only (size^n, n) int64 array, kept for the next layout of that
+    (size, n)."""
+    seqs = np.indices((size,) * n).reshape(n, size ** n).T.copy()
+    seqs.setflags(write=False)
+    return seqs
+
+
 def _coset_slots(matrix: FieldMatrix, size: int, n: int):
     """Every alphabet sequence of length n, in lexicographic order, and a
     (cosets, widest coset) array of their indices: one coset per row, rows in
     syndrome order, members in lexicographic order, -1 in the padding.
 
-    This stays beside ``gf.coset_batch``: it enumerates the size^n alphabet
-    sequences, while ``coset_factor_batch`` builds about q^n members in all
-    (9.8M against 1024 for a GF(5) check on a binary source at n = 10)."""
-    seqs = np.indices((size,) * n).reshape(n, size ** n).T
-    # each sequence's rank among the distinct syndromes, in lexicographic order
-    _, idx = distinct_rows(seqs @ matrix.dense.T % matrix.q, [matrix.q] * matrix.rows)
-    perm = np.argsort(idx, kind="stable")
-    sizes = np.bincount(idx)
+    One stable argsort of the syndromes' ``row_keys`` groups the sequences.
+    When the alphabet is the field, every coset holds q^(n - rank) of them,
+    so the sorted order, reshaped, is the array.  This stays beside
+    ``gf.coset_batch``: it enumerates the size^n alphabet sequences, while
+    ``coset_factor_batch`` builds about q^n members in all (9.8M against
+    1024 for a GF(5) check on a binary source at n = 10)."""
+    seqs = _sequences(size, n)
+    key = row_keys(seqs @ matrix.dense.T % matrix.q, [matrix.q] * matrix.rows)
+    perm = np.argsort(key, kind="stable")
+    if size == matrix.q:  # the width is the kernel's size, the zero sequence's coset
+        return seqs, perm.reshape(-1, np.count_nonzero(key == key[0]))
+    sizes = np.diff(np.flatnonzero(np.diff(key[perm])) + 1, prepend=0, append=len(perm))
     starts = np.cumsum(sizes) - sizes
     slots = np.full((len(sizes), sizes.max()), -1)
     slots[np.repeat(np.arange(len(sizes)), sizes),
           np.arange(len(seqs)) - np.repeat(starts, sizes)] = perm
     return seqs, slots
+
+
+@lru_cache(maxsize=64)
+def _type_weights(masses: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per length-n joint type of the flat law ``masses``, in table order,
+    the mass of any one sequence of the type (2 to its ``type_log_masses``
+    entry) and the exact class size: read-only float64 and int64 arrays."""
+    weights = (np.exp2(type_log_masses(n, np.array(masses))),
+               np.array(type_classes(n, len(masses)).sizes, dtype=np.int64))
+    for array in weights:
+        array.setflags(write=False)
+    return weights
 
 
 def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
@@ -212,13 +240,23 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     coset) slots, cosets in syndrome order and members in lexicographic
     order, so every coset-product block is a box of slots. A tuple is scored
     through its joint type by the key scorer of ``hashprop.types``, on the
-    decoders' cached tables: MD adds ``cell_terms``, ML negates the sum of
-    ``cell_log_masses``. Padding slots, and for "ml" atypical sources, add
-    NaN, which marks a non-candidate. Blocks are decoded in chunks of whole
-    cosets of the first and the last axis, about SCORE_CHUNK slots (more
-    only when one block with the middle axes is larger). Only a block's
-    ``first_best`` tuple, its first tied minimum in row-major order, decodes
-    correctly; in a block with no admissible tuple, none does.
+    decoders' cached tables: MD costs are the ``cell_terms`` sums, ML costs
+    the negated ``cell_log_masses`` sums. Padding slots, and for "ml"
+    atypical sources, are non-candidates. Blocks are decoded in chunks of
+    whole cosets of the first and the last axis, about SCORE_CHUNK slots
+    (more only when one block with the middle axes is larger). Only a
+    block's ``first_best`` tuple, its first tied minimum in row-major order,
+    decodes correctly; in a block with no admissible tuple, none does.
+
+    When the law's cells form one lookup group and its costs'
+    ``tie_classes`` are separated, a block is decided on them instead: a
+    tuple's code is its class id times the block's member count plus its
+    row-major index in the block, so the block's least code, one minimum
+    over the member axes, names its first least id, the same winner as
+    ``first_best``. When the cells form several groups, or some class's
+    largest cost + TIE_TOL reaches the next class, the float costs are
+    summed group by group, a non-candidate's made NaN, and ``first_best``
+    decides.
 
     The chunks tally these winners per joint type T, by its row in
     ``type_classes`` (``type_rows`` of the winners' keys), with one
@@ -226,10 +264,15 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
     ``type_log_masses`` entry, so the error is the ``math.fsum`` over the
     types of mu(T) (|T| - winners of T), with the exact class size |T| of
     ``type_classes`` and the difference in integers: one rounding per type.
-    No array holds one value per tuple or per block.
+    Both come from a cache per law and n. No array holds one value per
+    tuple or per block.
 
-    ``cap`` counts the source tuples, so it bounds the work; memory is
-    bounded by the SCORE_CHUNK-sized chunks, whatever the tuple count.
+    ``cap`` counts the source tuples, so it bounds the work. Memory is
+    bounded by the SCORE_CHUNK-sized chunks and by arrays that grow with
+    one axis's sequence count, not with the tuple count: the first axis's
+    lead rows, built once per call, and the last axis's key columns (with
+    three or more sources, the middle axes' lead rows, which every chunk
+    reads whole, grow with the product of their sequence counts).
     """
     _check_decoder(decoder)
     n, shape = code.n, code.mu.shape
@@ -252,59 +295,97 @@ def sw_error_exact(code: SwCode, decoder: str = "md", gamma: float = 0.0,
         admit.insert(0, np.ones(1, dtype=bool))
         shape = (1,) + shape
     k = len(shape)
-    # (axis, penalty) of each axis with padding or atypical sources; the others add 0
-    pens = [(j, pen) for j, pen in enumerate(np.where((slot >= 0) & ok[slot], 0.0, np.nan)
-                                             for slot, ok in zip(slots, admit))
-            if np.isnan(pen).any()]
-    slots = [np.maximum(slot, 0) for slot in slots]
 
     masses = tuple(code.mu.table.reshape(-1).tolist())
-    scores = type_tables(cell_terms if decoder == "md" else cell_log_masses, masses, n, chunk)
+    terms = cell_terms if decoder == "md" else cell_log_masses
+    scores = type_tables(terms, masses, n, chunk)
     groups = [cells for cells, _ in scores]
-    slot_cols = [col[0][:, slots[-1].reshape(-1)]
-                 for col in key_columns(seqs[-1][None], shape, groups)]
-    sizes = type_classes(n, len(masses)).sizes
-    hits = np.zeros(len(sizes), dtype=np.int64)  # winners per table row
-
+    ties = tie_classes(terms, masses, n) if len(groups) == 1 else None
     (lead_cosets, lead_width), (last_cosets, last_width) = slots[0].shape, slots[-1].shape
     middle = [slot.shape for slot in slots[1:-1]]
-    per_pair = math.prod(slot.shape[1] for slot in slots) * math.prod(c for c, _ in middle)
+    widths = [slot.shape[1] for slot in slots]
+    members = math.prod(widths)
+    # a chunk's axes: (cosets, width) per source, (width, cosets) for the last,
+    # so that no block's members lie along the innermost axis
+    count_axes = tuple(range(0, 2 * k - 2, 2)) + (2 * k - 1,)
+    width_axes = tuple(range(1, 2 * k - 2, 2)) + (2 * k - 2,)
+    block_major = count_axes + width_axes
+    if ties is None:
+        keep, drop, dtype = -np.inf, np.nan, np.float64
+    else:
+        # a tuple's code is its class id * members + its row-major index in its
+        # block, so a block's least code names its first least id: the first_best
+        dtype = np.min_scalar_type((ties.blank + 1) * members - 1)
+        keep, drop = 0, ties.blank * members
+        codes = ties.ids.astype(dtype) * members
+        at = [1] * (2 * k)
+        for axis, width in zip(width_axes, widths):
+            at[axis] = width
+        index = np.arange(members, dtype=dtype).reshape(at)
+    # (axis, penalty) of each axis with padding or atypical sources, taken as a
+    # maximum with the costs: a candidate's leaves its cost, a non-candidate's
+    # makes it NaN, or a code of the blank class
+    candidates = [(slot >= 0) & ok[slot] for slot, ok in zip(slots, admit)]
+    pens = [(j, np.where(cand, keep, drop).astype(dtype))
+            for j, cand in enumerate(candidates) if not cand.all()]
+    slots = [np.maximum(slot, 0) for slot in slots]
+    slot_cols = [col[0][:, slots[-1].T.reshape(-1)].reshape(-1, last_width, last_cosets)
+                 for col in key_columns(seqs[-1][None], shape, groups)]
+    type_mass, sizes = _type_weights(masses, n)
+    hits = np.zeros(len(sizes), dtype=np.int64)  # winners per table row
+
+    lead = lead_rows([seqs[0][slots[0].reshape(-1)][None]], shape[:1], n)[0]
+    if middle:
+        picks = np.unravel_index(np.arange(math.prod(c * w for c, w in middle)),
+                                 [c * w for c, w in middle])
+        mid = lead_rows([seq[slot.reshape(-1)[p]][None]
+                         for seq, slot, p in zip(seqs[1:-1], slots[1:-1], picks)],
+                        shape[1:-1], n)[0]
+        mid = mid.reshape(len(mid), n, 1, -1)
+    per_pair = members * math.prod(c for c, _ in middle)
     x_step = max(1, chunk // (per_pair * last_cosets))
     y_step = min(last_cosets, max(1, chunk // per_pair))
-    block_major = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
     for x0 in range(0, lead_cosets, x_step):
         x1 = min(x0 + x_step, lead_cosets)
-        lead_shape = ((x1 - x0) * lead_width,) + tuple(c * w for c, w in middle)
-        picks = np.unravel_index(np.arange(math.prod(lead_shape)), lead_shape)
-        picks[0][:] += x0 * lead_width
-        rows = lead_rows([seq[slot.reshape(-1)[p]][None] for seq, slot, p in zip(seqs, slots, picks)],
-                         shape[:-1], n)[0]
+        rows = lead[x0 * lead_width:x1 * lead_width]
+        if middle:
+            rows = (rows.reshape(-1, 1, n, shape[0], 1) * mid).reshape(-1, rows.shape[1] * mid.shape[-1])
         for y0 in range(0, last_cosets, y_step):
             y1 = min(y0 + y_step, last_cosets)
-            boxes = [(x1 - x0, lead_width)] + middle + [(y1 - y0, last_width)]
+            counts = [x1 - x0] + [c for c, _ in middle] + [y1 - y0]
             bases = [x0] + [0] * (k - 2) + [y0]
-            natural = tuple(d for box in boxes for d in box)
-            keys = [(rows @ col[:, y0 * last_width:y1 * last_width]).reshape(natural)
-                    .transpose(block_major).astype(np.intp, order="C") for col in slot_cols]
-            score = scores[0][1].take(keys[0])
-            for key, (_, table) in zip(keys[1:], scores[1:]):
-                score += table.take(key)
-            if decoder != "md":
-                np.negative(score, out=score)
+            natural = [x1 - x0, lead_width] + [d for box in middle for d in box] + [last_width, y1 - y0]
+            keys = [(rows @ col[:, :, y0:y1].reshape(len(col), -1)).astype(np.intp).reshape(natural)
+                    for col in slot_cols]
+            if ties is None:
+                score = scores[0][1].take(keys[0])
+                for key, (_, table) in zip(keys[1:], scores[1:]):
+                    score += table.take(key)
+                if decoder != "md":
+                    np.negative(score, out=score)
+            else:
+                score = codes.take(keys[0])
+                score += index
             for j, pen in pens:
+                part = pen[bases[j]:bases[j] + counts[j]]
                 at = [1] * (2 * k)
-                at[j], at[k + j] = boxes[j]
-                score += pen[bases[j]:bases[j] + boxes[j][0]].reshape(at)
-            members = math.prod(w for _, w in boxes)
-            first = first_best(score.reshape(-1, members))
-            blocks = np.flatnonzero(first >= 0)
-            won = [key.reshape(-1).take(blocks * members + first[blocks]) for key in keys]
-            hits += np.bincount(type_rows(won, n, len(masses), groups), minlength=len(hits))
+                at[count_axes[j]], at[width_axes[j]] = part.shape
+                np.maximum(score, (part.T if j == k - 1 else part).reshape(at), out=score)
+            if ties is None:
+                first = first_best(score.transpose(block_major).reshape(-1, members))
+                blocks = np.unravel_index(np.flatnonzero(first >= 0), counts)
+                first = first.reshape(counts)
+            else:
+                for i, axis in enumerate(width_axes):  # one axis at a time is faster
+                    score = score.min(axis=axis - i)
+                least, first = np.divmod(score, members)
+                blocks = np.nonzero(least != ties.blank)
+            won = blocks + np.unravel_index(first[blocks], widths)
+            hits += np.bincount(type_rows([key.transpose(block_major)[won] for key in keys],
+                                          n, len(masses), groups), minlength=len(hits))
 
     # all but the winners of a type decode wrongly
-    type_mass = np.exp2(type_log_masses(n, code.mu.table)).tolist()
-    return min(1.0, math.fsum(m * (size - hit)
-                              for m, size, hit in zip(type_mass, sizes, hits.tolist())))
+    return min(1.0, math.fsum((type_mass * (sizes - hits)).tolist()))
 
 
 def sw_error_mc(code: SwCode, decoder: str = "md", trials: int = 1000,

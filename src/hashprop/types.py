@@ -209,6 +209,54 @@ def first_best(costs: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(best[..., 0]), -1, first)
 
 
+class TieClasses(NamedTuple):
+    """The tie class of every key of a one-group score table: ``ids`` is a
+    read-only array of small unsigned ints indexed by the key, and
+    ``blank``, the largest id, marks a non-candidate (and a key no type
+    has)."""
+
+    ids: np.ndarray
+    blank: int
+
+
+def tie_classes(terms, masses: tuple, n: int) -> TieClasses | None:
+    """The tie classes of the costs a decoder minimizes when every cell of
+    the flat law ``masses`` is in one lookup group: the ``type_tables`` sums
+    of ``cell_terms`` (divergences), or the negated sums of
+    ``cell_log_masses``; callers check that the cells form one group.
+
+    Classes are numbered by increasing cost: a class starts at the least
+    cost above the last class's least cost + TIE_TOL, +inf has one class
+    above the finite ones, and ``blank`` is one above that.  Then the first
+    least id of a row of ids (its argmin) is the ``first_best`` of the row's
+    costs, and a least id of ``blank`` means no candidate, as long as no
+    class's largest cost + TIE_TOL reaches the next class; when one does,
+    the classes are not separated and this is None.  The classes are cached
+    per law, n and TIE_TOL."""
+    return _tie_classes(terms, masses, n, TIE_TOL)
+
+
+@lru_cache(maxsize=256)
+def _tie_classes(terms, masses: tuple, n: int, tol: float) -> TieClasses | None:
+    costs = _type_sums(terms, n, np.array(masses))
+    if terms is cell_log_masses:
+        costs = -costs
+    starts: list[float] = []  # the least cost of each finite class
+    for cost in np.sort(costs[np.isfinite(costs)]).tolist():
+        if not starts or cost > starts[-1] + tol:
+            if starts and last + tol >= cost:
+                return None
+            starts.append(cost)
+        last = cost
+    ids = np.where(np.isfinite(costs), np.searchsorted(starts, costs, side="right") - 1,
+                   len(starts))
+    blank = len(starts) + 1
+    lookup = _row_lookup(n, len(masses), (tuple(range(len(masses))),))
+    keyed = np.where(lookup >= 0, ids[lookup], blank).astype(np.min_scalar_type(blank))
+    keyed.setflags(write=False)
+    return TieClasses(keyed, blank)
+
+
 def row_groups(rows: int, per_row: int) -> list[slice]:
     """Slices of a batch of ``rows`` searches of ``per_row`` candidates each,
     so that a slice holds at most SCORE_CHUNK candidates (or one row)."""

@@ -108,13 +108,27 @@ def test_gen_matrix_past_the_size_bound_exit_3(capsys):
     assert seconds < 1 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("tau, draws", [("20000000", "80000000"), (str(2 ** 70), str(2 ** 72))],
+                         ids=["tau-2e7", "tau-2^70"])
+def test_gen_matrix_past_the_draw_bound_exit_3(capsys, tau, draws):
+    """A sparse draw of a 2 x 2 matrix by more than MAX_MATRIX_ENTRIES
+    bounded draws (2 tau n) is refused before any draw is made."""
+    (code, out, err), seconds, peak = _run_small(
+        capsys, "gen-matrix", "--q", "2", "--rows", "2", "--cols", "2", "--tau", tau, "--seed", "1")
+    assert code == 3 and not out
+    assert f"{draws} sparse draws exceed 16777216" in err and "Traceback" not in err
+    assert seconds < 1 and peak < 1 << 20
+
+
 @pytest.mark.parametrize("argv, size", [
     (("hash-audit", "--family", "uniform", "--q", "2", "--l", "2", "--n", str(2 ** 70)),
      "2^2.361e+21"),
     (("spectrum", "--family", "sparse", "--q", "2", "--l", "2", "--tau", "2", "--n", "1000000"),
      "2^2e+06"),
     (("hash-audit", "--family", "uniform", "--q", "2", "--l", "2", "--n", "2000"), "2^4000"),
-], ids=["n-2^70", "n-10^6", "n-2000"])
+    # past the float range: the default type filter takes an integer ceiling
+    (("hash-audit", "--family", "uniform", "--q", "2", "--l", "1", "--n", str(10 ** 400)), "2^inf"),
+], ids=["n-2^70", "n-10^6", "n-2000", "n-10^400"])
 def test_support_past_the_cap_exit_3_at_any_n(capsys, argv, size):
     """The support size is compared with the cap in the log domain, before
     any power is computed, and printed as a power of two."""

@@ -23,12 +23,14 @@ from hashprop.ensemble import (
     verify_bound,
     verify_strong_hash,
 )
+from hashprop.mc import stream
 
 
 def test_type_filter_default():
     assert TypeFilter.default(4).w_min == 1
     assert TypeFilter.default(10).w_min == 1
     assert TypeFilter.default(11).w_min == 2
+    assert TypeFilter.default(10 ** 400 + 1).w_min == 10 ** 399 + 1  # no float division
     assert TypeFilter(1).contains((1, 1))
     assert not TypeFilter(2).contains((1, 1))
 
@@ -226,14 +228,19 @@ def test_sampling_reproducible():
         Ensemble.binning(2, 2, 2).sample(np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("e", [Ensemble.uniform_all(2, 1 << 12, (1 << 12) + 1),
-                               Ensemble.sparse(2, 1, (1 << 24) + 1, 2)], ids=["uniform", "sparse"])
-def test_sample_past_the_matrix_bound_is_refused(e):
-    """A draw of more than MAX_MATRIX_ENTRIES entries is refused before
-    its array is allocated."""
+@pytest.mark.parametrize("e, message", [
+    (Ensemble.uniform_all(2, 1 << 12, (1 << 12) + 1), "matrix exceeds 16777216 entries"),
+    (Ensemble.sparse(2, 1, (1 << 24) + 1, 2), "matrix exceeds 16777216 entries"),
+    (Ensemble.sparse(2, 2, 2, 20_000_000), "80000000 sparse draws exceed 16777216"),
+    (Ensemble.sparse(2, 2, 2, 2 ** 70), f"{2 ** 72} sparse draws exceed 16777216"),
+], ids=["uniform", "sparse", "sparse-tau-2e7", "sparse-tau-2^70"])
+def test_sample_past_the_matrix_bound_is_refused(e, message):
+    """A draw of more than MAX_MATRIX_ENTRIES entries, or of a sparse
+    matrix by more than that many bounded draws (2 tau n), is refused before
+    its arrays are allocated."""
     tracemalloc.start()
     try:
-        with pytest.raises(EnsembleError, match="matrix exceeds 16777216 entries"):
+        with pytest.raises(EnsembleError, match=message):
             e.sample(np.random.default_rng(0))
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
@@ -247,6 +254,41 @@ def test_uniform_sample_golden():
         [[0, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 1, 1, 0, 1]]
     assert Ensemble.uniform_all(3, 2, 4).sample(np.random.default_rng(12)).dense.tolist() == \
         [[1, 0, 2, 2], [0, 0, 0, 0]]
+
+
+# (q, l, tau): the 3 x 5 (or 1 x 5) sparse draw from stream(10 q + tau) and
+# the generator's next random(), recorded from the per-draw loop that made
+# 2 tau n scalar rng.integers calls; with l = 1 no row is drawn, and over
+# GF(2) no scale is
+SPARSE_SAMPLE_GOLDEN = [
+    ((2, 3, 2), "01111 11011 10100", "0x1.f9b09e644b470p-1"),
+    ((2, 3, 4), "11010 00001 11011", "0x1.6ca03ea491472p-1"),
+    ((2, 3, 6), "00101 11001 11100", "0x1.077ac08ed9ca2p-2"),
+    ((3, 3, 2), "01000 01102 00011", "0x1.44affade6a5ccp-2"),
+    ((3, 3, 4), "02200 02121 00222", "0x1.76bc71dec17e0p-4"),
+    ((3, 3, 6), "00221 02100 00210", "0x1.e6eb0f02bd020p-2"),
+    ((5, 3, 2), "30411 03300 31024", "0x1.cac1fe8716b7bp-1"),
+    ((5, 3, 4), "43023 13004 31310", "0x1.5d1235580e442p-1"),
+    ((5, 3, 6), "41203 23000 40432", "0x1.ca4e856144ea4p-1"),
+    ((7, 3, 2), "01006 12042 60010", "0x1.d0ad38b9afadcp-1"),
+    ((7, 3, 4), "64052 45360 35451", "0x1.0771de2dc1ff2p-2"),
+    ((7, 3, 6), "23563 21152 60402", "0x1.2d9fc31839928p-3"),
+    ((2, 1, 2), "00000", "0x1.7723a55315c12p-2"),
+    ((5, 1, 4), "31031", "0x1.e5f4f2781ee1ap-2"),
+]
+
+
+@pytest.mark.parametrize("params, rows, after", SPARSE_SAMPLE_GOLDEN,
+                         ids=[f"q{q}-l{l}-tau{tau}" for (q, l, tau), _, _ in SPARSE_SAMPLE_GOLDEN])
+def test_sparse_sample_golden(params, rows, after):
+    """The one vectorized draw gives the per-draw loop's matrix and leaves
+    the generator where the loop did, so a second draw from the stream (as
+    ``sweep`` makes) is unchanged too."""
+    q, l, tau = params
+    rng = stream(10 * q + tau)
+    m = Ensemble.sparse(q, l, 5, tau).sample(rng)
+    assert " ".join("".join(map(str, row)) for row in m.dense.tolist()) == rows
+    assert rng.random().hex() == after
 
 
 def test_sample_matches_support_distribution():

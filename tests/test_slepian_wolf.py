@@ -367,6 +367,30 @@ def test_error_exact_tallies_types_across_lookup_groups():
 
 
 
+def test_error_exact_first_best_path_matches_oracle(monkeypatch):
+    """With TIE_TOL raised to 0.05 here and in the oracle, this one-group
+    law's costs chain past the tolerance at n = 4 and 5, so tie_classes
+    gives None and the engine decides on float costs by first_best: it
+    equals the oracle at that tolerance for every decoder."""
+    monkeypatch.setattr(types, "TIE_TOL", 0.05)
+    monkeypatch.setattr(oracles, "TIE_TOL", 0.05)
+    law = Distribution([[0.3, 0.2], [0.15, 0.35]])
+    masses = tuple(law.table.reshape(-1).tolist())
+    rng = np.random.default_rng(41)
+    failures = 0
+    for n in (4, 5):
+        assert types.tie_classes(types.cell_terms, masses, n) is None
+        assert types.tie_classes(types.cell_log_masses, masses, n) is None
+        for _ in range(3):
+            code = SwCode(tuple(FieldMatrix(2, rng.integers(0, 2, size=(int(rng.integers(1, n)), n)))
+                                for _ in range(2)), law)
+            for decoder, gamma in DECODERS:
+                expected, failed = oracles.sw_error(code, decoder, gamma)
+                assert sw_error_exact(code, decoder, gamma) == pytest.approx(expected, abs=1e-12)
+                failures += failed
+    assert failures > 0
+
+
 @pytest.mark.parametrize("code", [
     _dsbs_code(),
     # 3^4 = 81 source tuples, fewer than the 3^8 keys of the decoders' one group

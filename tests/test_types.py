@@ -13,6 +13,8 @@ from hashprop.types import (
     Distribution,
     DistributionError,
     TypicalityParams,
+    cell_log_masses,
+    cell_terms,
     divergence,
     empirical,
     entropy,
@@ -28,11 +30,13 @@ from hashprop.types import (
     product_keys,
     product_log_masses,
     product_members,
+    tie_classes,
     type_census,
     type_classes,
     type_divergences,
     type_key_groups,
     type_rows,
+    type_tables,
     verify_typicality_bounds,
     zeta_slack,
 )
@@ -302,6 +306,75 @@ def test_first_best_rule():
                       [1.0 + 2 * tol, nan, 1.0, 1.0, 2.0]])
     assert first_best(costs).tolist() == [2, -1, 1, 1, 2]
     assert first_best(costs[3]) == 1  # one row, no batch axis
+
+
+def _decide_both_ways(terms, masses, n, rng, rows=300):
+    """Rows of candidates drawn from the one-group costs of a law, with NaN
+    slots, rows of NaN, rows of +inf and rows holding a pair of unequal
+    costs within TIE_TOL: the first_best of the costs and the first least
+    tie-class id (argmin, -1 at the blank id) of each row, and the number
+    of such near pairs among the costs."""
+    ncells = len(masses)
+    keys = type_classes(n, ncells).counts @ types.key_weights(tuple(range(ncells)), ncells, n)
+    table = type_tables(terms, masses, n, types.SCORE_CHUNK)[0][1]
+    costs = (table if terms is cell_terms else -table)[keys]
+    ties = tie_classes(terms, masses, n)
+    finite = np.flatnonzero(np.isfinite(costs))
+    order = finite[np.argsort(costs[finite], kind="stable")]
+    gaps = np.diff(costs[order])
+    near = np.flatnonzero((gaps > 0) & (gaps <= types.TIE_TOL))[:rows - 10]
+    # candidates from three random keys each, so exact ties are common
+    picks = np.take_along_axis(rng.integers(0, len(keys), size=(rows, 3)),
+                               rng.integers(0, 3, size=(rows, 6)), axis=1)
+    picks[:len(near), :2] = np.stack([order[near + 1], order[near]], axis=1)
+    inf = np.flatnonzero(np.isinf(costs))
+    if len(inf):
+        picks[-5:] = rng.choice(inf, size=(5, 6))
+    blank = rng.random(picks.shape) < 0.25
+    blank[-10:-5] = True
+    blank[:len(near), :2] = False
+    want = first_best(np.where(blank, np.nan, costs[picks]))
+    ids = np.where(blank, ties.blank, ties.ids[keys[picks]])
+    got = np.where(ids.min(axis=1) == ties.blank, -1, ids.argmin(axis=1))
+    return want, got, len(near)
+
+
+def test_tie_classes_decide_as_first_best():
+    """On one-group laws (2 x 2 with ties of several ulps between types
+    of one mathematical cost, a zero-mass cell whose costs are +inf, the
+    uniform law, three cells, random laws), the argmin of each row's tie
+    classes is the first_best of its float costs, rows without a candidate
+    included."""
+    rng = np.random.default_rng(17)
+    laws = [(0.45, 0.05, 0.05, 0.45), (0.475, 0.025, 0.025, 0.475), (0.3, 0.2, 0.2, 0.3),
+            (0.5, 0.25, 0.0, 0.25), (0.25,) * 4, (0.6, 0.3, 0.1)]
+    laws += [tuple(rng.dirichlet(np.ones(4)).tolist()) for _ in range(3)]
+    near = infinite = empty = 0
+    for masses in laws:
+        for n in (1, 4, 6, 8):
+            assert len(type_key_groups(len(masses), n)) == 1
+            for terms in (cell_terms, cell_log_masses):
+                want, got, pairs = _decide_both_ways(terms, masses, n, rng)
+                assert got.tolist() == want.tolist(), (masses, n, terms.__name__)
+                near += pairs
+                infinite += 0.0 in masses
+                empty += (want == -1).sum()
+    assert near > 0 and infinite > 0 and empty > 0
+
+
+def test_tie_classes_that_chain_past_the_tolerance_are_none(monkeypatch):
+    """At TIE_TOL = 0.05, the costs of a 2 x 2 law at n = 5 chain: some
+    class's largest cost + TIE_TOL reaches the next class, so no classes
+    are given, although the classes at the default tolerance were just
+    cached; at n = 2 they stay separated and still decide as first_best at
+    that tolerance."""
+    law = (0.3, 0.2, 0.15, 0.35)
+    assert tie_classes(cell_terms, law, 5) is not None
+    monkeypatch.setattr(types, "TIE_TOL", 0.05)
+    for terms in (cell_terms, cell_log_masses):
+        assert tie_classes(terms, law, 5) is None
+        want, got, _ = _decide_both_ways(terms, law, 2, np.random.default_rng(3))
+        assert got.tolist() == want.tolist()
 
 
 def test_product_keys_slices_long_rows(monkeypatch):
